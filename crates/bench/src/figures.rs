@@ -1,8 +1,9 @@
 //! Every figure/experiment of the reproduction as a library function.
 //!
-//! The `src/bin/` binaries are thin wrappers over these, and
-//! `all_figures` drives the whole registry in-process so it can time
-//! each experiment and report simulator throughput (`BENCH_sim.json`).
+//! The one `mdr-bench` binary dispatches over [`all`]: `mdr-bench <id>`
+//! runs one experiment, `mdr-bench all` drives the whole registry
+//! in-process so it can time each experiment and report simulator
+//! throughput (`BENCH_sim.json`).
 //! All simulator runs go through the parallel batch APIs
 //! ([`run_jobs_recorded`] / [`run_many_recorded`]), which spread jobs
 //! across cores while keeping results bit-identical to serial runs.
@@ -16,35 +17,36 @@ use mdr_net::gen;
 use mdr_routing::{dv, lfi, Harness};
 use std::collections::BTreeMap;
 
-/// One registered experiment: a name (also the binary name) and the
-/// function that runs it to completion (prints its table and writes
-/// `results/<name>.json`).
+/// One registered experiment: a name (the `mdr-bench <id>` argument)
+/// and the function that runs it to completion (prints its table and
+/// writes `results/<name>.json`).
 pub struct Experiment {
-    /// Registry / binary name, e.g. `fig9`.
+    /// Registry name, e.g. `fig9`.
     pub name: &'static str,
-    /// Runs the whole experiment.
-    pub run: fn(),
+    /// Runs the whole experiment — or, with `smoke`, its short CI subset
+    /// where it has one (`chaos`, `trace`, `scale`).
+    pub run: fn(smoke: bool),
 }
 
 /// The full registry, in reproduction order.
 pub fn all() -> Vec<Experiment> {
     vec![
-        Experiment { name: "fig8", run: fig8 },
-        Experiment { name: "fig9", run: fig9 },
-        Experiment { name: "fig10", run: fig10 },
-        Experiment { name: "fig11", run: fig11 },
-        Experiment { name: "fig12", run: fig12 },
-        Experiment { name: "fig13", run: fig13 },
-        Experiment { name: "fig14", run: fig14 },
-        Experiment { name: "dynamic_traffic", run: dynamic_traffic },
-        Experiment { name: "link_failure", run: link_failure },
-        Experiment { name: "convergence", run: convergence },
-        Experiment { name: "load_sweep", run: load_sweep },
-        Experiment { name: "ablation_lfi", run: ablation_lfi },
-        Experiment { name: "ablation_ah", run: ablation_ah },
-        Experiment { name: "ablation_estimator", run: ablation_estimator },
-        Experiment { name: "ablation_traffic", run: ablation_traffic },
-        Experiment { name: "extension_dv", run: extension_dv },
+        Experiment { name: "fig8", run: |_| fig8() },
+        Experiment { name: "fig9", run: |_| fig9() },
+        Experiment { name: "fig10", run: |_| fig10() },
+        Experiment { name: "fig11", run: |_| fig11() },
+        Experiment { name: "fig12", run: |_| fig12() },
+        Experiment { name: "fig13", run: |_| fig13() },
+        Experiment { name: "fig14", run: |_| fig14() },
+        Experiment { name: "dynamic_traffic", run: |_| dynamic_traffic() },
+        Experiment { name: "link_failure", run: |_| link_failure() },
+        Experiment { name: "convergence", run: |_| convergence() },
+        Experiment { name: "load_sweep", run: |_| load_sweep() },
+        Experiment { name: "ablation_lfi", run: |_| ablation_lfi() },
+        Experiment { name: "ablation_ah", run: |_| ablation_ah() },
+        Experiment { name: "ablation_estimator", run: |_| ablation_estimator() },
+        Experiment { name: "ablation_traffic", run: |_| ablation_traffic() },
+        Experiment { name: "extension_dv", run: |_| extension_dv() },
         Experiment { name: "chaos", run: chaos },
         Experiment { name: "trace", run: trace },
         Experiment { name: "scale", run: scale },
@@ -1027,13 +1029,10 @@ fn chaos_adversaries() -> Vec<(&'static str, &'static str, Option<&'static str>,
 /// on for every routing-table change. Writes `results/chaos.json` and
 /// asserts the paper's core safety claim: zero LFI violations under any
 /// schedule.
-pub fn chaos() {
-    chaos_run(false);
-}
-
-/// Shared driver; `smoke` runs the CI subset (NET1, medium intensity,
+///
+/// `smoke` runs the CI subset (NET1, medium intensity,
 /// one seed, short horizon) with the same assertions.
-pub fn chaos_run(smoke: bool) {
+pub fn chaos(smoke: bool) {
     // Half the figure loads: chaos removes capacity, and the question
     // here is recovery and safety, not queueing at the feasibility edge.
     let grid: Vec<(&'static str, Topology, Vec<Flow>, f64)> = if smoke {
@@ -1300,13 +1299,10 @@ struct TraceResults {
 /// timelines to `results/trace_burst.jsonl` / `results/trace_failure.jsonl`,
 /// then measures MPDA convergence per fault class off a seeded chaos run
 /// through the metrics observer (`results/trace.json`).
-pub fn trace() {
-    trace_run(false);
-}
-
-/// Shared driver; `smoke` runs the CI subset (short horizons, one chaos
+///
+/// `smoke` runs the CI subset (short horizons, one chaos
 /// cell) with the same determinism and observer-neutrality assertions.
-pub fn trace_run(smoke: bool) {
+pub fn trace(smoke: bool) {
     let dir = crate::results_dir();
     let _ = std::fs::create_dir_all(&dir);
     let id = if smoke { "trace_smoke" } else { "trace" };
@@ -1571,13 +1567,10 @@ fn scale_setups(smoke: bool) -> Vec<ScaleSetup> {
 /// plane), gravity-model traffic, fluid flow-level simulation. The
 /// packet-vs-fluid cross-validation suite (`tests/fluid_crossval.rs`)
 /// anchors the fluid engine's fidelity on the paper's own scenarios.
-pub fn scale() {
-    scale_run(false);
-}
-
-/// Shared driver; `smoke` runs the CI subset (BA-500, distributed
+///
+/// `smoke` runs the CI subset (BA-500, distributed
 /// fluid control plane, short horizon) with the same assertions.
-pub fn scale_run(smoke: bool) {
+pub fn scale(smoke: bool) {
     let setups = scale_setups(smoke);
     let (warmup, duration) = if smoke { (8.0, 12.0) } else { (20.0, 30.0) };
     let modes = [("MP-TL-10-TS-2", Mode::Multipath), ("SP-TL-10", Mode::SinglePath)];

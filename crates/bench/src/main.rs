@@ -1,13 +1,16 @@
-//! Run every figure/experiment in-process (the one-shot reproduction
-//! driver), timing each one and recording simulator throughput.
+//! `mdr-bench` — the one experiment binary, a dispatcher over the
+//! [`mdr_bench::figures::all`] registry.
 //!
-//! Results land under `results/` as before; in addition a
-//! `BENCH_sim.json` is written beside `results/` with, per experiment:
-//! wall-clock seconds, discrete events simulated, and events/second.
-//! Pass experiment names (substrings) as arguments to run a subset,
-//! e.g. `all_figures fig9 fig10` — a filtered run merges its rows into
-//! an existing `BENCH_sim.json` (replacing rows by name, recomputing
-//! the totals as row sums) instead of clobbering the full report.
+//! * `mdr-bench <id> [smoke]` runs one experiment; results land under
+//!   `results/`, no bench file is written.
+//! * `mdr-bench all [filter…]` runs every experiment in-process, timing
+//!   each one, and writes `BENCH_sim.json` beside `results/` with, per
+//!   experiment: wall-clock seconds, discrete events simulated, and
+//!   events/second. Filters are name substrings; a filtered run merges
+//!   its rows into an existing `BENCH_sim.json` (replacing rows by name,
+//!   recomputing the totals as row sums) instead of clobbering it.
+//!
+//! An id or filter matching nothing prints the registry and exits 2.
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -43,8 +46,30 @@ fn merge_rows(mut old: Vec<BenchRow>, new: Vec<BenchRow>) -> Vec<BenchRow> {
     old
 }
 
+/// Print the registry and exit 2 (nothing matched).
+fn unknown(what: &[String]) -> ! {
+    eprintln!("error: no experiment matches {what:?}");
+    eprintln!("usage: mdr-bench <id> [smoke] | mdr-bench all [filter...]");
+    eprintln!(
+        "available: {}",
+        mdr_bench::figures::all().iter().map(|e| e.name).collect::<Vec<_>>().join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let filters: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.split_first() {
+        Some((id, filters)) if id == "all" => run_all(filters),
+        Some((id, rest)) => match mdr_bench::figures::all().iter().find(|e| e.name == id) {
+            Some(exp) => (exp.run)(rest.iter().any(|a| a == "smoke")),
+            None => unknown(&args),
+        },
+        None => unknown(&args),
+    }
+}
+
+fn run_all(filters: &[String]) {
     let threads = mdr::sim::par::num_threads();
     let mut rows = Vec::new();
     let t0 = Instant::now();
@@ -55,7 +80,7 @@ fn main() {
         println!("\n########## {} ##########", exp.name);
         let ev0 = mdr_bench::sim_events();
         let start = Instant::now();
-        (exp.run)();
+        (exp.run)(false);
         let wall_s = start.elapsed().as_secs_f64();
         let sim_events = mdr_bench::sim_events() - ev0;
         let events_per_s = sim_events as f64 / wall_s.max(1e-9);
@@ -69,12 +94,7 @@ fn main() {
         rows.push(BenchRow { name: exp.name.to_string(), wall_s, sim_events, events_per_s });
     }
     if rows.is_empty() && !filters.is_empty() {
-        eprintln!("error: no experiment matches {:?}", filters);
-        eprintln!(
-            "available: {}",
-            mdr_bench::figures::all().iter().map(|e| e.name).collect::<Vec<_>>().join(" ")
-        );
-        std::process::exit(2);
+        unknown(filters);
     }
     let ran = rows.len();
     let path = mdr_bench::results_dir().join("../BENCH_sim.json");

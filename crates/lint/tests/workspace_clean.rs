@@ -53,7 +53,12 @@ fn workspace_scan_is_clean_with_shell_only_allowlist() {
     // must degrade the one adjacency, never panic the router process.
     // (The I/O shell is the sanctioned boundary where process-fatal
     // setup errors — bind failures, bad config — may still abort.)
+    // So does the control-plane agent that node hosts, with both
+    // simulator hosts: the shared piece must not be the unguarded one.
     for must_cover in [
+        "crates/sim/src/agent.rs",
+        "crates/sim/src/engine.rs",
+        "crates/sim/src/fluid.rs",
         "crates/node/src/core.rs",
         "crates/node/src/reliable.rs",
         "crates/node/src/hlc.rs",
@@ -62,7 +67,7 @@ fn workspace_scan_is_clean_with_shell_only_allowlist() {
     ] {
         assert!(
             cfg.no_panic_paths.iter().any(|p| p == must_cover),
-            "{must_cover} fell out of the node-wide no-panic scope"
+            "{must_cover} fell out of the no-panic scope"
         );
     }
     let outcome = rules::scan_workspace(workspace_root(), &cfg).expect("scan must run");

@@ -1,8 +1,9 @@
 //! The node event-loop body: deterministic, sans-I/O, no panic paths.
 //!
-//! [`NodeCore`] owns one [`RouterDriver`] (the pure MPDA transition
-//! relation), one IH/AH [`Allocator`], and one [`PeerChannel`] per
-//! configured neighbor. The I/O shell is a thin pump: it feeds
+//! [`NodeCore`] owns one control-plane [`Agent`] — the same object both
+//! simulators host: the pure MPDA transition relation, the IH/AH
+//! allocator and the reported-cost hysteresis — and one [`PeerChannel`]
+//! per configured neighbor. The I/O shell is a thin pump: it feeds
 //! datagrams and timer ticks in, carries datagrams and telemetry
 //! records out, and sleeps until [`NodeCore::next_deadline`]. Because
 //! every method takes an explicit `now`, the entire control plane —
@@ -11,7 +12,7 @@
 //!
 //! Failure handling is uniform by construction: a neighbor declared
 //! dead (dead interval or retry exhaustion) and a simulated link cut
-//! both funnel into [`RouterDriver::neighbor_down`], i.e. the same
+//! both funnel into a [`RouterEvent::LinkDown`], i.e. the same
 //! `Delete`-LSU withdrawal path, so the safety argument (Theorem 3)
 //! covers process crashes for free. A peer restart (higher incarnation)
 //! is a down/up pair — the `LinkUp` re-floods full state at the new
@@ -38,12 +39,13 @@
 //! panics on network input.
 
 use crate::hlc::HybridClock;
-use crate::record::{NodeRecord, PeerSync, RecordBody, SnapDest};
+use crate::record::{NodeRecord, PeerSync, RecordBody};
 use crate::reliable::{ChannelEvent, PeerChannel, ReliableConfig};
-use mdr_flow::{Allocator, Mode, SuccessorCost};
-use mdr_net::{NodeId, INFINITE_COST};
+use mdr_flow::Mode;
+use mdr_net::NodeId;
 use mdr_proto::{frame_node, unframe_node, LsuMessage, NodeBody, NodeMsg};
-use mdr_routing::{RouterDriver, RouterOutput, RouterSnapshot};
+use mdr_routing::{RouterEvent, RouterOutput};
+use mdr_sim::agent::{Agent, Allocs};
 use mdr_sim::telemetry::Ewma;
 
 /// Static configuration of one node process.
@@ -140,8 +142,6 @@ struct Neighbor {
     base_cost: f64,
     chan: PeerChannel,
     rtt: Ewma,
-    /// Cost currently advertised to the router (`None` while down).
-    advertised: Option<f64>,
     /// Adjacency came up while quarantined; the router has not been
     /// told yet.
     up_pending: bool,
@@ -171,8 +171,8 @@ impl Neighbor {
 pub struct NodeCore {
     cfg: NodeConfig,
     clock: HybridClock,
-    driver: RouterDriver,
-    alloc: Allocator,
+    /// The control plane; neighbor slot = index into `neighbors`.
+    agent: Agent,
     neighbors: Vec<Neighbor>,
     corrupt: u64,
     was_converged: bool,
@@ -203,18 +203,17 @@ impl NodeCore {
                 base_cost,
                 chan: PeerChannel::new(cfg.reliable, cfg.incarnation, now),
                 rtt: Ewma::new(cfg.rtt_alpha.clamp(1e-6, 1.0)),
-                advertised: None,
                 up_pending: false,
                 held: Vec::new(),
                 awaiting_ack: false,
             })
             .collect();
-        let driver = RouterDriver::new(cfg.id, cfg.n);
+        let peers = cfg.neighbors.iter().map(|&(p, _)| p).collect();
+        let agent = Agent::new(cfg.id, cfg.n, Mode::Multipath, 1.0, peers, cfg.cost_deadband);
         let last_fds =
-            (0..cfg.n as u32).map(|j| driver.router().feasible_distance(NodeId(j))).collect();
+            (0..cfg.n as u32).map(|j| agent.router().feasible_distance(NodeId(j))).collect();
         let mut node = NodeCore {
-            driver,
-            alloc: Allocator::new(cfg.n, Mode::Multipath),
+            agent,
             clock: HybridClock::new(),
             neighbors,
             corrupt: 0,
@@ -252,20 +251,15 @@ impl NodeCore {
         self.corrupt
     }
 
-    /// The hosted router driver (read-only).
-    pub fn driver(&self) -> &RouterDriver {
-        &self.driver
+    /// The hosted control-plane agent (read-only).
+    pub fn driver(&self) -> &Agent {
+        &self.agent
     }
 
     /// Fraction of `dest`-bound traffic the allocator forwards via
     /// neighbor `k`.
     pub fn fraction(&self, dest: NodeId, k: NodeId) -> f64 {
-        self.alloc.fraction(dest, k)
-    }
-
-    /// Safety snapshot of the current routing state.
-    pub fn snapshot(&self) -> RouterSnapshot {
-        self.driver.snapshot(self.cfg.n)
+        self.agent.fraction(dest, k)
     }
 
     /// Local convergence: router PASSIVE, every channel idle, at least
@@ -273,7 +267,7 @@ impl NodeCore {
     /// is partitioned), and not in restart quarantine.
     pub fn is_converged(&self) -> bool {
         !self.quarantined
-            && self.driver.is_passive()
+            && self.agent.is_passive()
             && self.neighbors.iter().all(|nb| nb.chan.is_idle())
             && self.neighbors.iter().any(|nb| nb.chan.is_up())
     }
@@ -307,7 +301,7 @@ impl NodeCore {
             return out;
         };
         self.clock.observe(msg.hlc, now);
-        let Some(idx) = self.index_of(msg.from) else {
+        let Some(idx) = self.agent.slot(msg.from) else {
             // Not a configured neighbor — a misdirected or forged
             // datagram. Dropping it is the graceful path.
             return out;
@@ -358,10 +352,6 @@ impl NodeCore {
 
     // -- internals ----------------------------------------------------
 
-    fn index_of(&self, peer: NodeId) -> Option<usize> {
-        self.neighbors.iter().position(|nb| nb.peer == peer)
-    }
-
     fn record(&mut self, body: RecordBody, now: f64, out: &mut NodeOutput) {
         out.records.push(NodeRecord {
             hlc: self.clock.tick(now),
@@ -372,7 +362,7 @@ impl NodeCore {
     }
 
     fn envelope(&mut self, to: NodeId, body: NodeBody, now: f64, out: &mut NodeOutput) {
-        let (for_inc, for_session, session) = match self.index_of(to) {
+        let (for_inc, for_session, session) = match self.agent.slot(to) {
             Some(idx) => self.neighbors[idx].chan.address(),
             None => (0, 0, 1),
         };
@@ -435,42 +425,31 @@ impl NodeCore {
         match ev {
             ChannelEvent::PeerUp { incarnation } => {
                 self.record(RecordBody::PeerUp { peer, peer_inc: incarnation }, now, out);
-                let cost = self.neighbors[idx].effective_cost();
-                self.neighbors[idx].advertised = Some(cost);
-                let r = self.driver.neighbor_up(peer, cost);
-                self.handle_router_output(r, now, out);
+                self.neighbor_up(idx, now, out);
             }
             ChannelEvent::PeerRestart { old, new } => {
                 // The peer lost all protocol state: tear the adjacency
                 // down and bring it back up, which re-floods our full
                 // topology at the new incarnation — the re-sync.
                 self.record(RecordBody::PeerRestart { peer, old, new }, now, out);
-                self.neighbors[idx].advertised = None;
                 self.neighbors[idx].awaiting_ack = false;
-                let r = self.driver.neighbor_down(peer);
-                self.handle_router_output(r, now, out);
-                let cost = self.neighbors[idx].effective_cost();
-                self.neighbors[idx].advertised = Some(cost);
-                let r = self.driver.neighbor_up(peer, cost);
-                self.handle_router_output(r, now, out);
+                self.route_event(RouterEvent::LinkDown { to: peer }, now, out);
+                self.neighbor_up(idx, now, out);
             }
             ChannelEvent::PeerDown { reason } => {
                 // Same withdrawal path as a simulated link cut. The
                 // channel purged whatever was unacked, and the router's
                 // `LinkDown` treats the peer's pending ack as received.
                 self.record(RecordBody::PeerDown { peer, reason }, now, out);
-                self.neighbors[idx].advertised = None;
                 self.neighbors[idx].awaiting_ack = false;
-                let r = self.driver.neighbor_down(peer);
-                self.handle_router_output(r, now, out);
+                self.route_event(RouterEvent::LinkDown { to: peer }, now, out);
             }
             ChannelEvent::Deliver(mut lsu) => {
                 // Ack substitution (module docs): the unlabeled protocol
                 // ack flag is ignored; phase completion is derived from
                 // the seq-numbered transport acks instead.
                 lsu.ack = false;
-                let r = self.driver.deliver(peer, lsu);
-                self.handle_router_output(r, now, out);
+                self.route_event(RouterEvent::Lsu { from: peer, msg: lsu }, now, out);
             }
             ChannelEvent::Discarded { in_flight, backlog, reorder } => {
                 // Flush-or-report: the reset already purged this data;
@@ -488,38 +467,49 @@ impl NodeCore {
         }
     }
 
-    fn handle_router_output(&mut self, r: RouterOutput, now: f64, out: &mut NodeOutput) {
-        for ch in &r.changed {
+    /// The adjacency to neighbor `idx` is up: tell the router, at the
+    /// current effective cost.
+    fn neighbor_up(&mut self, idx: usize, now: f64, out: &mut NodeOutput) {
+        let nb = &self.neighbors[idx];
+        let ev = RouterEvent::LinkUp { to: nb.peer, cost: nb.effective_cost() };
+        self.route_event(ev, now, out);
+    }
+
+    /// True while the router holds an adjacency to `peer`.
+    fn adjacent(&self, peer: NodeId) -> bool {
+        self.agent.router().link_cost(peer).is_some()
+    }
+
+    /// Feed `ev` to the agent and carry out what it returns. The node
+    /// allocates at the link costs the router holds (no fresher
+    /// estimate than what it advertised).
+    fn route_event(&mut self, ev: RouterEvent, now: f64, out: &mut NodeOutput) {
+        let (r, allocs) = self.agent.handle(ev, |_| None);
+        self.apply_agent_output(r, allocs, now, out);
+    }
+
+    fn apply_agent_output(
+        &mut self,
+        r: RouterOutput,
+        allocs: Allocs,
+        now: f64,
+        out: &mut NodeOutput,
+    ) {
+        for ch in r.changed {
             self.record(
-                RecordBody::RouteChange { dest: ch.dest, old: ch.old.clone(), new: ch.new.clone() },
+                RecordBody::RouteChange { dest: ch.dest, old: ch.old, new: ch.new },
                 now,
                 out,
             );
         }
-        // Re-run the allocation heuristics for every changed
-        // destination (§4.2: IH on long-term route changes).
-        for ch in &r.changed {
-            let costs: Vec<SuccessorCost> = {
-                let router = self.driver.router();
-                router
-                    .successors(ch.dest)
-                    .iter()
-                    .map(|&k| {
-                        let link = match router.link_cost(k) {
-                            Some(c) => c,
-                            None => INFINITE_COST,
-                        };
-                        SuccessorCost::new(k, router.neighbor_distance(k, ch.dest) + link)
-                    })
-                    .collect()
-            };
-            let outcome = self.alloc.refresh(ch.dest, &costs);
+        // §4.2: IH ran for every changed destination.
+        for (dest, outcome) in allocs {
             if outcome.heuristic.is_some() {
-                self.record(RecordBody::Alloc { dest: ch.dest, shift: outcome.shift }, now, out);
+                self.record(RecordBody::Alloc { dest, shift: outcome.shift }, now, out);
             }
         }
         for s in r.sends {
-            let Some(idx) = self.index_of(s.to) else { continue };
+            let Some(idx) = self.agent.slot(s.to) else { continue };
             if !self.neighbors[idx].chan.is_up() {
                 // Adjacency raced down since the router queued this;
                 // the LinkUp re-flood will supersede it.
@@ -545,16 +535,15 @@ impl NodeCore {
         let Some(sample) = self.neighbors[idx].chan.take_rtt_sample() else { return };
         self.neighbors[idx].rtt.update(sample);
         let nb = &self.neighbors[idx];
-        let (Some(advertised), true) = (nb.advertised, nb.chan.is_up()) else { return };
-        let cost = nb.effective_cost();
-        // Deadband: only re-advertise on a meaningful relative change,
-        // so RTT jitter doesn't turn into LSU churn.
-        if (cost - advertised).abs() > self.cfg.cost_deadband * advertised.max(f64::EPSILON) {
-            let peer = nb.peer;
-            self.neighbors[idx].advertised = Some(cost);
+        if !(self.adjacent(nb.peer) && nb.chan.is_up()) {
+            return;
+        }
+        let (peer, cost) = (nb.peer, nb.effective_cost());
+        // Re-advertised only on a meaningful relative change, so RTT
+        // jitter doesn't turn into LSU churn.
+        if let Some((r, allocs)) = self.agent.report_cost(idx, cost, |_| None) {
             self.record(RecordBody::LinkCost { peer, cost }, now, out);
-            let r = self.driver.link_cost(peer, cost);
-            self.handle_router_output(r, now, out);
+            self.apply_agent_output(r, allocs, now, out);
         }
     }
 
@@ -592,13 +581,9 @@ impl NodeCore {
                 continue;
             }
             let peer = nb.peer;
-            let cost = nb.effective_cost();
-            self.neighbors[idx].advertised = Some(cost);
-            let r = self.driver.neighbor_up(peer, cost);
-            self.handle_router_output(r, now, out);
+            self.neighbor_up(idx, now, out);
             for lsu in held {
-                let r = self.driver.deliver(peer, lsu);
-                self.handle_router_output(r, now, out);
+                self.route_event(RouterEvent::Lsu { from: peer, msg: lsu }, now, out);
             }
         }
     }
@@ -617,13 +602,13 @@ impl NodeCore {
             }
             self.neighbors[idx].awaiting_ack = false;
             let peer = self.neighbors[idx].peer;
-            let r = self.driver.deliver(peer, LsuMessage::ack_only(peer));
-            self.handle_router_output(r, now, out);
+            let ack = LsuMessage::ack_only(peer);
+            self.route_event(RouterEvent::Lsu { from: peer, msg: ack }, now, out);
         }
         // FD can move with every successor set intact (see `last_fds`);
         // the cross-node audit needs those raises on the record too.
         for j in 0..self.cfg.n {
-            let fd = self.driver.router().feasible_distance(NodeId(j as u32));
+            let fd = self.agent.router().feasible_distance(NodeId(j as u32));
             if fd != self.last_fds[j] {
                 self.last_fds[j] = fd;
                 self.snapshot_pending = true;
@@ -631,24 +616,14 @@ impl NodeCore {
         }
         if self.snapshot_pending {
             self.snapshot_pending = false;
-            let snap = self.driver.snapshot(self.cfg.n);
-            let dests = snap
-                .dests
-                .iter()
-                .map(|d| SnapDest {
-                    dest: d.dest,
-                    fd: d.fd,
-                    dist: d.dist,
-                    successors: d.successors.clone(),
-                })
-                .collect();
+            let dests = self.agent.snapshot().dests;
             // Which incarnation of each neighbor this routing state was
             // built against — lets the trace audit distinguish a stale
             // cross-epoch edge (blackhole transient) from a live one.
             let peers = self
                 .neighbors
                 .iter()
-                .filter(|nb| nb.advertised.is_some())
+                .filter(|nb| self.adjacent(nb.peer))
                 .map(|nb| PeerSync { peer: nb.peer, inc: nb.chan.incarnation().unwrap_or(0) })
                 .collect();
             self.record(RecordBody::Snapshot { dests, peers }, now, out);
@@ -665,6 +640,7 @@ impl NodeCore {
 mod tests {
     use super::*;
     use crate::record::RecordBody as RB;
+    use mdr_net::INFINITE_COST;
 
     fn pair() -> (NodeCore, NodeCore) {
         let (a, _) = NodeCore::new(NodeConfig::new(NodeId(0), 2, 1, vec![(NodeId(1), 0.01)]), 0.0);
@@ -723,7 +699,7 @@ mod tests {
         let kinds: Vec<&str> = out.records.iter().map(|r| r.body.kind()).collect();
         assert!(kinds.contains(&"peer_down"), "{kinds:?}");
         assert_eq!(a.driver().router().distance(NodeId(1)), INFINITE_COST);
-        assert!(a.snapshot().successors(NodeId(1)).is_empty());
+        assert!(a.driver().snapshot().successors(NodeId(1)).is_empty());
         assert!(!a.is_converged(), "an isolated node is partitioned, not converged");
     }
 

@@ -1,10 +1,10 @@
 //! # mdr-node — a fault-tolerant multi-process MPDA control plane
 //!
-//! One OS process per router. Each process hosts the *same* pure MPDA
-//! transition relation every other harness in this workspace drives
-//! (via [`mdr_routing::RouterDriver`]), plus the IH/AH flow allocator,
-//! and speaks CRC32-framed [`mdr_proto`] datagrams to its neighbors
-//! over UDP.
+//! One OS process per router. Each process hosts the *same*
+//! control-plane [`mdr_sim::agent::Agent`] both simulators host — the
+//! pure MPDA transition relation plus the IH/AH flow allocator — and
+//! speaks CRC32-framed [`mdr_proto`] datagrams to its neighbors over
+//! UDP.
 //!
 //! The crate splits along the sans-I/O line:
 //!
@@ -22,7 +22,7 @@
 //!     retransmission under a bounded retry budget, and
 //!     incarnation-tagged restart detection;
 //!   - [`core`] — [`core::NodeCore`], the event loop body: wires the
-//!     channels to the router driver and allocator, turns neighbor
+//!     channels to the control-plane agent, turns neighbor
 //!     death into the same `Delete`-LSU withdrawal path as a simulated
 //!     link cut, and emits a telemetry record stream;
 //!   - [`record`] — the JSONL telemetry schema

@@ -15,6 +15,7 @@
 use crate::reliable::DownReason;
 use mdr_net::NodeId;
 use mdr_proto::HlcStamp;
+use mdr_sim::telemetry::node_seq;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// One live adjacency inside a [`RecordBody::Snapshot`]: which
@@ -31,18 +32,8 @@ pub struct PeerSync {
 }
 
 /// One destination's safety-relevant state inside a
-/// [`RecordBody::Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapDest {
-    /// Destination router.
-    pub dest: NodeId,
-    /// Feasible distance `FD^i_j`.
-    pub fd: f64,
-    /// Current distance `D^i_j`.
-    pub dist: f64,
-    /// Successor set `S^i_j`, ascending.
-    pub successors: Vec<NodeId>,
-}
+/// [`RecordBody::Snapshot`] — the router's own snapshot row.
+pub use mdr_routing::DestState as SnapDest;
 
 /// What happened.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,10 +173,6 @@ impl NodeRecord {
     }
 }
 
-fn nodes_value(nodes: &[NodeId]) -> Value {
-    Value::Seq(nodes.iter().map(|n| Value::U64(n.0 as u64)).collect())
-}
-
 // The vendored serde derive covers only unit-variant enums, so the
 // record serializes by hand as a flat `kind`-tagged map (same scheme as
 // `mdr_sim::telemetry::SimEvent`).
@@ -201,7 +188,7 @@ impl Serialize for NodeRecord {
         match &self.body {
             RecordBody::Start { n, neighbors } => {
                 m.push(("n".into(), Value::U64(*n)));
-                m.push(("neighbors".into(), nodes_value(neighbors)));
+                m.push(("neighbors".into(), node_seq(neighbors)));
             }
             RecordBody::PeerUp { peer, peer_inc } => {
                 m.push(("peer".into(), Value::U64(peer.0 as u64)));
@@ -224,8 +211,8 @@ impl Serialize for NodeRecord {
             }
             RecordBody::RouteChange { dest, old, new } => {
                 m.push(("dest".into(), Value::U64(dest.0 as u64)));
-                m.push(("old".into(), nodes_value(old)));
-                m.push(("new".into(), nodes_value(new)));
+                m.push(("old".into(), node_seq(old)));
+                m.push(("new".into(), node_seq(new)));
             }
             RecordBody::Snapshot { dests, peers } => {
                 let seq = dests
@@ -235,7 +222,7 @@ impl Serialize for NodeRecord {
                             ("dest".into(), Value::U64(d.dest.0 as u64)),
                             ("fd".into(), Value::F64(d.fd)),
                             ("dist".into(), Value::F64(d.dist)),
-                            ("succ".into(), nodes_value(&d.successors)),
+                            ("succ".into(), node_seq(&d.successors)),
                         ])
                     })
                     .collect();

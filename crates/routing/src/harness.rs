@@ -68,7 +68,7 @@ impl Harness<MpdaRouter> {
     pub fn mpda(topo: &Topology, cost_of: impl Fn(NodeId, NodeId) -> LinkCost, seed: u64) -> Self {
         let n = topo.node_count();
         let routers = (0..n).map(|i| MpdaRouter::new(NodeId(i as u32), n)).collect();
-        Self::init(routers, topo, cost_of, seed)
+        Self::new(routers, topo, cost_of, seed)
     }
 
     /// Check both LFI safety properties right now; panics with a
@@ -88,12 +88,15 @@ impl Harness<PdaRouter> {
     pub fn pda(topo: &Topology, cost_of: impl Fn(NodeId, NodeId) -> LinkCost, seed: u64) -> Self {
         let n = topo.node_count();
         let routers = (0..n).map(|i| PdaRouter::new(NodeId(i as u32), n)).collect();
-        Self::init(routers, topo, cost_of, seed)
+        Self::new(routers, topo, cost_of, seed)
     }
 }
 
 impl<R: RouterSm> Harness<R> {
-    fn init(
+    /// Build a network of the given state machines over `topo`: every
+    /// link comes up at the cost given by `cost_of`, and the resulting
+    /// messages are queued, not yet delivered.
+    pub fn new(
         mut routers: Vec<R>,
         topo: &Topology,
         cost_of: impl Fn(NodeId, NodeId) -> LinkCost,

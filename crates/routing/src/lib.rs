@@ -19,9 +19,6 @@
 //!   global checker that verifies the per-destination routing graph
 //!   `SG_j(t)` is acyclic — used by tests to validate Theorem 3 under
 //!   adversarial event schedules;
-//! * [`driver`] — a thin public driver for hosting one router inside an
-//!   *external* event loop (the `mdr-node` multi-process control
-//!   plane), plus serializable safety snapshots for offline auditing;
 //! * [`harness`] — an in-memory message-passing harness that drives a
 //!   set of routers to convergence under configurable (including
 //!   adversarial) delivery schedules, checking the LFI safety property
@@ -36,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub(crate) mod core;
-pub mod driver;
 pub mod dv;
 pub mod harness;
 pub mod lfi;
@@ -45,10 +41,12 @@ pub mod pda;
 pub mod spf;
 pub mod table;
 
-pub use driver::{DestState, RouterDriver, RouterSnapshot};
 pub use dv::{DvEvent, DvMessage, DvOutput, DvRouter};
 pub use harness::Harness;
-pub use mpda::{MpdaRouter, RouteChange, RouterEvent, RouterOutput, SendTo, UpdateRule};
+pub use mpda::{
+    DestState, MpdaRouter, RouteChange, RouterEvent, RouterOutput, RouterSnapshot, SendTo,
+    UpdateRule,
+};
 pub use pda::PdaRouter;
 pub use spf::{bellman_ford, dijkstra, SpfResult};
 pub use table::TopoTable;

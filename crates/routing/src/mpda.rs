@@ -91,6 +91,47 @@ pub struct RouteChange {
     pub new: Vec<NodeId>,
 }
 
+/// Safety-relevant state of one router at one instant: everything the
+/// LFI view checkers ([`crate::lfi::check_loop_freedom_view`] /
+/// [`crate::lfi::check_fd_ordering_view`]) need to replay a history
+/// without the live routers, nothing more.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouterSnapshot {
+    /// The router this snapshot describes.
+    pub node: NodeId,
+    /// Per-destination state for every destination except `node`
+    /// itself, ascending by destination address.
+    pub dests: Vec<DestState>,
+}
+
+/// One destination's successor set and feasible distance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DestState {
+    /// Destination router.
+    pub dest: NodeId,
+    /// Feasible distance `FD^i_j` (infinite when unreachable).
+    pub fd: LinkCost,
+    /// Current distance `D^i_j`.
+    pub dist: LinkCost,
+    /// Successor set `S^i_j`, ascending by neighbor address.
+    pub successors: Vec<NodeId>,
+}
+
+impl RouterSnapshot {
+    /// The successor set toward `j` (empty when `j` is the router
+    /// itself or unknown).
+    pub fn successors(&self, j: NodeId) -> &[NodeId] {
+        self.dests.iter().find(|d| d.dest == j).map(|d| d.successors.as_slice()).unwrap_or(&[])
+    }
+
+    /// The feasible distance toward `j` (infinite when `j` is the
+    /// router itself or unknown — the checkers treat both correctly:
+    /// a router is never a successor toward itself).
+    pub fn fd(&self, j: NodeId) -> LinkCost {
+        self.dests.iter().find(|d| d.dest == j).map(|d| d.fd).unwrap_or(INFINITE_COST)
+    }
+}
+
 /// The feasible-distance / successor update rule the router runs.
 ///
 /// [`UpdateRule::Lfi`] is the paper's rule and the only sound one; the
@@ -241,6 +282,21 @@ impl MpdaRouter {
     /// The main topology table `T^i` (the router's shortest-path tree).
     pub fn main_topology(&self) -> &TopoTable {
         &self.core.main_topo
+    }
+
+    /// Capture the safety-relevant state (what a telemetry stream
+    /// publishes after a route change).
+    pub fn snapshot(&self) -> RouterSnapshot {
+        let dests = (0..self.core.n)
+            .filter(|&j| j != self.core.id.index())
+            .map(|j| DestState {
+                dest: NodeId(j as u32),
+                fd: self.fd[j],
+                dist: self.core.dist[j],
+                successors: self.successors[j].clone(),
+            })
+            .collect();
+        RouterSnapshot { node: self.core.id, dests }
     }
 
     /// Handle one event (procedure MPDA, Fig. 4).
@@ -740,6 +796,39 @@ mod tests {
         let mut kc = Vec::new();
         c[1].encode_state(&mut kc);
         assert_ne!(ka, kc, "different link costs must change the encoding");
+    }
+
+    #[test]
+    fn snapshots_feed_the_view_checkers() {
+        let r = converge(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
+        let snaps: Vec<RouterSnapshot> = r.iter().map(|x| x.snapshot()).collect();
+        assert!(
+            crate::lfi::check_loop_freedom_view(3, |i, j| snaps[i.index()].successors(j)).is_ok()
+        );
+        assert!(crate::lfi::check_fd_ordering_view(
+            3,
+            |i, j| snaps[i.index()].successors(j),
+            |i, j| snaps[i.index()].fd(j),
+        )
+        .is_ok());
+        // The snapshot agrees with the live router everywhere.
+        for (router, snap) in r.iter().zip(&snaps) {
+            assert_eq!(snap.node, router.id());
+            for ds in &snap.dests {
+                assert_eq!(ds.successors, router.successors(ds.dest));
+                assert_eq!(ds.fd, router.feasible_distance(ds.dest));
+                assert_eq!(ds.dist, router.distance(ds.dest));
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_defaults_for_unknown_destinations() {
+        let s = MpdaRouter::new(n(0), 4).snapshot();
+        assert_eq!(s.dests.len(), 3);
+        assert!(s.successors(n(0)).is_empty(), "self is not in the snapshot");
+        assert_eq!(s.fd(n(0)), INFINITE_COST);
+        assert_eq!(s.fd(n(3)), INFINITE_COST);
     }
 
     #[test]

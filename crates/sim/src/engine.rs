@@ -1,25 +1,29 @@
 //! The discrete-event simulation engine.
 //!
-//! See the crate docs for the model. The engine owns one
-//! [`MpdaRouter`] + [`Allocator`] + per-link [`LinkEstimator`] per
-//! router, a FIFO packet queue per directed link, and a deterministic
-//! event queue. Control messages (LSUs) traverse the same links as data
-//! (serialization + propagation delay) but do not occupy the data
-//! queues — the paper's evaluation makes the same simplification, and at
-//! these scales LSU traffic is negligible against 10 Mb/s links.
+//! See the crate docs for the model. The engine owns one control-plane
+//! [`Agent`] (MPDA router + IH/AH allocator + reported-cost hysteresis)
+//! and one [`LinkEstimator`] per adjacent link per router, a FIFO packet
+//! queue per directed link, and a deterministic event queue. Control
+//! messages (LSUs) traverse the same links as data (serialization +
+//! propagation delay) but do not occupy the data queues — the paper's
+//! evaluation makes the same simplification, and at these scales LSU
+//! traffic is negligible against 10 Mb/s links.
 
+use crate::agent::{Agent, Allocs};
 use crate::chaos::{ControlChaos, FaultEvent, FaultRecord, RobustnessCounters, RobustnessReport};
 use crate::estimator::{EstimatorKind, LinkEstimator};
 use crate::events::{Ev, EventQueue, MsgSlab, Packet};
 use crate::monitor::InvariantMonitor;
 use crate::scenario::{Scenario, ScenarioEvent};
 use crate::stats::{DelaySeries, FlowStats, LinkStats};
-use crate::telemetry::{DropReason, ObserverMode, SimEvent, SimObserver, TelemetryReport};
-use mdr_flow::{Allocator, Mode, SuccessorCost, Update};
+use crate::telemetry::{
+    publish_step, DropReason, ObserverMode, SimEvent, SimObserver, TelemetryReport,
+};
+use mdr_flow::Mode;
 use mdr_net::{LinkDelayModel, LinkId, Mm1, NodeId, Topology, TrafficMatrix};
 use mdr_opt::RoutingVars;
 use mdr_proto::LsuMessage;
-use mdr_routing::{MpdaRouter, RouterEvent};
+use mdr_routing::{MpdaRouter, RouterEvent, RouterOutput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -264,18 +268,15 @@ const NO_SLOT: u16 = u16::MAX;
 /// the hot paths touch these every packet, and the `BTreeMap`s this
 /// replaces dominated the forwarding profile.
 struct NodeSt {
-    router: MpdaRouter,
-    alloc: Allocator,
-    /// Neighbor ids, ascending address order (the order
-    /// `Topology::out_links` yields, which the old sorted-map iteration
-    /// matched — keeping RNG/event streams identical).
-    nbrs: Vec<NodeId>,
+    /// The control plane. Its neighbor list is in ascending address
+    /// order (the order `Topology::out_links` yields, which the old
+    /// sorted-map iteration matched — keeping RNG/event streams
+    /// identical) and defines the slots below.
+    agent: Agent,
     /// Outgoing link per neighbor slot.
     out_link: Vec<LinkId>,
     /// Marginal-cost estimator per neighbor slot.
     est: Vec<LinkEstimator>,
-    /// Cost last reported into MPDA per neighbor slot.
-    reported: Vec<f64>,
     /// Node id → neighbor slot; [`NO_SLOT`] when not adjacent.
     slot_of: Vec<u16>,
 }
@@ -349,24 +350,16 @@ impl Simulator {
                 let mut nbrs = Vec::new();
                 let mut out_link = Vec::new();
                 let mut est = Vec::new();
-                let mut reported = Vec::new();
                 let mut slot_of = vec![NO_SLOT; n];
                 for (lid, l) in topo.out_links(node) {
                     slot_of[l.to.index()] = nbrs.len() as u16;
                     nbrs.push(l.to);
                     out_link.push(lid);
                     est.push(LinkEstimator::new(cfg.estimator, models[lid.index()], 0.0));
-                    reported.push(models[lid.index()].marginal_delay(0.0));
                 }
-                NodeSt {
-                    router: MpdaRouter::new(node, n),
-                    alloc: Allocator::new(n, cfg.mode).with_ah_gain(cfg.ah_gain),
-                    nbrs,
-                    out_link,
-                    est,
-                    reported,
-                    slot_of,
-                }
+                let agent =
+                    Agent::new(node, n, cfg.mode, cfg.ah_gain, nbrs, cfg.cost_change_threshold);
+                NodeSt { agent, out_link, est, slot_of }
             })
             .collect();
         let links: Vec<LinkSt> = topo
@@ -426,8 +419,9 @@ impl Simulator {
         let mut boot_sends: Vec<(NodeId, NodeId, LsuMessage)> = Vec::new();
         for (lid, l) in topo.links().iter().enumerate() {
             let idle = models[lid].marginal_delay(0.0);
-            let out =
-                nodes[l.from.index()].router.handle(RouterEvent::LinkUp { to: l.to, cost: idle });
+            let NodeSt { agent, est, .. } = &mut nodes[l.from.index()];
+            let boot = RouterEvent::LinkUp { to: l.to, cost: idle };
+            let (out, _) = agent.handle(boot, |s| Some(est[s].cost()));
             for s in out.sends {
                 boot_sends.push((l.from, s.to, s.msg));
             }
@@ -740,8 +734,8 @@ impl Simulator {
                 mon.audit_view_if(
                     nodes.len(),
                     now,
-                    |i, j| nodes[i.index()].router.successors(j),
-                    |i, j| nodes[i.index()].router.feasible_distance(j),
+                    |i, j| nodes[i.index()].agent.router().successors(j),
+                    |i, j| nodes[i.index()].agent.router().feasible_distance(j),
                     |i, k| topo.link_between(i, k).is_some_and(|l| links[l.index()].up),
                 );
             }
@@ -777,8 +771,7 @@ impl Simulator {
         if !self.alive(x) {
             return;
         }
-        let out = self.nodes[x.index()].router.handle(RouterEvent::LinkDown { to: y });
-        self.apply_router_output(x, out);
+        self.route_event(x, RouterEvent::LinkDown { to: y });
     }
 
     /// Put directed link `x → y` back in service at the idle marginal
@@ -789,10 +782,8 @@ impl Simulator {
         if let Some(s) = self.nodes[x.index()].slot(y) {
             self.nodes[x.index()].est[s] =
                 LinkEstimator::new(self.cfg.estimator, self.models[lid.index()], self.time);
-            self.nodes[x.index()].reported[s] = idle;
         }
-        let out = self.nodes[x.index()].router.handle(RouterEvent::LinkUp { to: y, cost: idle });
-        self.apply_router_output(x, out);
+        self.route_event(x, RouterEvent::LinkUp { to: y, cost: idle });
     }
 
     /// Fail the physical link `a — b`: both directed links leave
@@ -846,7 +837,7 @@ impl Simulator {
             // old life is stale at delivery.
             rb.inc[x.index()] = rb.inc[x.index()].wrapping_add(1);
         }
-        let nbrs = self.nodes[x.index()].nbrs.clone();
+        let nbrs = self.nodes[x.index()].agent.nbrs().to_vec();
         for &y in &nbrs {
             if let Some(lid) = self.topo.link_between(x, y) {
                 self.deactivate_link(lid);
@@ -859,10 +850,7 @@ impl Simulator {
                 }
             }
         }
-        let n = self.topo.node_count();
-        self.nodes[x.index()].router = MpdaRouter::new(x, n);
-        self.nodes[x.index()].alloc =
-            Allocator::new(n, self.cfg.mode).with_ah_gain(self.cfg.ah_gain);
+        self.nodes[x.index()].agent.reset();
         self.audit();
     }
 
@@ -872,7 +860,7 @@ impl Simulator {
     fn restart_router(&mut self, x: NodeId) {
         let Some(rb) = self.robust.as_deref_mut() else { return };
         rb.crashed[x.index()] = false;
-        let nbrs = self.nodes[x.index()].nbrs.clone();
+        let nbrs = self.nodes[x.index()].agent.nbrs().to_vec();
         for &y in &nbrs {
             if !self.alive(y) {
                 continue;
@@ -978,7 +966,7 @@ impl Simulator {
             if rb.pending.is_empty() || !msgs_empty {
                 return;
             }
-            if nodes.iter().all(|nd| !nd.router.is_active()) {
+            if nodes.iter().all(|nd| nd.agent.is_passive()) {
                 let mut closed: Vec<f64> = Vec::new();
                 for &i in &rb.pending {
                     rb.records[i].recovery_s = Some(now - rb.records[i].time);
@@ -1006,7 +994,7 @@ impl Simulator {
     /// perturbs nothing.
     fn observe_quiescence(&mut self) {
         let now = self.time;
-        let q = self.msgs.is_empty() && self.nodes.iter().all(|nd| !nd.router.is_active());
+        let q = self.msgs.is_empty() && self.nodes.iter().all(|nd| nd.agent.is_passive());
         if q && !self.quiescent {
             if let Some(o) = self.obs.as_deref_mut() {
                 o.on_event(&SimEvent::ControlQuiescent { time: now });
@@ -1015,75 +1003,27 @@ impl Simulator {
         self.quiescent = q;
     }
 
-    /// Marginal distances `D^i_jk + l^i_k` through the current successor
-    /// set of router `i` toward `j`, using the freshest local link-cost
-    /// estimates.
-    fn successor_costs(&self, i: NodeId, j: NodeId) -> Vec<SuccessorCost> {
-        let node = &self.nodes[i.index()];
-        node.router
-            .successors(j)
-            .iter()
-            .filter_map(|&k| {
-                let lk = node.slot(k).map(|s| node.est[s].cost()).or(node.router.link_cost(k))?;
-                Some(SuccessorCost::new(k, node.router.neighbor_distance(k, j) + lk))
-            })
-            .collect()
+    /// Feed `ev` to router `i`'s agent at the freshest link-cost
+    /// estimates and carry out what it returns.
+    fn route_event(&mut self, i: NodeId, ev: RouterEvent) {
+        let NodeSt { agent, est, .. } = &mut self.nodes[i.index()];
+        let (out, allocs) = agent.handle(ev, |s| Some(est[s].cost()));
+        self.apply_agent_output(i, out, allocs);
     }
 
-    /// Apply a router output: transmit LSUs, refresh allocation if
-    /// routes changed.
-    fn apply_router_output(&mut self, i: NodeId, out: mdr_routing::RouterOutput) {
+    /// Carry out an agent's output: transmit LSUs, publish what moved,
+    /// audit if routes changed.
+    fn apply_agent_output(&mut self, i: NodeId, out: RouterOutput, allocs: Allocs) {
         for s in out.sends {
             self.send_control(i, s.to, s.msg);
         }
         if out.routes_changed {
-            if !out.changed.is_empty() && self.obs.is_some() {
-                let now = self.time;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    for c in out.changed {
-                        o.on_event(&SimEvent::RouteChange {
-                            time: now,
-                            node: i,
-                            dest: c.dest,
-                            old: c.old,
-                            new: c.new,
-                        });
-                    }
-                }
-            }
-            for j in 0..self.topo.node_count() as u32 {
-                let j = NodeId(j);
-                if j == i {
-                    continue;
-                }
-                let sc = self.successor_costs(i, j);
-                let outcome = self.nodes[i.index()].alloc.refresh(j, &sc);
-                self.observe_alloc(i, j, outcome);
+            if let Some(o) = self.obs.as_deref_mut() {
+                publish_step(o, self.time, i, out.changed, &allocs);
             }
             // Loop-free at every instant: audit right where the tables
             // just changed.
             self.audit();
-        }
-    }
-
-    /// Publish an `AllocShift` when an allocator update actually moved
-    /// traffic mass (telemetry-only; pure observation).
-    #[inline]
-    fn observe_alloc(&mut self, i: NodeId, j: NodeId, outcome: mdr_flow::AllocOutcome) {
-        if self.obs.is_none() {
-            return;
-        }
-        if let (Some(h), true) = (outcome.heuristic, outcome.shift > 1e-12) {
-            let now = self.time;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.on_event(&SimEvent::AllocShift {
-                    time: now,
-                    node: i,
-                    dest: j,
-                    heuristic: h,
-                    shift: outcome.shift,
-                });
-            }
         }
     }
 
@@ -1124,7 +1064,7 @@ impl Simulator {
         let chosen = {
             let pairs = match &self.cfg.fixed_routing {
                 Some(vars) => vars.get(node, pkt.dst),
-                None => self.nodes[node.index()].alloc.params(pkt.dst).pairs(),
+                None => self.nodes[node.index()].agent.params(pkt.dst).pairs(),
             };
             let total: f64 = pairs.iter().map(|&(_, w)| w).sum();
             if pairs.is_empty() || total <= 0.0 {
@@ -1259,14 +1199,10 @@ impl Simulator {
                 }
             }
         }
-        for j in 0..self.topo.node_count() as u32 {
-            let j = NodeId(j);
-            if j == i {
-                continue;
-            }
-            let sc = self.successor_costs(i, j);
-            let outcome = self.nodes[i.index()].alloc.update(j, &sc, Update::ShortTerm);
-            self.observe_alloc(i, j, outcome);
+        let NodeSt { agent, est, .. } = &mut self.nodes[i.index()];
+        let allocs = agent.short_tick(|s| Some(est[s].cost()));
+        if let Some(o) = self.obs.as_deref_mut() {
+            publish_step(o, now, i, Vec::new(), &allocs);
         }
         self.queue.push(now + self.cfg.t_short, Ev::ShortTermTick { node: i });
     }
@@ -1276,21 +1212,14 @@ impl Simulator {
             self.queue.push(self.time + self.cfg.t_long, Ev::LongTermTick { node: i });
             return;
         }
-        for s in 0..self.nodes[i.index()].nbrs.len() {
-            let node = &self.nodes[i.index()];
-            let k = node.nbrs[s];
-            let lid = node.out_link[s];
-            if !self.links[lid.index()].up {
+        for s in 0..self.nodes[i.index()].out_link.len() {
+            let NodeSt { agent, est, out_link, .. } = &mut self.nodes[i.index()];
+            if !self.links[out_link[s].index()].up {
                 continue;
             }
-            let cost = node.est[s].cost();
-            let reported = node.reported[s];
-            let rel = (cost - reported).abs() / reported.max(1e-30);
-            if rel > self.cfg.cost_change_threshold {
-                self.nodes[i.index()].reported[s] = cost;
-                let out =
-                    self.nodes[i.index()].router.handle(RouterEvent::LinkCost { to: k, cost });
-                self.apply_router_output(i, out);
+            let costs = |s: usize| Some(est[s].cost());
+            if let Some((out, allocs)) = agent.report_cost(s, est[s].cost(), costs) {
+                self.apply_agent_output(i, out, allocs);
             }
         }
         self.queue.push(self.time + self.cfg.t_long, Ev::LongTermTick { node: i });
@@ -1382,9 +1311,7 @@ impl Simulator {
                                 ack,
                             });
                         }
-                        let out =
-                            self.nodes[node.index()].router.handle(RouterEvent::Lsu { from, msg });
-                        self.apply_router_output(node, out);
+                        self.route_event(node, RouterEvent::Lsu { from, msg });
                     }
                 }
                 Ev::ShortTermTick { node } => self.on_short_tick(node),
@@ -1445,7 +1372,7 @@ impl Simulator {
                     continue;
                 }
                 let pairs: Vec<(NodeId, f64)> =
-                    self.nodes[i.index()].alloc.params(j).pairs().to_vec();
+                    self.nodes[i.index()].agent.params(j).pairs().to_vec();
                 vars.set(i, j, pairs);
             }
         }
@@ -1454,7 +1381,7 @@ impl Simulator {
 
     /// Access a router (tests & diagnostics).
     pub fn router(&self, i: NodeId) -> &MpdaRouter {
-        &self.nodes[i.index()].router
+        self.nodes[i.index()].agent.router()
     }
 
     /// Current simulated time.

@@ -10,9 +10,9 @@
 //! one fluid data plane:
 //!
 //! * [`SimMode::Fluid`] — the *real* distributed MPDA protocol: one
-//!   [`MpdaRouter`] per node, LSUs as events with serialization +
-//!   propagation delay, per-router phased `T_s`/`T_l` timers, and the
-//!   same [`Allocator`] heuristics as packet mode. Link costs are exact
+//!   control-plane [`Agent`] per node (the very object packet mode
+//!   hosts), LSUs as events with serialization + propagation delay, and
+//!   per-router phased `T_s`/`T_l` timers. Link costs are exact
 //!   `Mm1` marginals at the last-resolved link flows (the fluid
 //!   analogue of estimator staleness: costs lag the data plane by one
 //!   resolve). Scales to hundreds of routers.
@@ -38,15 +38,16 @@
 //! suite therefore compares delays, not drop totals). The per-flow
 //! delay series is recorded over the whole run, like packet mode.
 
+use crate::agent::{Agent, Allocs};
 use crate::events::{Ev, EventQueue, MsgSlab};
 use crate::scenario::{Scenario, ScenarioEvent};
 use crate::stats::{DelayHistogram, DelaySeries, FlowStats, LinkStats};
-use crate::telemetry::{SimEvent, SimObserver};
+use crate::telemetry::{publish_step, SimEvent, SimObserver, SHIFT_EPS};
 use crate::{SimConfig, SimMode, SimReport};
 use mdr_flow::{Allocator, SuccessorCost, Update};
 use mdr_net::{LinkDelayModel, LinkId, Mm1, NodeId, Topology, TrafficMatrix};
 use mdr_proto::LsuMessage;
-use mdr_routing::{dijkstra, MpdaRouter, RouterEvent, TopoTable};
+use mdr_routing::{dijkstra, MpdaRouter, RouteChange, RouterEvent, RouterOutput, TopoTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,9 +58,6 @@ type DagCsr = (Vec<u32>, Vec<(u32, u32, f64)>, Vec<u32>);
 
 /// Sentinel for "destination carries no traffic" in the dest-slot map.
 const NO_DEST: u32 = u32::MAX;
-/// Allocation mass below this is "no shift" (same threshold telemetry
-/// uses for `AllocShift`).
-const SHIFT_EPS: f64 = 1e-12;
 
 /// Per-flow fluid accumulators. All mass is carried in `f64`
 /// packet-equivalents and rounded once at finalization, so long spans
@@ -113,13 +111,10 @@ struct FlowSt {
 /// Per-router control-plane state ([`SimMode::Fluid`] only — the
 /// quiescent mode keeps no per-router protocol state at all).
 struct NodeSt {
-    router: MpdaRouter,
-    alloc: Allocator,
-    /// Neighbor ids, ascending (the `Topology::out_links` order).
-    nbrs: Vec<NodeId>,
+    /// The control plane; its neighbor list (ascending, the
+    /// `Topology::out_links` order) defines the slots below.
+    agent: Agent,
     out_link: Vec<LinkId>,
-    /// Cost last reported into MPDA per neighbor slot.
-    reported: Vec<f64>,
     /// EWMA-smoothed link flow per neighbor slot — the fluid analogue
     /// of [`crate::estimator::LinkEstimator`]'s window smoothing (same
     /// α), so the control plane sees the same damped, lagged costs in
@@ -129,12 +124,6 @@ struct NodeSt {
     /// Cost estimate from the last closed window per neighbor slot
     /// (what `LinkEstimator::cost()` returns between windows).
     cost: Vec<f64>,
-}
-
-impl NodeSt {
-    fn slot(&self, k: NodeId) -> Option<usize> {
-        self.nbrs.binary_search(&k).ok()
-    }
 }
 
 /// The fluid simulator. Construct with [`FluidSimulator::new`], then
@@ -257,34 +246,36 @@ impl FluidSimulator {
                     .map(|_| Allocator::new(nd, cfg.mode).with_ah_gain(cfg.ah_gain))
                     .collect();
             } else {
+                let dests: std::sync::Arc<[NodeId]> = active_dests.as_slice().into();
                 nodes = (0..n)
                     .map(|i| {
                         let node = NodeId(i as u32);
                         let mut nbrs = Vec::new();
                         let mut out_link = Vec::new();
-                        let mut reported = Vec::new();
+                        let mut cost = Vec::new();
                         for (lid, l) in topo.out_links(node) {
                             nbrs.push(l.to);
                             out_link.push(lid);
-                            reported.push(models[lid.index()].marginal_delay(0.0));
+                            cost.push(models[lid.index()].marginal_delay(0.0));
                         }
-                        let degree = nbrs.len();
-                        NodeSt {
-                            router: MpdaRouter::new(node, n),
-                            alloc: Allocator::new(n, cfg.mode).with_ah_gain(cfg.ah_gain),
+                        let smoothed = vec![0.0; nbrs.len()];
+                        let agent = Agent::new(
+                            node,
+                            n,
+                            cfg.mode,
+                            cfg.ah_gain,
                             nbrs,
-                            out_link,
-                            cost: reported.clone(),
-                            reported,
-                            smoothed: vec![0.0; degree],
-                        }
+                            cfg.cost_change_threshold,
+                        )
+                        .with_dests(dests.clone());
+                        NodeSt { agent, out_link, smoothed, cost }
                     })
                     .collect();
                 for (lid, l) in topo.links().iter().enumerate() {
                     let idle = models[lid].marginal_delay(0.0);
-                    let out = nodes[l.from.index()]
-                        .router
-                        .handle(RouterEvent::LinkUp { to: l.to, cost: idle });
+                    let NodeSt { agent, cost, .. } = &mut nodes[l.from.index()];
+                    let boot = RouterEvent::LinkUp { to: l.to, cost: idle };
+                    let (out, _) = agent.handle(boot, |s| Some(cost[s]));
                     for s in out.sends {
                         boot_sends.push((l.from, s.to, s.msg));
                     }
@@ -358,7 +349,7 @@ impl FluidSimulator {
         if self.cfg.sim_mode == SimMode::FluidQuiescent {
             self.qalloc[i].params(NodeId(js as u32)).pairs()
         } else {
-            self.nodes[i].alloc.params(self.active_dests[js]).pairs()
+            self.nodes[i].agent.params(self.active_dests[js]).pairs()
         }
     }
 
@@ -596,7 +587,7 @@ impl FluidSimulator {
     /// fluid routing reacts instantly and flaps where packet routing
     /// holds steady.
     fn close_windows(&mut self, i: usize) {
-        for s in 0..self.nodes[i].nbrs.len() {
+        for s in 0..self.nodes[i].out_link.len() {
             let lid = self.nodes[i].out_link[s];
             let f = self.ftot[lid.index()];
             let model = &self.models[lid.index()];
@@ -610,7 +601,7 @@ impl FluidSimulator {
     /// Schedule LSU delivery over the wire: serialization + propagation,
     /// exactly like the packet engine's chaos-free path.
     fn send_control(&mut self, from: NodeId, to: NodeId, msg: LsuMessage) {
-        let Some(s) = self.nodes[from.index()].slot(to) else { return };
+        let Some(s) = self.nodes[from.index()].agent.slot(to) else { return };
         let lid = self.nodes[from.index()].out_link[s];
         if !self.link_up[lid.index()] {
             return; // lost on a dead wire
@@ -634,74 +625,37 @@ impl FluidSimulator {
         }
     }
 
-    /// Marginal distances through the current successor set of router
-    /// `i` toward `j`, using the last-window cost estimates — exactly
-    /// what the packet engine feeds its allocator.
-    fn successor_costs(&self, i: NodeId, j: NodeId) -> Vec<SuccessorCost> {
-        let node = &self.nodes[i.index()];
-        node.router
-            .successors(j)
-            .iter()
-            .filter_map(|&k| {
-                let lk = node.slot(k).map(|s| node.cost[s]).or(node.router.link_cost(k))?;
-                Some(SuccessorCost::new(k, node.router.neighbor_distance(k, j) + lk))
-            })
-            .collect()
+    /// Feed `ev` to router `i`'s agent at the last-window cost estimates
+    /// and carry out what it returns.
+    fn route_event(&mut self, i: NodeId, ev: RouterEvent) {
+        let NodeSt { agent, cost, .. } = &mut self.nodes[i.index()];
+        let (out, allocs) = agent.handle(ev, |s| Some(cost[s]));
+        self.apply_agent_output(i, out, allocs);
     }
 
-    /// Apply a router output: transmit LSUs; refresh allocations and
-    /// mark the fluid solution dirty when routes changed.
-    fn apply_router_output(&mut self, i: NodeId, out: mdr_routing::RouterOutput) {
+    /// Carry out an agent's output: transmit LSUs, publish what moved,
+    /// and mark the fluid solution dirty when routes changed.
+    fn apply_agent_output(&mut self, i: NodeId, out: RouterOutput, allocs: Allocs) {
         for s in out.sends {
             self.send_control(i, s.to, s.msg);
         }
         if out.routes_changed {
-            if !out.changed.is_empty() && self.obs.is_some() {
-                let now = self.time;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    for c in out.changed {
-                        o.on_event(&SimEvent::RouteChange {
-                            time: now,
-                            node: i,
-                            dest: c.dest,
-                            old: c.old,
-                            new: c.new,
-                        });
-                    }
-                }
-            }
-            for js in 0..self.active_dests.len() {
-                let j = self.active_dests[js];
-                if j == i {
-                    continue;
-                }
-                let sc = self.successor_costs(i, j);
-                let outcome = self.nodes[i.index()].alloc.refresh(j, &sc);
-                if outcome.shift > SHIFT_EPS {
-                    self.mark_dirty(js);
-                }
-                self.observe_alloc(i, j, outcome);
-            }
+            self.note_step(i, out.changed, allocs);
             self.mark_all_dirty();
         }
     }
 
-    #[inline]
-    fn observe_alloc(&mut self, i: NodeId, j: NodeId, outcome: mdr_flow::AllocOutcome) {
-        if self.obs.is_none() {
-            return;
-        }
-        if let (Some(h), true) = (outcome.heuristic, outcome.shift > SHIFT_EPS) {
-            let now = self.time;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.on_event(&SimEvent::AllocShift {
-                    time: now,
-                    node: i,
-                    dest: j,
-                    heuristic: h,
-                    shift: outcome.shift,
-                });
+    /// Mark the destinations whose allocation moved dirty and publish
+    /// the step.
+    fn note_step(&mut self, i: NodeId, changed: Vec<RouteChange>, allocs: Allocs) {
+        for &(j, outcome) in &allocs {
+            if let (true, Ok(js)) = (outcome.shift > SHIFT_EPS, self.active_dests.binary_search(&j))
+            {
+                self.mark_dirty(js);
             }
+        }
+        if let Some(o) = self.obs.as_deref_mut() {
+            publish_step(o, self.time, i, changed, &allocs);
         }
     }
 
@@ -710,7 +664,7 @@ impl FluidSimulator {
         self.settle(now);
         self.close_windows(i.index());
         if self.obs.is_some() {
-            for s in 0..self.nodes[i.index()].nbrs.len() {
+            for s in 0..self.nodes[i.index()].out_link.len() {
                 let cost = self.nodes[i.index()].cost[s];
                 let lid = self.nodes[i.index()].out_link[s];
                 if let Some(o) = self.obs.as_deref_mut() {
@@ -718,37 +672,22 @@ impl FluidSimulator {
                 }
             }
         }
-        for js in 0..self.active_dests.len() {
-            let j = self.active_dests[js];
-            if j == i {
-                continue;
-            }
-            let sc = self.successor_costs(i, j);
-            let outcome = self.nodes[i.index()].alloc.update(j, &sc, Update::ShortTerm);
-            if outcome.shift > SHIFT_EPS {
-                self.mark_dirty(js);
-            }
-            self.observe_alloc(i, j, outcome);
-        }
+        let NodeSt { agent, cost, .. } = &mut self.nodes[i.index()];
+        let allocs = agent.short_tick(|s| Some(cost[s]));
+        self.note_step(i, Vec::new(), allocs);
         self.queue.push(now + self.cfg.t_short, Ev::ShortTermTick { node: i });
     }
 
     fn on_long_tick(&mut self, i: NodeId) {
         self.settle(self.time);
-        for s in 0..self.nodes[i.index()].nbrs.len() {
-            let k = self.nodes[i.index()].nbrs[s];
-            let lid = self.nodes[i.index()].out_link[s];
-            if !self.link_up[lid.index()] {
+        for s in 0..self.nodes[i.index()].out_link.len() {
+            let NodeSt { agent, cost, out_link, .. } = &mut self.nodes[i.index()];
+            if !self.link_up[out_link[s].index()] {
                 continue;
             }
-            let cost = self.nodes[i.index()].cost[s];
-            let reported = self.nodes[i.index()].reported[s];
-            let rel = (cost - reported).abs() / reported.max(1e-30);
-            if rel > self.cfg.cost_change_threshold {
-                self.nodes[i.index()].reported[s] = cost;
-                let out =
-                    self.nodes[i.index()].router.handle(RouterEvent::LinkCost { to: k, cost });
-                self.apply_router_output(i, out);
+            let costs = |s: usize| Some(cost[s]);
+            if let Some((out, allocs)) = agent.report_cost(s, cost[s], costs) {
+                self.apply_agent_output(i, out, allocs);
             }
         }
         self.queue.push(self.time + self.cfg.t_long, Ev::LongTermTick { node: i });
@@ -785,10 +724,7 @@ impl FluidSimulator {
                         }
                         self.link_up[lid.index()] = false;
                         if !self.nodes.is_empty() {
-                            let out = self.nodes[x.index()]
-                                .router
-                                .handle(RouterEvent::LinkDown { to: y });
-                            self.apply_router_output(x, out);
+                            self.route_event(x, RouterEvent::LinkDown { to: y });
                         }
                     }
                 }
@@ -811,15 +747,11 @@ impl FluidSimulator {
                         if !self.nodes.is_empty() {
                             // Fresh estimator state, like the packet
                             // engine's activate_link.
-                            if let Some(s) = self.nodes[x.index()].slot(y) {
-                                self.nodes[x.index()].reported[s] = idle;
+                            if let Some(s) = self.nodes[x.index()].agent.slot(y) {
                                 self.nodes[x.index()].smoothed[s] = 0.0;
                                 self.nodes[x.index()].cost[s] = idle;
                             }
-                            let out = self.nodes[x.index()]
-                                .router
-                                .handle(RouterEvent::LinkUp { to: y, cost: idle });
-                            self.apply_router_output(x, out);
+                            self.route_event(x, RouterEvent::LinkUp { to: y, cost: idle });
                         }
                     }
                 }
@@ -844,12 +776,12 @@ impl FluidSimulator {
     /// every destination (trivially true for the quiescent control
     /// plane, which is converged by construction each epoch).
     pub fn is_quiescent(&self) -> bool {
-        self.msgs.is_empty() && self.nodes.iter().all(|nd| !nd.router.is_active())
+        self.msgs.is_empty() && self.nodes.iter().all(|nd| nd.agent.is_passive())
     }
 
     /// Access a router (tests & diagnostics; protocol mode only).
     pub fn router(&self, i: NodeId) -> &MpdaRouter {
-        &self.nodes[i.index()].router
+        self.nodes[i.index()].agent.router()
     }
 
     // ------------------------------------------------------------------
@@ -950,9 +882,7 @@ impl FluidSimulator {
                                 ack,
                             });
                         }
-                        let out =
-                            self.nodes[node.index()].router.handle(RouterEvent::Lsu { from, msg });
-                        self.apply_router_output(node, out);
+                        self.route_event(node, RouterEvent::Lsu { from, msg });
                     }
                     Ev::ShortTermTick { node } => self.on_short_tick(node),
                     Ev::LongTermTick { node } => self.on_long_tick(node),

@@ -26,6 +26,7 @@
 // `mdr-lint` verifies every crate root carries this attribute.
 #![forbid(unsafe_code)]
 
+pub mod agent;
 pub mod batch;
 pub mod chaos;
 pub mod engine;
@@ -38,6 +39,7 @@ pub mod scenario;
 pub mod stats;
 pub mod telemetry;
 
+pub use agent::Agent;
 pub use batch::{run_many, run_many_with, RunSet, SimJob};
 pub use chaos::{
     ControlChaos, DirProfile, DirState, FaultEvent, FaultPlan, FaultProcess, FaultRecord,

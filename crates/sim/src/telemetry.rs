@@ -21,12 +21,13 @@
 //!   utilization and marginal-delay timelines, per-destination
 //!   routing-churn counters, a mergeable fixed-bucket delay histogram,
 //!   and convergence traces (fault → control-plane-quiescence spans);
-//! * [`JsonlSink`] / [`CsvSink`] — deterministic on-disk timelines for
-//!   offline analysis (`mdr-bench --bin trace`).
+//! * [`JsonlSink`] — deterministic on-disk timelines for offline
+//!   analysis (`mdr-bench trace`).
 
 use crate::chaos::FaultEvent;
-use mdr_flow::AllocHeuristic;
+use mdr_flow::{AllocHeuristic, AllocOutcome};
 use mdr_net::{LinkId, NodeId};
+use mdr_routing::RouteChange;
 use serde::{Serialize, Value};
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
@@ -248,7 +249,9 @@ impl SimEvent {
     }
 }
 
-fn node_seq(nodes: &[NodeId]) -> Value {
+/// A node list as a JSON array of addresses — the one encoding both the
+/// simulator's events and `mdr-node`'s records use.
+pub fn node_seq(nodes: &[NodeId]) -> Value {
     Value::Seq(nodes.iter().map(|n| Value::U64(n.0 as u64)).collect())
 }
 
@@ -326,6 +329,29 @@ impl Serialize for SimEvent {
     }
 }
 
+/// Allocation mass below this is "no shift".
+pub(crate) const SHIFT_EPS: f64 = 1e-12;
+
+/// Publish what one control-plane step at `node` moved, in the order
+/// every trace carries it: the route changes, then each allocator pass
+/// that actually shifted traffic mass.
+pub(crate) fn publish_step(
+    o: &mut dyn SimObserver,
+    time: f64,
+    node: NodeId,
+    changed: Vec<RouteChange>,
+    allocs: &[(NodeId, AllocOutcome)],
+) {
+    for c in changed {
+        o.on_event(&SimEvent::RouteChange { time, node, dest: c.dest, old: c.old, new: c.new });
+    }
+    for &(dest, a) in allocs {
+        if let (Some(heuristic), true) = (a.heuristic, a.shift > SHIFT_EPS) {
+            o.on_event(&SimEvent::AllocShift { time, node, dest, heuristic, shift: a.shift });
+        }
+    }
+}
+
 /// The observer interface: one callback per [`SimEvent`], in exact
 /// simulation order, plus a terminal [`SimObserver::finish`] that folds
 /// the observer into the run's [`TelemetryReport`].
@@ -370,13 +396,6 @@ pub enum ObserverMode {
         /// Include the per-packet events.
         data_plane: bool,
     },
-    /// Aggregate a [`MetricsHub`] and write its timelines as CSV.
-    Csv {
-        /// Output path (created/truncated).
-        path: String,
-        /// Time-series bucket width (s).
-        bucket: f64,
-    },
 }
 
 impl ObserverMode {
@@ -396,7 +415,6 @@ impl ObserverMode {
             ObserverMode::Jsonl { path, data_plane } => {
                 Some(Box::new(JsonlSink::create(path, *data_plane)))
             }
-            ObserverMode::Csv { path, bucket } => Some(Box::new(CsvSink::create(path, *bucket))),
         }
     }
 }
@@ -410,9 +428,9 @@ pub struct TelemetryReport {
     pub events: u64,
     /// The recorded sequence ([`RecordingObserver`] only).
     pub recorded: Option<Vec<SimEvent>>,
-    /// Aggregated metrics ([`MetricsHub`] and [`CsvSink`]).
+    /// Aggregated metrics ([`MetricsHub`]).
     pub metrics: Option<MetricsReport>,
-    /// On-disk sink summary ([`JsonlSink`] / [`CsvSink`]).
+    /// On-disk sink summary ([`JsonlSink`]).
     pub sink: Option<SinkSummary>,
 }
 
@@ -421,7 +439,7 @@ pub struct TelemetryReport {
 pub struct SinkSummary {
     /// Output file path.
     pub path: String,
-    /// Lines (events or CSV rows) written.
+    /// Lines (events) written.
     pub lines: u64,
 }
 
@@ -849,7 +867,7 @@ impl SimObserver for MetricsHub {
     }
 }
 
-/// The aggregates a [`MetricsHub`] (or [`CsvSink`]) produces.
+/// The aggregates a [`MetricsHub`] produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
     /// Time-series bucket width (s).
@@ -973,72 +991,6 @@ impl SimObserver for JsonlSink {
             events: self.lines,
             sink: Some(SinkSummary { path: self.path, lines: self.lines }),
             ..Default::default()
-        }
-    }
-}
-
-/// Feeds a [`MetricsHub`] and, at the end of the run, writes its
-/// timelines as long-format CSV: `series,key,t,count,value` where
-/// `value` is bits for `link_util`, the mean cost for `link_cost`, a
-/// change count for `churn`, and a sample count for `delay_hist`.
-#[derive(Debug)]
-pub struct CsvSink {
-    path: String,
-    hub: MetricsHub,
-}
-
-impl CsvSink {
-    /// Create the sink; the file is written on [`SimObserver::finish`].
-    pub fn create(path: &str, bucket: f64) -> Self {
-        CsvSink { path: path.to_string(), hub: MetricsHub::new(bucket) }
-    }
-}
-
-impl SimObserver for CsvSink {
-    fn on_event(&mut self, ev: &SimEvent) {
-        self.hub.on_event(ev);
-    }
-
-    fn finish(self: Box<Self>) -> TelemetryReport {
-        let report = self.hub.report();
-        let events = self.hub.events;
-        let f = File::create(&self.path).unwrap_or_else(|e| panic!("create {}: {e}", self.path));
-        let mut out = BufWriter::new(f);
-        let mut lines = 0u64;
-        writeln!(out, "series,key,t,count,value").expect("csv header");
-        lines += 1;
-        for (lid, s) in report.link_util.iter().enumerate() {
-            for (t, c, sum) in s.rows() {
-                writeln!(out, "link_util,{lid},{t},{c},{sum}").expect("csv row");
-                lines += 1;
-            }
-        }
-        for (lid, s) in report.link_cost.iter().enumerate() {
-            for (t, c, sum) in s.rows() {
-                let mean = if c > 0 { sum / c as f64 } else { 0.0 };
-                writeln!(out, "link_cost,{lid},{t},{c},{mean}").expect("csv row");
-                lines += 1;
-            }
-        }
-        for (dest, &n) in report.churn.iter().enumerate() {
-            if n > 0 {
-                writeln!(out, "churn,{dest},0,{n},{n}").expect("csv row");
-                lines += 1;
-            }
-        }
-        for (i, &c) in report.delays.buckets().iter().enumerate() {
-            if c > 0 {
-                writeln!(out, "delay_hist,{i},{},{c},{c}", report.delays.bucket_start(i))
-                    .expect("csv row");
-                lines += 1;
-            }
-        }
-        out.flush().expect("csv sink flush");
-        TelemetryReport {
-            events,
-            recorded: None,
-            metrics: Some(report),
-            sink: Some(SinkSummary { path: self.path, lines }),
         }
     }
 }
@@ -1257,29 +1209,6 @@ mod tests {
         assert_eq!(summary.lines, 2);
         let text = std::fs::read_to_string(&p).unwrap();
         assert_eq!(text, "{\"node\":3,\"kind\":\"hello\"}\n{\"node\":4,\"kind\":\"snapshot\"}\n");
-        let _ = std::fs::remove_file(p);
-    }
-
-    #[test]
-    fn csv_sink_writes_metric_rows() {
-        let p = std::env::temp_dir().join("mdr_telemetry_test.csv");
-        let mut sink: Box<dyn SimObserver> = Box::new(CsvSink::create(p.to_str().unwrap(), 1.0));
-        sink.on_event(&SimEvent::PacketHop {
-            time: 0.5,
-            flow: 0,
-            link: LinkId(0),
-            from: n(0),
-            to: n(1),
-            bits: 800.0,
-            queue_delay: 0.001,
-        });
-        sink.on_event(&delivered(0.6, 0.004));
-        let rep = sink.finish();
-        assert!(rep.metrics.is_some());
-        let text = std::fs::read_to_string(&p).unwrap();
-        assert!(text.starts_with("series,key,t,count,value\n"), "{text}");
-        assert!(text.contains("link_util,0,0,1,800"), "{text}");
-        assert!(text.contains("delay_hist,2,"), "{text}");
         let _ = std::fs::remove_file(p);
     }
 
