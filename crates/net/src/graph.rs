@@ -195,7 +195,6 @@ impl TopologyBuilder {
             }
         }
         let n = self.names.len() as u32;
-        let mut seen: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.links.len());
         for l in &self.links {
             if l.from.0 >= n {
                 return Err(NetError::UnknownNode(l.from));
@@ -220,14 +219,16 @@ impl TopologyBuilder {
                     what: "propagation delay must be non-negative and finite",
                 });
             }
-            if seen.contains(&(l.from, l.to)) {
-                return Err(NetError::DuplicateLink(l.from, l.to));
-            }
-            seen.push((l.from, l.to));
         }
         // Sort links deterministically by (from, to) so LinkIds are stable
-        // regardless of insertion order.
+        // regardless of insertion order; two copies of one link end up
+        // adjacent.
         self.links.sort_by_key(|l| (l.from, l.to));
+        if let Some(w) =
+            self.links.windows(2).find(|w| (w[0].from, w[0].to) == (w[1].from, w[1].to))
+        {
+            return Err(NetError::DuplicateLink(w[0].from, w[0].to));
+        }
         let mut out_adj = vec![Vec::new(); self.names.len()];
         let mut in_adj = vec![Vec::new(); self.names.len()];
         for (i, l) in self.links.iter().enumerate() {
@@ -305,6 +306,30 @@ mod tests {
         let c = b.add_node("b");
         let err = b.link(a, c, 1e7, 0.0).link(a, c, 2e7, 0.0).build().unwrap_err();
         assert_eq!(err, NetError::DuplicateLink(a, c));
+    }
+
+    #[test]
+    fn rejects_duplicate_link_far_apart_in_insertion_order() {
+        // The two copies of 7 → 3 are the first and the last of 200 links
+        // inserted, with 198 others (in descending order) between them.
+        let n = 101;
+        let hub = NodeId(100);
+        let mut b = TopologyBuilder::new().nodes(n).link(NodeId(7), NodeId(3), 1e7, 0.0);
+        for i in (0..99).rev() {
+            b = b.bidi(NodeId(i), hub, 1e7, 0.0);
+        }
+        let err = b.clone().link(NodeId(7), NodeId(3), 2e7, 0.001).build().unwrap_err();
+        assert_eq!(err, NetError::DuplicateLink(NodeId(7), NodeId(3)));
+        assert_eq!(b.build().unwrap().link_count(), 199);
+    }
+
+    #[test]
+    fn per_link_errors_come_first_in_insertion_order() {
+        let b = TopologyBuilder::new().nodes(3);
+        let (x, y, z) = (NodeId(0), NodeId(1), NodeId(2));
+        let dup = b.link(x, y, 1e7, 0.0).link(x, y, 1e7, 0.0);
+        let err = dup.link(z, z, 1e7, 0.0).link(y, NodeId(9), 1e7, 0.0).build().unwrap_err();
+        assert_eq!(err, NetError::SelfLoop(z));
     }
 
     #[test]

@@ -1,11 +1,33 @@
 //! Shared link-state machinery: the NTU and MTU procedures (Figs. 2–3)
 //! used by both PDA and MPDA.
+//!
+//! Per-neighbor state lives in *neighbor slots*: [`LsCore::nbrs`] is kept
+//! in ascending neighbor address, and a neighbor's position is its slot.
+//! Every loop over the neighbors therefore runs lowest address first —
+//! the "ties to the lower address" rule of MTU steps 2–3 and the order
+//! Eq. 17's successor sets are listed in.
 
 use crate::spf::dijkstra;
 use crate::table::TopoTable;
 use mdr_net::{LinkCost, NodeId, INFINITE_COST};
 use mdr_proto::{LsuEntry, LsuMessage};
-use std::collections::BTreeMap;
+
+/// What a router keeps per operational neighbor `k`.
+#[derive(Debug, Clone)]
+pub(crate) struct Neighbor {
+    /// The neighbor's address `k`.
+    pub id: NodeId,
+    /// Link table entry: cost `l^i_k` of the adjacent link.
+    pub cost: LinkCost,
+    /// Neighbor topology table `T^i_k`: the link-state communicated by
+    /// `k` (a time-delayed copy of `T^k`).
+    pub topo: TopoTable,
+    /// Whether `D^i_jk` has been computed from `T^i_k` since the link
+    /// came up. Until then the row holds the link-up seed, in which even
+    /// `D^i_kk` is infinite, so the first LSU must run Dijkstra whatever
+    /// it carries.
+    pub dist_computed: bool,
+}
 
 /// Per-router link-state core: the five tables of §4.1.1 minus the
 /// routing table (successor sets live in the PDA/MPDA wrappers, which
@@ -17,14 +39,12 @@ pub(crate) struct LsCore {
     /// Network size (routers are addressed `0..n`); tables are flat
     /// vectors indexed by destination.
     pub n: usize,
-    /// Link table: cost `l^i_k` of the adjacent link to each operational
-    /// neighbor. Absence means the link is down.
-    pub link_costs: BTreeMap<NodeId, LinkCost>,
-    /// Neighbor topology tables `T^i_k`: the link-state communicated by
-    /// neighbor `k` (a time-delayed copy of `T^k`).
-    pub neighbor_topo: BTreeMap<NodeId, TopoTable>,
-    /// `D^i_jk`: distance from `k` to each `j` per `T^i_k` (NTU step 1c).
-    pub neighbor_dist: BTreeMap<NodeId, Vec<LinkCost>>,
+    /// The operational neighbors, ascending by address. Absence means
+    /// the link is down.
+    pub nbrs: Vec<Neighbor>,
+    /// `D^i_jk` at `[slot(k) · n + j]`: distance from `k` to each `j`
+    /// per `T^i_k` (NTU step 1c).
+    pub neighbor_dist: Vec<LinkCost>,
     /// Main topology table `T^i`: this router's shortest-path tree.
     pub main_topo: TopoTable,
     /// `D^i_j`: distance from `i` to each `j` per `T^i` (MTU step 7).
@@ -42,109 +62,134 @@ impl LsCore {
         LsCore {
             id,
             n,
-            link_costs: BTreeMap::new(),
-            neighbor_topo: BTreeMap::new(),
-            neighbor_dist: BTreeMap::new(),
+            nbrs: Vec::new(),
+            neighbor_dist: Vec::new(),
             main_topo: TopoTable::new(),
             dist,
             mtu_runs: 0,
         }
     }
 
+    /// Slot of neighbor `k`, or where it would be inserted.
+    fn find(&self, k: NodeId) -> Result<usize, usize> {
+        self.nbrs.binary_search_by_key(&k, |nb| nb.id)
+    }
+
+    /// Slot of `k` if it is an operational neighbor.
+    pub fn slot(&self, k: NodeId) -> Option<usize> {
+        self.find(k).ok()
+    }
+
+    /// `D^i_jk` for every `j`, for the neighbor in `slot`.
+    pub fn dist_row(&self, slot: usize) -> &[LinkCost] {
+        &self.neighbor_dist[slot * self.n..(slot + 1) * self.n]
+    }
+
     /// True if `k` is an operational neighbor.
     pub fn is_neighbor(&self, k: NodeId) -> bool {
-        self.link_costs.contains_key(&k)
+        self.find(k).is_ok()
+    }
+
+    /// Cost `l^i_k` of the adjacent link to `k` (None if down).
+    pub fn link_cost(&self, k: NodeId) -> Option<LinkCost> {
+        self.slot(k).map(|s| self.nbrs[s].cost)
     }
 
     /// NTU step 1: apply a received LSU to `T^i_k` and refresh `D^i_jk`.
+    /// An LSU without entries (a pure ACK) leaves `T^i_k`, and so
+    /// `D^i_jk`, as they are — except the first one after link-up.
     pub fn process_lsu(&mut self, from: NodeId, msg: &LsuMessage) {
-        let topo = self.neighbor_topo.entry(from).or_default();
-        topo.apply_message(msg);
-        let spf = dijkstra(self.n, topo, from);
-        self.neighbor_dist.insert(from, spf.dist);
+        let Some(s) = self.slot(from) else { return };
+        let nb = &mut self.nbrs[s];
+        if msg.entries.is_empty() && nb.dist_computed {
+            return;
+        }
+        nb.topo.apply_message(msg);
+        nb.dist_computed = true;
+        let spf = dijkstra(self.n, &nb.topo, from);
+        self.neighbor_dist[s * self.n..(s + 1) * self.n].copy_from_slice(&spf.dist);
     }
 
     /// NTU step 2: adjacent link to `k` came up with cost `cost`.
     pub fn link_up(&mut self, k: NodeId, cost: LinkCost) {
-        self.link_costs.insert(k, cost);
-        self.neighbor_topo.entry(k).or_default();
-        self.neighbor_dist.entry(k).or_insert_with(|| vec![INFINITE_COST; self.n]);
+        match self.find(k) {
+            Ok(s) => self.nbrs[s].cost = cost,
+            Err(s) => {
+                let fresh = Neighbor { id: k, cost, topo: TopoTable::new(), dist_computed: false };
+                self.nbrs.insert(s, fresh);
+                let seed = std::iter::repeat_n(INFINITE_COST, self.n);
+                self.neighbor_dist.splice(s * self.n..s * self.n, seed);
+            }
+        }
     }
 
     /// NTU step 3: adjacent link cost changed.
     pub fn link_cost_change(&mut self, k: NodeId, cost: LinkCost) {
-        if let Some(c) = self.link_costs.get_mut(&k) {
-            *c = cost;
+        if let Some(s) = self.slot(k) {
+            self.nbrs[s].cost = cost;
         }
     }
 
     /// NTU step 4: adjacent link failed — "Update `l^i_k` and clear the
     /// table `T^i_k`".
     pub fn link_down(&mut self, k: NodeId) {
-        self.link_costs.remove(&k);
-        self.neighbor_topo.remove(&k);
-        self.neighbor_dist.remove(&k);
+        if let Some(s) = self.slot(k) {
+            self.nbrs.remove(s);
+            self.neighbor_dist.drain(s * self.n..(s + 1) * self.n);
+        }
     }
 
     /// `D^i_jk` — distance from neighbor `k` to destination `j` as
     /// reported by `k` ([`INFINITE_COST`] when unknown).
     #[inline]
     pub fn neighbor_distance(&self, k: NodeId, j: NodeId) -> LinkCost {
-        self.neighbor_dist.get(&k).map(|d| d[j.index()]).unwrap_or(INFINITE_COST)
+        self.slot(k).map_or(INFINITE_COST, |s| self.dist_row(s)[j.index()])
     }
 
     /// MTU (Fig. 3): merge neighbor topologies and adjacent links into a
     /// new shortest-path tree; update `T^i` and `D^i_j`. Returns the LSU
     /// entries describing the difference from the previous `T^i`
-    /// (step 8) — empty when nothing changed.
-    pub fn mtu(&mut self) -> Vec<LsuEntry> {
+    /// (step 8) — empty when nothing changed — and the distances `D^i_j`
+    /// it replaced.
+    pub fn mtu(&mut self) -> (Vec<LsuEntry>, Vec<LinkCost>) {
         self.mtu_runs += 1;
-        let old = std::mem::take(&mut self.main_topo);
 
         // Steps 2-3: for each known node j, find the preferred neighbor
-        // p minimizing D^i_jp + l^i_p (ties to the lower address, which
-        // BTreeMap iteration order provides).
-        let mut merged = TopoTable::new();
-        for j in 0..self.n as u32 {
-            let j = NodeId(j);
-            if j == self.id {
-                continue; // own links handled in step 5
-            }
-            let mut best: Option<(LinkCost, NodeId)> = None;
-            for (&k, &lk) in &self.link_costs {
-                let d = self.neighbor_distance(k, j);
+        // p minimizing D^i_jp + l^i_p (ties to the lower address: slots
+        // ascend by address and a later slot must be strictly better).
+        let mut best: Vec<Option<(LinkCost, usize)>> = vec![None; self.n];
+        for (s, nb) in self.nbrs.iter().enumerate() {
+            for (b, &d) in best.iter_mut().zip(self.dist_row(s)) {
                 if d >= INFINITE_COST {
                     continue;
                 }
-                let total = d + lk;
-                match best {
-                    Some((b, _)) if total >= b => {}
-                    _ => best = Some((total, k)),
-                }
-            }
-            // Step 4: copy links with head j from the preferred
-            // neighbor's topology.
-            if let Some((_, p)) = best {
-                if let Some(tp) = self.neighbor_topo.get(&p) {
-                    for (tail, c) in tp.links_from(j) {
-                        merged.insert(j, tail, c);
-                    }
+                let total = d + nb.cost;
+                match *b {
+                    Some((least, _)) if total >= least => {}
+                    _ => *b = Some((total, s)),
                 }
             }
         }
-        // Step 5: adjacent links override anything neighbors said about
-        // links headed at this router.
-        merged.remove_links_from(self.id);
-        for (&k, &lk) in &self.link_costs {
-            merged.insert(self.id, k, lk);
+        // Step 4: copy links with head j from the preferred neighbor's
+        // topology. Step 5: this router's own links are the adjacent
+        // ones, whatever neighbors said about them. Heads ascend, each
+        // run ascends by tail, so `merged` is built in table order.
+        let mut merged = Vec::new();
+        for (j, b) in best.iter().enumerate() {
+            let j = NodeId(j as u32);
+            if j == self.id {
+                merged.extend(self.nbrs.iter().map(|nb| (j, nb.id, nb.cost)));
+            } else if let Some((_, p)) = *b {
+                merged.extend_from_slice(self.nbrs[p].topo.run(j));
+            }
         }
+        let merged = TopoTable::from_sorted(merged);
         // Step 6: Dijkstra, keep only tree links. Step 7: new distances.
         let spf = dijkstra(self.n, &merged, self.id);
-        let tree = spf.tree_links(&merged);
-        self.dist = spf.dist;
-        self.main_topo = tree;
+        let old_topo = std::mem::replace(&mut self.main_topo, spf.tree_links(&merged));
+        let old_dist = std::mem::replace(&mut self.dist, spf.dist);
         // Step 8: differences to report.
-        old.diff(&self.main_topo)
+        (old_topo.diff(&self.main_topo), old_dist)
     }
 }
 
@@ -159,7 +204,7 @@ mod tests {
     #[test]
     fn mtu_with_no_neighbors_is_empty() {
         let mut c = LsCore::new(n(0), 3);
-        let diff = c.mtu();
+        let (diff, _) = c.mtu();
         assert!(diff.is_empty());
         assert_eq!(c.dist[0], 0.0);
         assert_eq!(c.dist[1], INFINITE_COST);
@@ -169,7 +214,7 @@ mod tests {
     fn mtu_includes_adjacent_links() {
         let mut c = LsCore::new(n(0), 3);
         c.link_up(n(1), 2.0);
-        let diff = c.mtu();
+        let (diff, _) = c.mtu();
         assert_eq!(diff.len(), 1);
         assert_eq!(c.main_topo.cost(n(0), n(1)), Some(2.0));
         assert_eq!(c.dist[1], 2.0);
@@ -236,7 +281,7 @@ mod tests {
         c.mtu();
         assert_eq!(c.dist[2], 2.0);
         c.link_down(n(1));
-        let diff = c.mtu();
+        let (diff, _) = c.mtu();
         assert!(!diff.is_empty());
         assert_eq!(c.dist[1], INFINITE_COST);
         assert_eq!(c.dist[2], INFINITE_COST);
@@ -250,7 +295,7 @@ mod tests {
         c.mtu();
         assert_eq!(c.dist[1], 1.0);
         c.link_cost_change(n(1), 4.0);
-        let diff = c.mtu();
+        let (diff, _) = c.mtu();
         assert_eq!(c.dist[1], 4.0);
         assert_eq!(diff.len(), 1);
     }
@@ -259,9 +304,9 @@ mod tests {
     fn mtu_idempotent_when_nothing_changes() {
         let mut c = LsCore::new(n(0), 3);
         c.link_up(n(1), 1.0);
-        assert!(!c.mtu().is_empty());
-        assert!(c.mtu().is_empty());
-        assert!(c.mtu().is_empty());
+        assert!(!c.mtu().0.is_empty());
+        assert!(c.mtu().0.is_empty());
+        assert!(c.mtu().0.is_empty());
     }
 
     #[test]

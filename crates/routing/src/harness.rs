@@ -18,7 +18,7 @@ use crate::pda::PdaRouter;
 use crate::spf::dijkstra;
 use crate::table::TopoTable;
 use mdr_net::{LinkCost, NodeId, Topology};
-use mdr_proto::LsuMessage;
+use mdr_proto::{LsuEntry, LsuMessage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
@@ -146,6 +146,24 @@ impl<R: RouterSm> Harness<R> {
             self.queues.entry((to, s.to)).or_default().push_back(s.msg);
         }
         true
+    }
+
+    /// Append `entry` to an in-flight LSU that already carries entries
+    /// (the `pick`-th such message, modulo how many there are) — what a
+    /// faulty or hostile sender might put on the wire. The message keeps
+    /// its place and its ACK obligations, so the exchange itself is
+    /// undisturbed. Returns false when no such message is in flight.
+    pub fn append_in_flight(&mut self, pick: usize, entry: LsuEntry) -> bool {
+        let mut bearing: Vec<&mut LsuMessage> =
+            self.queues.values_mut().flatten().filter(|m| !m.entries.is_empty()).collect();
+        let count = bearing.len();
+        match bearing.get_mut(pick % count.max(1)) {
+            Some(msg) => {
+                msg.entries.push(entry);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Deliver until no messages remain (or `max` deliveries, returning

@@ -245,12 +245,12 @@ impl MpdaRouter {
 
     /// Cost `l^i_k` of the adjacent link to `k` (None if down).
     pub fn link_cost(&self, k: NodeId) -> Option<LinkCost> {
-        self.core.link_costs.get(&k).copied()
+        self.core.link_cost(k)
     }
 
     /// Operational neighbors, ascending.
     pub fn neighbors(&self) -> Vec<NodeId> {
-        self.core.link_costs.keys().copied().collect()
+        self.core.nbrs.iter().map(|nb| nb.id).collect()
     }
 
     /// The best successor for `j`: the `k ∈ S^i_j` minimizing
@@ -259,11 +259,8 @@ impl MpdaRouter {
     pub fn best_successor(&self, j: NodeId) -> Option<NodeId> {
         let mut best: Option<(LinkCost, NodeId)> = None;
         for &k in &self.successors[j.index()] {
-            let lk = match self.core.link_costs.get(&k) {
-                Some(&c) => c,
-                None => continue,
-            };
-            let total = self.core.neighbor_distance(k, j) + lk;
+            let Some(s) = self.core.slot(k) else { continue };
+            let total = self.core.dist_row(s)[j.index()] + self.core.nbrs[s].cost;
             match best {
                 Some((b, _)) if total >= b => {}
                 _ => best = Some((total, k)),
@@ -320,32 +317,17 @@ impl MpdaRouter {
         };
 
         let last_ack = was_active && self.pending_acks.is_empty();
-        let old_dist = self.core.dist.clone();
-        let old_succ = self.successors.clone();
 
         // ---- Steps 2-3: MTU and feasible-distance update ----
-        let diff = self.step_mtu_and_fd(was_active, last_ack);
+        let (diff, dist_changed) = self.step_mtu_and_fd(was_active, last_ack);
 
         // ---- Step 4: successor sets via the LFI condition (Eq. 17) ----
-        self.recompute_successors();
+        let changed = self.recompute_successors();
 
         // ---- Steps 5-8: state transition and message generation ----
         let sends = self.step_emit(was_active, last_ack, ack_to, &diff);
 
-        let routes_changed = old_dist != self.core.dist || old_succ != self.successors;
-        let mut changed = Vec::new();
-        if routes_changed {
-            for (j, old) in old_succ.into_iter().enumerate() {
-                if old != self.successors[j] {
-                    changed.push(RouteChange {
-                        dest: NodeId(j as u32),
-                        old,
-                        new: self.successors[j].clone(),
-                    });
-                }
-            }
-        }
-        RouterOutput { sends, routes_changed, changed }
+        RouterOutput { sends, routes_changed: dist_changed || !changed.is_empty(), changed }
     }
 
     /// Step 1 — the neighbor-table update: apply the event to the link
@@ -392,28 +374,29 @@ impl MpdaRouter {
 
     /// Steps 2–3 — the main-table update and the feasible-distance rule,
     /// the heart of the safety argument. Returns the LSU entries that
-    /// describe how `T^i` changed (empty while MTU is deferred).
-    fn step_mtu_and_fd(&mut self, was_active: bool, last_ack: bool) -> Vec<LsuEntry> {
-        let mut diff = Vec::new();
-        if !was_active {
-            // Step 2: PASSIVE — update T^i immediately; FD can only drop.
-            diff = self.core.mtu();
-            for j in 0..self.core.n {
-                self.fd[j] = self.fd[j].min(self.core.dist[j]);
-            }
-        } else if last_ack {
-            // Step 3: ACTIVE phase ends — temp holds the distances as
-            // last *reported* to neighbors; FD may rise to
+    /// describe how `T^i` changed (empty while MTU is deferred) and
+    /// whether any distance `D^i_j` moved.
+    fn step_mtu_and_fd(&mut self, was_active: bool, last_ack: bool) -> (Vec<LsuEntry>, bool) {
+        if was_active && !last_ack {
+            // While ACTIVE mid-phase: NTU only; MTU deferred.
+            return (Vec::new(), false);
+        }
+        let (diff, old_dist) = self.core.mtu();
+        if was_active {
+            // Step 3: ACTIVE phase ends — `old_dist` holds the distances
+            // as last *reported* to neighbors; FD may rise to
             // min(reported, new), which is safe because every neighbor
             // has acknowledged the reported values.
-            let temp = self.core.dist.clone();
-            diff = self.core.mtu();
-            for (j, fd) in self.fd.iter_mut().enumerate().take(self.core.n) {
-                *fd = temp[j].min(self.core.dist[j]);
+            for ((fd, &reported), &d) in self.fd.iter_mut().zip(&old_dist).zip(&self.core.dist) {
+                *fd = reported.min(d);
+            }
+        } else {
+            // Step 2: PASSIVE — T^i updated immediately; FD can only drop.
+            for (fd, &d) in self.fd.iter_mut().zip(&self.core.dist) {
+                *fd = fd.min(d);
             }
         }
-        // (While ACTIVE mid-phase: NTU only; MTU deferred.)
-        diff
+        (diff, old_dist != self.core.dist)
     }
 
     /// Steps 5–8 — ACTIVE/PASSIVE transition and message generation:
@@ -429,8 +412,8 @@ impl MpdaRouter {
         let mut sends = Vec::new();
         let can_initiate = !was_active || last_ack;
         if can_initiate {
-            let neighbors: Vec<NodeId> = self.core.link_costs.keys().copied().collect();
-            for k in neighbors {
+            for s in 0..self.core.nbrs.len() {
+                let k = self.core.nbrs[s].id;
                 let entries = if self.needs_full.contains(&k) {
                     // Full-table sync to a freshly-up neighbor (NTU
                     // step 2 of Fig. 2).
@@ -468,30 +451,36 @@ impl MpdaRouter {
         sends
     }
 
-    /// Eq. 17: `S^i_j = { k | D^i_jk < FD^i_j ∧ k ∈ N^i }`.
-    fn recompute_successors(&mut self) {
-        for j in 0..self.core.n {
-            let jd = NodeId(j as u32);
-            let fdj = self.fd[j];
-            let set = &mut self.successors[j];
+    /// Eq. 17: `S^i_j = { k | D^i_jk < FD^i_j ∧ k ∈ N^i }`. Returns the
+    /// sets that moved, ascending by destination.
+    fn recompute_successors(&mut self) -> Vec<RouteChange> {
+        let n = self.core.n;
+        let mut changed = Vec::new();
+        let mut set: Vec<NodeId> = Vec::new();
+        for j in 0..n {
             set.clear();
-            if jd == self.core.id {
-                continue;
-            }
-            for &k in self.core.link_costs.keys() {
-                let djk = self.core.neighbor_distance(k, jd);
-                let admit = match self.rule {
-                    UpdateRule::Lfi => djk < fdj,
-                    // The deliberately unsound variant: `≤` admits
-                    // neighbors at *equal* feasible distance, breaking
-                    // the strict potential of Theorem 1.
-                    UpdateRule::NonStrictSuccessors => djk <= fdj && fdj < INFINITE_COST,
-                };
-                if admit {
-                    set.push(k);
+            if j != self.core.id.index() {
+                let fdj = self.fd[j];
+                for (s, nb) in self.core.nbrs.iter().enumerate() {
+                    let djk = self.core.neighbor_dist[s * n + j];
+                    let admit = match self.rule {
+                        UpdateRule::Lfi => djk < fdj,
+                        // The deliberately unsound variant: `≤` admits
+                        // neighbors at *equal* feasible distance, breaking
+                        // the strict potential of Theorem 1.
+                        UpdateRule::NonStrictSuccessors => djk <= fdj && fdj < INFINITE_COST,
+                    };
+                    if admit {
+                        set.push(nb.id);
+                    }
                 }
             }
+            if set != self.successors[j] {
+                let old = std::mem::replace(&mut self.successors[j], set.clone());
+                changed.push(RouteChange { dest: NodeId(j as u32), old, new: set.clone() });
+            }
         }
+        changed
     }
 
     /// Append a canonical byte encoding of the router's complete
@@ -518,20 +507,24 @@ impl MpdaRouter {
         }
         push_u32(out, self.core.id.0);
         push_u32(out, self.core.n as u32);
-        push_u32(out, self.core.link_costs.len() as u32);
-        for (&k, &c) in &self.core.link_costs {
-            push_u32(out, k.0);
-            push_cost(out, c);
+        // Link table, neighbor topology tables, neighbor distances: each
+        // keyed by neighbor, ascending. `dist_computed` adds nothing: it
+        // is whether `D^i_kk` is still the infinite link-up seed.
+        let nbrs = &self.core.nbrs;
+        push_u32(out, nbrs.len() as u32);
+        for nb in nbrs {
+            push_u32(out, nb.id.0);
+            push_cost(out, nb.cost);
         }
-        push_u32(out, self.core.neighbor_topo.len() as u32);
-        for (&k, topo) in &self.core.neighbor_topo {
-            push_u32(out, k.0);
-            push_topo(out, topo);
+        push_u32(out, nbrs.len() as u32);
+        for nb in nbrs {
+            push_u32(out, nb.id.0);
+            push_topo(out, &nb.topo);
         }
-        push_u32(out, self.core.neighbor_dist.len() as u32);
-        for (&k, dists) in &self.core.neighbor_dist {
-            push_u32(out, k.0);
-            for &d in dists {
+        push_u32(out, nbrs.len() as u32);
+        for (s, nb) in nbrs.iter().enumerate() {
+            push_u32(out, nb.id.0);
+            for &d in self.core.dist_row(s) {
                 push_cost(out, d);
             }
         }
@@ -558,6 +551,9 @@ impl MpdaRouter {
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -739,6 +735,49 @@ mod tests {
         assert!(out.sends.is_empty());
         assert_eq!(r.stats().dropped, 1);
         assert_eq!(r.distance(n(1)), INFINITE_COST);
+    }
+
+    /// Entries naming routers outside `0..n` (a corrupt or hostile
+    /// datagram from a legitimate neighbor) sit in `T^i_k` as inert
+    /// rows: no panic, no effect on distances, never sent onward.
+    #[test]
+    fn out_of_range_entries_are_inert_and_never_readvertised() {
+        let far = n(u32::MAX);
+        let in_range = |out: &RouterOutput| {
+            out.sends.iter().flat_map(|s| &s.msg.entries).all(|e| e.head.0 < 4 && e.tail.0 < 4)
+        };
+        let mut r = MpdaRouter::new(n(0), 4);
+        let mut clean = MpdaRouter::new(n(0), 4);
+        for x in [&mut r, &mut clean] {
+            x.handle(RouterEvent::LinkUp { to: n(1), cost: 1.0 });
+            x.handle(RouterEvent::Lsu { from: n(1), msg: LsuMessage::ack_only(n(1)) });
+        }
+        let honest = vec![LsuEntry::add(n(1), n(2), 1.0), LsuEntry::add(n(2), n(3), 1.0)];
+        let mut hostile = honest.clone();
+        hostile.extend([
+            LsuEntry::add(far, far, 1.0),
+            LsuEntry::add(n(2), far, 0.5),
+            LsuEntry::add(far, n(3), 0.5),
+            LsuEntry::add(n(7), n(3), 0.5),
+            LsuEntry::delete(far, n(9)),
+        ]);
+        let out = r.handle(RouterEvent::Lsu { from: n(1), msg: LsuMessage::update(n(1), hostile) });
+        let want =
+            clean.handle(RouterEvent::Lsu { from: n(1), msg: LsuMessage::update(n(1), honest) });
+        assert_eq!(out, want, "the extra entries changed what the router does");
+        assert!(in_range(&out));
+        assert_eq!(r.distance(n(3)), 3.0);
+        assert_eq!(r.main_topology(), clean.main_topology());
+        // A neighbor that comes up later gets the full table: still clean.
+        r.handle(RouterEvent::Lsu { from: n(1), msg: LsuMessage::ack_only(n(1)) });
+        let out = r.handle(RouterEvent::LinkUp { to: n(2), cost: 1.0 });
+        assert!(!out.sends.is_empty() && in_range(&out));
+        // A neighbor whose own address is out of range is tolerated too.
+        let out = r.handle(RouterEvent::LinkUp { to: far, cost: 1.0 });
+        assert!(in_range(&out));
+        r.handle(RouterEvent::Lsu { from: far, msg: LsuMessage::ack_only(far) });
+        assert_eq!(r.neighbor_distance(far, n(1)), INFINITE_COST);
+        assert_eq!(r.distance(n(3)), 2.0, "0 → 2 → 3 over the new adjacent link");
     }
 
     #[test]

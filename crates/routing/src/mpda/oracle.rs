@@ -1,0 +1,277 @@
+//! Differential oracle for [`MpdaRouter::handle`].
+//!
+//! The router keeps `D^i_jk` and `S^i_j` incrementally: it skips the NTU
+//! Dijkstra for pure ACKs, diffs successor sets in place, and reads its
+//! per-neighbor state out of address-ordered slots. This module recomputes
+//! all of that from the tables alone, the slow obvious way — a fresh
+//! Dijkstra per neighbor table, Eq. 17 over every `(j, k)`, the successor
+//! diff from before/after copies, and MTU on ordered maps — and compares
+//! after **every** event of seeded random schedules.
+
+use super::{MpdaRouter, RouteChange, RouterEvent, RouterOutput, UpdateRule};
+use crate::harness::RouterSm;
+use crate::spf::dijkstra;
+use crate::table::TopoTable;
+use crate::Harness;
+use mdr_net::{gen, topo, LinkCost, NodeId, Topology, INFINITE_COST};
+use mdr_proto::LsuMessage;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// MTU steps 2–7 on ordered maps, as the router ran them before its
+/// tables became neighbor slots: the merged table's tree and distances.
+fn reference_mtu(r: &MpdaRouter) -> (TopoTable, Vec<LinkCost>) {
+    let core = &r.core;
+    let costs: BTreeMap<NodeId, LinkCost> = core.nbrs.iter().map(|nb| (nb.id, nb.cost)).collect();
+    let mut merged = TopoTable::new();
+    for j in (0..core.n as u32).map(NodeId).filter(|&j| j != core.id) {
+        let mut best: Option<(LinkCost, NodeId)> = None;
+        for (&k, &lk) in &costs {
+            let d = r.neighbor_distance(k, j);
+            if d >= INFINITE_COST {
+                continue;
+            }
+            match best {
+                Some((b, _)) if d + lk >= b => {}
+                _ => best = Some((d + lk, k)),
+            }
+        }
+        if let Some((_, p)) = best {
+            let tp = &core.nbrs[core.slot(p).unwrap()].topo;
+            for (tail, c) in tp.links_from(j) {
+                merged.insert(j, tail, c);
+            }
+        }
+    }
+    for (&k, &lk) in &costs {
+        merged.insert(core.id, k, lk);
+    }
+    let spf = dijkstra(core.n, &merged, core.id);
+    (spf.tree_links(&merged), spf.dist)
+}
+
+/// A router under audit: every event it handles is checked against the
+/// reference before the output is passed on.
+struct Audited {
+    r: MpdaRouter,
+    rule: UpdateRule,
+    /// Neighbors an LSU has arrived from since their link came up — the
+    /// oracle's own account of which `D^i_jk` rows are past their seed.
+    heard: BTreeSet<NodeId>,
+    events: u64,
+}
+
+impl Audited {
+    fn new(id: NodeId, n: usize, rule: UpdateRule) -> Self {
+        Audited { r: MpdaRouter::with_rule(id, n, rule), rule, heard: BTreeSet::new(), events: 0 }
+    }
+
+    fn handle(&mut self, ev: RouterEvent) -> RouterOutput {
+        let old_succ: Vec<Vec<NodeId>> =
+            (0..self.r.core.n as u32).map(|j| self.r.successors(NodeId(j)).to_vec()).collect();
+        let old_dist = self.r.core.dist.clone();
+        let old_mtu_runs = self.r.stats().mtu_runs;
+        match &ev {
+            RouterEvent::Lsu { from, .. } if self.r.link_cost(*from).is_some() => {
+                self.heard.insert(*from);
+            }
+            RouterEvent::LinkUp { to, .. } if self.r.link_cost(*to).is_none() => {
+                self.heard.remove(to);
+            }
+            RouterEvent::LinkDown { to } => {
+                self.heard.remove(to);
+            }
+            _ => {}
+        }
+        let out = self.r.handle(ev.clone());
+        self.events += 1;
+        self.audit(&ev, &old_succ, &old_dist, old_mtu_runs, &out);
+        out
+    }
+
+    fn audit(
+        &self,
+        ev: &RouterEvent,
+        old_succ: &[Vec<NodeId>],
+        old_dist: &[LinkCost],
+        old_mtu_runs: u64,
+        out: &RouterOutput,
+    ) {
+        let (r, core) = (&self.r, &self.r.core);
+        let n = core.n;
+        let at = format!("router {} after {ev:?}", core.id);
+        assert!(core.nbrs.windows(2).all(|w| w[0].id < w[1].id), "{at}: slots not ascending");
+        assert_eq!(core.neighbor_dist.len(), core.nbrs.len() * n, "{at}");
+        // D^i_jk: a fresh Dijkstra over T^i_k, or the seed before any LSU.
+        for (s, nb) in core.nbrs.iter().enumerate() {
+            let fresh = if self.heard.contains(&nb.id) {
+                dijkstra(n, &nb.topo, nb.id).dist
+            } else {
+                vec![INFINITE_COST; n]
+            };
+            assert_eq!(core.dist_row(s), fresh, "{at}: D^i_j{} stale", nb.id);
+            assert!(self.heard.contains(&nb.id) || nb.topo.is_empty(), "{at}: T^i_{}", nb.id);
+        }
+        // S^i_j: Eq. 17 over every destination and every neighbor.
+        for j in (0..n as u32).map(NodeId) {
+            let fd = r.feasible_distance(j);
+            let admitted = |k: &NodeId| match self.rule {
+                UpdateRule::Lfi => r.neighbor_distance(*k, j) < fd,
+                UpdateRule::NonStrictSuccessors => {
+                    r.neighbor_distance(*k, j) <= fd && fd < INFINITE_COST
+                }
+            };
+            let want: Vec<NodeId> = if j == core.id {
+                Vec::new()
+            } else {
+                r.neighbors().into_iter().filter(admitted).collect()
+            };
+            assert_eq!(r.successors(j), want, "{at}: S^i_{j}");
+        }
+        // What the event reported: the successor diff, and whether any
+        // distance or successor set moved.
+        let changed: Vec<RouteChange> = (0..n)
+            .filter(|&j| old_succ[j] != r.successors(NodeId(j as u32)))
+            .map(|j| RouteChange {
+                dest: NodeId(j as u32),
+                old: old_succ[j].clone(),
+                new: r.successors(NodeId(j as u32)).to_vec(),
+            })
+            .collect();
+        assert_eq!(out.changed, changed, "{at}: changed");
+        assert_eq!(out.routes_changed, old_dist != core.dist || !changed.is_empty(), "{at}");
+        // T^i and D^i_j, whenever this event ran MTU.
+        if r.stats().mtu_runs > old_mtu_runs {
+            let (tree, dist) = reference_mtu(r);
+            assert_eq!(core.main_topo, tree, "{at}: T^i");
+            assert_eq!(core.dist, dist, "{at}: D^i_j");
+        } else {
+            assert_eq!(core.dist, old_dist, "{at}: distances moved without MTU");
+        }
+    }
+}
+
+impl RouterSm for Audited {
+    fn on_event(&mut self, ev: RouterEvent) -> RouterOutput {
+        self.handle(ev)
+    }
+    fn dist(&self, j: NodeId) -> LinkCost {
+        self.r.distance(j)
+    }
+}
+
+/// A seeded schedule of link failures, repairs and cost changes with a
+/// few deliveries between each, every event audited.
+fn churn(t: &Topology, rule: UpdateRule, seed: u64, rounds: usize) {
+    let n = t.node_count();
+    let routers = (0..n as u32).map(|i| Audited::new(NodeId(i), n, rule)).collect();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let cost = |a: NodeId, b: NodeId| 1.0 + ((a.0 * 31 + b.0 * 17 + seed as u32) % 40) as f64 / 8.0;
+    let mut h = Harness::new(routers, t, cost, seed);
+    for _ in 0..rng.gen_range(0..400) {
+        h.step();
+    }
+    let phys: Vec<(NodeId, NodeId)> =
+        t.links().iter().filter(|l| l.from < l.to).map(|l| (l.from, l.to)).collect();
+    let mut down: BTreeSet<usize> = BTreeSet::new();
+    for _ in 0..rounds {
+        let i = rng.gen_range(0..phys.len());
+        let (a, b) = phys[i];
+        let c = rng.gen_range(4..80) as f64 / 8.0;
+        match rng.gen_range(0..4) {
+            0 if !down.contains(&i) => {
+                down.insert(i);
+                h.fail_link(a, b);
+            }
+            1 if down.remove(&i) => h.restore_link(a, b, c),
+            _ if !down.contains(&i) => h.change_cost(a, b, c),
+            _ => {}
+        }
+        for _ in 0..rng.gen_range(0..40) {
+            h.step();
+        }
+    }
+    assert!(h.run_to_quiescence(5_000_000), "did not quiesce");
+    let audited: u64 = h.routers.iter().map(|a| a.events).sum();
+    assert!(audited > h.delivered(), "every delivery and every link event is audited");
+}
+
+#[test]
+fn kept_state_equals_the_reference_after_every_event() {
+    let ba60 = gen::barabasi_albert(60, 2, 5);
+    for rule in [UpdateRule::Lfi, UpdateRule::NonStrictSuccessors] {
+        for seed in 0..4 {
+            churn(&topo::cairn(), rule, seed, 30);
+            churn(&topo::net1(), rule, 100 + seed, 30);
+        }
+        churn(&ba60, rule, 7, 25);
+    }
+}
+
+fn n(i: u32) -> NodeId {
+    NodeId(i)
+}
+
+fn ack_from(k: u32) -> RouterEvent {
+    RouterEvent::Lsu { from: n(k), msg: LsuMessage::ack_only(n(k)) }
+}
+
+fn tree_from(k: u32) -> RouterEvent {
+    let entries = vec![mdr_proto::LsuEntry::add(n(k), n(2), 1.0)];
+    RouterEvent::Lsu { from: n(k), msg: LsuMessage::update(n(k), entries) }
+}
+
+/// The one pure ACK that must run Dijkstra: until the first LSU after
+/// link-up, `D^i_kk` is the infinite seed and `k` is not a successor
+/// toward itself.
+#[test]
+fn ack_only_as_first_lsu_after_link_up_computes_distances() {
+    let mut a = Audited::new(n(0), 3, UpdateRule::Lfi);
+    a.handle(RouterEvent::LinkUp { to: n(1), cost: 1.0 });
+    assert_eq!(a.r.neighbor_distance(n(1), n(1)), INFINITE_COST);
+    assert!(a.r.successors(n(1)).is_empty());
+    let out = a.handle(ack_from(1));
+    assert!(a.r.neighbor_distance(n(1), n(1)) < INFINITE_COST);
+    assert_eq!(a.r.successors(n(1)), &[n(1)]);
+    assert_eq!(out.changed, vec![RouteChange { dest: n(1), old: vec![], new: vec![n(1)] }]);
+    assert!(out.routes_changed);
+}
+
+/// A link that goes down and comes back starts over: empty `T^i_k`,
+/// seeded `D^i_jk`, and the first-LSU exemption armed again.
+#[test]
+fn link_down_then_up_resets_tables_and_flag() {
+    let mut a = Audited::new(n(0), 3, UpdateRule::Lfi);
+    a.handle(RouterEvent::LinkUp { to: n(1), cost: 1.0 });
+    a.handle(tree_from(1));
+    assert_eq!(a.r.neighbor_distance(n(1), n(2)), 1.0);
+    a.handle(RouterEvent::LinkDown { to: n(1) });
+    a.handle(RouterEvent::LinkUp { to: n(1), cost: 2.0 });
+    let nb = &a.r.core.nbrs[0];
+    assert!(nb.topo.is_empty() && !nb.dist_computed);
+    assert!((0..3).all(|j| a.r.neighbor_distance(n(1), n(j)) >= INFINITE_COST));
+    a.handle(ack_from(1));
+    assert!(a.r.core.nbrs[0].dist_computed);
+    assert!(a.r.neighbor_distance(n(1), n(1)) < INFINITE_COST);
+    assert_eq!(a.r.neighbor_distance(n(1), n(2)), INFINITE_COST, "the old tree is gone");
+    // Coming up twice without going down keeps what the neighbor said.
+    a.handle(tree_from(1));
+    a.handle(RouterEvent::LinkUp { to: n(1), cost: 3.0 });
+    assert_eq!(a.r.neighbor_distance(n(1), n(2)), 1.0);
+    assert_eq!(a.r.link_cost(n(1)), Some(3.0));
+}
+
+/// A pure ACK from a neighbor with a non-empty table skips Dijkstra; the
+/// audit's fresh Dijkstra over the same table must find nothing stale.
+#[test]
+fn ack_only_over_a_non_empty_table_changes_no_distance() {
+    let mut a = Audited::new(n(0), 3, UpdateRule::Lfi);
+    a.handle(RouterEvent::LinkUp { to: n(1), cost: 1.0 });
+    a.handle(tree_from(1));
+    let before = (a.r.core.nbrs[0].topo.clone(), a.r.core.neighbor_dist.clone());
+    a.handle(ack_from(1));
+    a.handle(ack_from(1));
+    assert_eq!((a.r.core.nbrs[0].topo.clone(), a.r.core.neighbor_dist.clone()), before);
+    assert_eq!(a.r.distance(n(2)), 2.0);
+}

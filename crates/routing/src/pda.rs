@@ -53,12 +53,12 @@ impl PdaRouter {
 
     /// Cost of the adjacent link to `k` (None if down).
     pub fn link_cost(&self, k: NodeId) -> Option<LinkCost> {
-        self.core.link_costs.get(&k).copied()
+        self.core.link_cost(k)
     }
 
     /// Operational neighbors, ascending.
     pub fn neighbors(&self) -> Vec<NodeId> {
-        self.core.link_costs.keys().copied().collect()
+        self.core.nbrs.iter().map(|nb| nb.id).collect()
     }
 
     /// Successor set by the *unsynchronized* rule of Eq. 14:
@@ -66,12 +66,8 @@ impl PdaRouter {
     /// the point of the ablation.
     pub fn successors(&self, j: NodeId) -> Vec<NodeId> {
         let dj = self.core.dist[j.index()];
-        self.core
-            .link_costs
-            .keys()
-            .copied()
-            .filter(|&k| self.core.neighbor_distance(k, j) < dj)
-            .collect()
+        let nbrs = self.core.nbrs.iter().enumerate();
+        nbrs.filter(|&(s, _)| self.core.dist_row(s)[j.index()] < dj).map(|(_, nb)| nb.id).collect()
     }
 
     /// Protocol counters.
@@ -111,11 +107,10 @@ impl PdaRouter {
                 self.core.link_cost_change(*to, *cost);
             }
         }
-        let old_dist = self.core.dist.clone();
-        let diff = self.core.mtu();
+        let (diff, old_dist) = self.core.mtu();
         let mut sends = Vec::new();
-        let neighbors: Vec<NodeId> = self.core.link_costs.keys().copied().collect();
-        for k in neighbors {
+        for s in 0..self.core.nbrs.len() {
+            let k = self.core.nbrs[s].id;
             let entries = if self.needs_full.contains(&k) {
                 self.core.main_topo.full_entries()
             } else if !diff.is_empty() {

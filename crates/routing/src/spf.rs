@@ -35,17 +35,10 @@ impl SpfResult {
     /// `links` (MTU step 6: "remove those links in `T^i` that are not
     /// part of the shortest path tree").
     pub fn tree_links(&self, links: &TopoTable) -> TopoTable {
-        let mut out = TopoTable::new();
-        for (j, p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                let head = *p;
-                let tail = NodeId(j as u32);
-                if let Some(c) = links.cost(head, tail) {
-                    out.insert(head, tail, c);
-                }
-            }
-        }
-        out
+        // `h → t` is a tree link iff `h` is `t`'s parent; filtering keeps
+        // the table's key order.
+        let is_tree = |h: NodeId, t: NodeId| self.parent.get(t.index()) == Some(&Some(h));
+        TopoTable::from_sorted(links.iter().filter(|&(h, t, _)| is_tree(h, t)).collect())
     }
 
     /// The path root → `j` as a node list, if reachable.
@@ -107,12 +100,16 @@ pub fn dijkstra(n: usize, links: &TopoTable, root: NodeId) -> SpfResult {
     if root.index() >= n {
         return SpfResult { dist, parent };
     }
-    // Adjacency snapshot, sorted by (head, tail) — TopoTable iterates in
-    // that order already.
-    let mut adj: Vec<Vec<(NodeId, LinkCost)>> = vec![Vec::new(); n];
-    for (h, t, c) in links.iter() {
-        if h.index() < n && t.index() < n {
-            adj[h.index()].push((t, c));
+    // The table is sorted by (head, tail), so head `h`'s out-links are
+    // the slice `starts[h]..starts[h + 1]`; heads outside `0..n` sort
+    // last and are cut off.
+    let links = links.as_slice();
+    let mut starts = vec![0usize; n + 1];
+    let mut at = 0;
+    for (h, start) in starts.iter_mut().enumerate() {
+        *start = at;
+        while links.get(at).is_some_and(|l| l.0.index() == h) {
+            at += 1;
         }
     }
     dist[root.index()] = 0.0;
@@ -126,8 +123,8 @@ pub fn dijkstra(n: usize, links: &TopoTable, root: NodeId) -> SpfResult {
         if via != u32::MAX {
             parent[u.index()] = Some(NodeId(via));
         }
-        for &(v, c) in &adj[u.index()] {
-            if done[v.index()] {
+        for &(_, v, c) in &links[starts[u.index()]..starts[u.index() + 1]] {
+            if v.index() >= n || done[v.index()] {
                 continue;
             }
             let nd = d + c;

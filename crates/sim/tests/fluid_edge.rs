@@ -3,7 +3,7 @@
 //! forms where the equilibrium is computable by hand.
 
 use mdr_net::{Flow, LinkDelayModel, Mm1, NodeId, Topology, TopologyBuilder, TrafficMatrix};
-use mdr_sim::{FluidSimulator, Scenario, SimConfig, SimMode, SimReport};
+use mdr_sim::{FluidSimulator, Scenario, ScenarioEvent, SimConfig, SimMode, SimReport};
 
 /// A 3-node line `n0 — n1 — n2`, 10 Mb/s links, 1 ms propagation.
 fn line3() -> Topology {
@@ -128,4 +128,64 @@ fn quiescent_control_plane_matches_distributed_fluid() {
     for (fi, (a, b)) in dist.mean_delays_ms.iter().zip(&quiet.mean_delays_ms).enumerate() {
         assert!((a - b).abs() / a < 1e-6, "flow {fi}: distributed {a} ms vs quiescent {b} ms");
     }
+}
+
+/// Everything that can move a successor DAG, on one run: a link fails
+/// and comes back twice (LSU floods each time), flow rates change —
+/// once to zero and back — and `T_s` ticks run throughout, long enough
+/// for AH to settle into moves far below the telemetry threshold. The
+/// engine keeps each destination's DAG across settles; in this profile
+/// every reuse is compared against a fresh build, so a missed
+/// invalidation fails here. The fixed-routing control plane keeps DAGs
+/// too and only link flips can move them.
+#[test]
+fn kept_dags_survive_interleaved_faults_rates_ticks_and_floods() {
+    // Two unequal paths 0 → 3 (via 1 and via 2) plus a chord, so AH has
+    // shares to trade and a failure has somewhere to reroute.
+    let n = |i: u32| NodeId(i);
+    let t = TopologyBuilder::new()
+        .nodes(5)
+        .bidi(n(0), n(1), 1e7, 0.001)
+        .bidi(n(0), n(2), 1e7, 0.0013)
+        .bidi(n(1), n(3), 1e7, 0.001)
+        .bidi(n(2), n(3), 8e6, 0.001)
+        .bidi(n(1), n(2), 1e7, 0.0005)
+        .bidi(n(3), n(4), 1e7, 0.001)
+        .build()
+        .unwrap();
+    let flows = [
+        Flow::new(n(0), n(3), 5e6),
+        Flow::new(n(0), n(4), 2e6),
+        Flow::new(n(4), n(0), 3e6),
+        Flow::new(n(1), n(2), 1e6),
+    ];
+    let traffic = TrafficMatrix::from_flows(&t, &flows).unwrap();
+    let scenario = Scenario::new()
+        .at(3.03, ScenarioEvent::FailLink { a: n(1), b: n(3) })
+        .at(3.04, ScenarioEvent::SetFlowRate { flow: 0, rate: 6e6 })
+        .at(5.51, ScenarioEvent::RestoreLink { a: n(1), b: n(3) })
+        .at(5.52, ScenarioEvent::SetFlowRate { flow: 1, rate: 0.0 })
+        .at(20.07, ScenarioEvent::FailLink { a: n(0), b: n(2) })
+        .at(20.08, ScenarioEvent::SetFlowRate { flow: 1, rate: 2.5e6 })
+        .at(20.09, ScenarioEvent::RestoreLink { a: n(0), b: n(2) })
+        .at(21.0, ScenarioEvent::SetFlowRate { flow: 3, rate: 4e6 });
+    let cfg = SimConfig { warmup: 1.0, duration: 39.0, t_short: 0.05, t_long: 0.5, ..fluid_cfg() };
+    let run = |cfg: SimConfig| FluidSimulator::new(&t, &traffic, &scenario, cfg).run();
+
+    let r = run(cfg.clone());
+    assert_all_finite(&r);
+    assert!(r.flows.iter().all(|f| f.delivered > 0));
+    assert!(r.control_messages > 50, "the failures flooded LSUs");
+    // The same run twice is the same run.
+    let again = run(cfg.clone());
+    assert_eq!(r.mean_delays_ms, again.mean_delays_ms);
+    assert_eq!(r.control_bytes, again.control_bytes);
+
+    let sp = mdr_opt::shortest_path_vars(
+        &t,
+        &t.links().iter().map(|l| Mm1::new(l.capacity, l.prop_delay, 1000.0)).collect::<Vec<_>>(),
+    );
+    let fixed = run(SimConfig { fixed_routing: Some(sp), ..cfg });
+    assert_all_finite(&fixed);
+    assert!(fixed.flows[0].dropped_no_route > 0, "fixed routes lose the failed link's traffic");
 }
