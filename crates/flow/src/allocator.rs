@@ -129,7 +129,7 @@ impl Allocator {
         successors: &[SuccessorCost],
         kind: Update,
     ) -> AllocOutcome {
-        let set: Vec<NodeId> = successors.iter().map(|s| s.neighbor).collect();
+        let changed = self.basis_differs(j, successors);
         let outcome = match self.mode {
             Mode::SinglePath => {
                 // Best successor only; ties to the lower address (the
@@ -148,7 +148,6 @@ impl Allocator {
                 AllocOutcome { heuristic: Some(AllocHeuristic::BestPath), shift }
             }
             Mode::Multipath => {
-                let changed = self.basis[j.index()] != set;
                 if kind == Update::LongTerm || changed {
                     // IH: long-term change, or the successor set moved
                     // under a short-term refresh.
@@ -166,7 +165,11 @@ impl Allocator {
                 }
             }
         };
-        self.basis[j.index()] = set;
+        if changed {
+            let basis = &mut self.basis[j.index()];
+            basis.clear();
+            basis.extend(successors.iter().map(|s| s.neighbor));
+        }
         debug_assert!(self.params[j.index()].validate().is_ok());
         outcome
     }
@@ -177,12 +180,17 @@ impl Allocator {
     /// constant successor set and successor graph" between changes).
     /// Returns what ran (nothing, when the set was unchanged).
     pub fn refresh(&mut self, j: NodeId, successors: &[SuccessorCost]) -> AllocOutcome {
-        let set: Vec<NodeId> = successors.iter().map(|s| s.neighbor).collect();
-        if self.basis[j.index()] != set {
+        if self.basis_differs(j, successors) {
             self.update(j, successors, Update::LongTerm)
         } else {
             AllocOutcome::default()
         }
+    }
+
+    /// Is the offered successor set another than the one `params[j]`
+    /// was computed over?
+    fn basis_differs(&self, j: NodeId, successors: &[SuccessorCost]) -> bool {
+        !self.basis[j.index()].iter().eq(successors.iter().map(|s| &s.neighbor))
     }
 
     /// Current parameters toward `j`.

@@ -18,12 +18,15 @@ pub struct Topology {
     /// Human-readable node names (CAIRN uses site names; synthetic
     /// topologies use the numeric id).
     names: Vec<String>,
-    /// All directed links, index = `LinkId`.
+    /// All directed links sorted by `(from, to)`, index = `LinkId`.
     links: Vec<Link>,
-    /// `out_adj[n]` = sorted-by-neighbor list of outgoing `LinkId`s of `n`.
-    out_adj: Vec<Vec<LinkId>>,
-    /// `in_adj[n]` = sorted-by-neighbor list of incoming `LinkId`s of `n`.
-    in_adj: Vec<Vec<LinkId>>,
+    /// The outgoing links of `n` are the ids `out_start[n]..out_start[n + 1]`
+    /// (a run of `links`, so ascending neighbor).
+    out_start: Vec<u32>,
+    /// The incoming links of `n` are `in_adj[in_start[n]..in_start[n + 1]]`,
+    /// ascending neighbor (the link's `from`).
+    in_start: Vec<u32>,
+    in_adj: Vec<LinkId>,
 }
 
 impl Topology {
@@ -65,12 +68,14 @@ impl Topology {
 
     /// Outgoing links of `n`, sorted by neighbor address.
     pub fn out_links(&self, n: NodeId) -> impl Iterator<Item = (LinkId, &Link)> + '_ {
-        self.out_adj[n.index()].iter().map(move |&id| (id, &self.links[id.index()]))
+        let run = self.out_run(n);
+        (run.start as u32..).map(LinkId).zip(&self.links[run])
     }
 
     /// Incoming links of `n`, sorted by neighbor address.
     pub fn in_links(&self, n: NodeId) -> impl Iterator<Item = (LinkId, &Link)> + '_ {
-        self.in_adj[n.index()].iter().map(move |&id| (id, &self.links[id.index()]))
+        let run = self.in_start[n.index()] as usize..self.in_start[n.index() + 1] as usize;
+        self.in_adj[run].iter().map(move |&id| (id, &self.links[id.index()]))
     }
 
     /// Neighbors reachable over an outgoing link, ascending address order.
@@ -80,12 +85,19 @@ impl Topology {
 
     /// Out-degree of `n`.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.out_adj[n.index()].len()
+        self.out_run(n).len()
+    }
+
+    /// The ids of `n`'s outgoing links, as a range into `links`.
+    fn out_run(&self, n: NodeId) -> std::ops::Range<usize> {
+        self.out_start[n.index()] as usize..self.out_start[n.index() + 1] as usize
     }
 
     /// Directed link id from `a` to `b`, if one exists.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.out_adj[a.index()].iter().copied().find(|&id| self.links[id.index()].to == b)
+        let run = self.out_run(a);
+        let at = self.links[run.clone()].binary_search_by_key(&b, |l| l.to).ok()?;
+        Some(LinkId((run.start + at) as u32))
     }
 
     /// The reverse direction of a directed link, if present (always
@@ -229,18 +241,28 @@ impl TopologyBuilder {
         {
             return Err(NetError::DuplicateLink(w[0].from, w[0].to));
         }
-        let mut out_adj = vec![Vec::new(); self.names.len()];
-        let mut in_adj = vec![Vec::new(); self.names.len()];
+        // Degree counts shifted by one, then prefix sums: `start[n]` is
+        // where node `n`'s run begins.
+        let mut out_start = vec![0u32; self.names.len() + 1];
+        let mut in_start = vec![0u32; self.names.len() + 1];
+        for l in &self.links {
+            out_start[l.from.index() + 1] += 1;
+            in_start[l.to.index() + 1] += 1;
+        }
+        for i in 0..self.names.len() {
+            out_start[i + 1] += out_start[i];
+            in_start[i + 1] += in_start[i];
+        }
+        // Counting sort by `to`, stable over the `(from, to)` link order,
+        // so each node's incoming run is ascending by neighbor.
+        let mut next = in_start.clone();
+        let mut in_adj = vec![LinkId(0); self.links.len()];
         for (i, l) in self.links.iter().enumerate() {
-            out_adj[l.from.index()].push(LinkId(i as u32));
-            in_adj[l.to.index()].push(LinkId(i as u32));
+            let at = &mut next[l.to.index()];
+            in_adj[*at as usize] = LinkId(i as u32);
+            *at += 1;
         }
-        // in_adj entries sorted by the *neighbor* (the link head).
-        for (node, adj) in in_adj.iter_mut().enumerate() {
-            let _ = node;
-            adj.sort_by_key(|id| self.links[id.index()].from);
-        }
-        Ok(Topology { names: self.names, links: self.links, out_adj, in_adj })
+        Ok(Topology { names: self.names, links: self.links, out_start, in_start, in_adj })
     }
 }
 
@@ -289,6 +311,72 @@ mod tests {
         let t = b.bidi(a, d, 1e7, 0.001).bidi(a, c, 1e7, 0.001).build().unwrap();
         let nbrs: Vec<NodeId> = t.neighbors(a).collect();
         assert_eq!(nbrs, vec![c, d]);
+    }
+
+    /// The flat adjacency against the obvious per-node scan, on seeded
+    /// random digraphs with one-way links, isolated nodes and a hub.
+    #[test]
+    fn flat_adjacency_equals_a_naive_scan() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(5..40u32);
+            let hub = NodeId(rng.gen_range(0..n - 2));
+            // The last two nodes stay isolated.
+            let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+            for i in (0..n - 2).map(NodeId).filter(|&i| i != hub) {
+                pairs.extend([(i, hub), (hub, i)]);
+            }
+            let one_way = (NodeId((hub.0 + 1) % (n - 2)), NodeId((hub.0 + 2) % (n - 2)));
+            pairs.push(one_way);
+            for _ in 0..3 * n {
+                let (a, b) = (NodeId(rng.gen_range(0..n - 2)), NodeId(rng.gen_range(0..n - 2)));
+                if a != b && (b, a) != one_way && !pairs.contains(&(a, b)) {
+                    pairs.push((a, b));
+                }
+            }
+            // Shuffled insertion order.
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, rng.gen_range(0..i + 1));
+            }
+            let mut b = TopologyBuilder::new().nodes(n as usize);
+            for &(x, y) in &pairs {
+                b = b.link(x, y, 1e7, 0.001);
+            }
+            let t = b.build().unwrap();
+            assert_eq!(t.link_count(), pairs.len());
+            assert!(t.links().windows(2).all(|w| (w[0].from, w[0].to) < (w[1].from, w[1].to)));
+
+            let id_of = |x: NodeId, y: NodeId| {
+                t.links().iter().position(|l| (l.from, l.to) == (x, y)).map(|i| LinkId(i as u32))
+            };
+            for x in t.nodes() {
+                let mut outs: Vec<NodeId> =
+                    pairs.iter().filter(|p| p.0 == x).map(|p| p.1).collect();
+                let mut ins: Vec<NodeId> = pairs.iter().filter(|p| p.1 == x).map(|p| p.0).collect();
+                outs.sort_unstable();
+                ins.sort_unstable();
+                let got: Vec<_> = t.out_links(x).map(|(id, l)| (Some(id), l.from, l.to)).collect();
+                let want: Vec<_> = outs.iter().map(|&y| (id_of(x, y), x, y)).collect();
+                assert_eq!(got, want, "seed {seed}: out_links({x})");
+                let got: Vec<_> = t.in_links(x).map(|(id, l)| (Some(id), l.from, l.to)).collect();
+                let want: Vec<_> = ins.iter().map(|&y| (id_of(y, x), y, x)).collect();
+                assert_eq!(got, want, "seed {seed}: in_links({x})");
+                assert_eq!(t.degree(x), outs.len());
+                assert_eq!(t.neighbors(x).collect::<Vec<_>>(), outs);
+                for y in t.nodes() {
+                    assert_eq!(t.link_between(x, y), id_of(x, y), "seed {seed}: {x} -> {y}");
+                }
+            }
+            for n in [n - 2, n - 1].map(NodeId) {
+                assert_eq!((t.degree(n), t.in_links(n).count()), (0, 0));
+            }
+            let lone = t.link_between(one_way.0, one_way.1).unwrap();
+            assert_eq!(t.reverse(lone), None);
+            let back = t.link_between(hub, one_way.0).unwrap();
+            assert_eq!(t.reverse(back), t.link_between(one_way.0, hub));
+        }
     }
 
     #[test]

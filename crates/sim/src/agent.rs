@@ -97,8 +97,9 @@ impl Agent {
     /// last allocation) over the host's destinations.
     pub fn short_tick(&mut self, costs: impl Fn(usize) -> Option<LinkCost>) -> Allocs {
         let mut allocs = Allocs::new();
-        for j in (0..self.n as u32).map(NodeId) {
-            if self.hosts(j) {
+        for at in 0..self.dests.as_ref().map_or(self.n, |d| d.len()) {
+            let j = self.dests.as_ref().map_or(NodeId(at as u32), |d| d[at]);
+            if j != self.router.id() {
                 let sc = self.successor_costs(j, &costs);
                 allocs.push((j, self.alloc.update(j, &sc, Update::ShortTerm)));
             }

@@ -13,6 +13,7 @@ use crate::agent::{Agent, Allocs};
 use crate::chaos::{ControlChaos, FaultEvent, FaultRecord, RobustnessCounters, RobustnessReport};
 use crate::estimator::{EstimatorKind, LinkEstimator};
 use crate::events::{Ev, EventQueue, MsgSlab, Packet};
+use crate::fluid::FluidWork;
 use crate::monitor::InvariantMonitor;
 use crate::scenario::{Scenario, ScenarioEvent};
 use crate::stats::{DelaySeries, FlowStats, LinkStats};
@@ -188,6 +189,9 @@ pub struct SimReport {
     /// [`SimConfig::observer`] was not [`ObserverMode::Off`]. Everything
     /// else in the report is bit-identical with or without it.
     pub telemetry: Option<TelemetryReport>,
+    /// Work counts of the fluid engine; `Some` exactly when a
+    /// [`FluidSimulator`](crate::FluidSimulator) produced the report.
+    pub fluid: Option<FluidWork>,
 }
 
 impl SimReport {
@@ -1356,6 +1360,7 @@ impl Simulator {
             events_processed,
             robustness,
             telemetry: self.obs.take().map(|o| o.finish()),
+            fluid: None,
         }
     }
 

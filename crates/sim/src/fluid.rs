@@ -33,6 +33,22 @@
 //! losses land in [`FlowStats::dropped_congestion`] — packet mode
 //! queues instead of dropping, so the field is fluid-only.
 //!
+//! The successor DAGs live in one store, written by row: a `Dag` holds
+//! every router's `(next_hop, link, share)` edges in a fixed-capacity
+//! row plus a Kahn order, and `write_row` is the only code that turns φ
+//! into edges. A whole build is `write_row` for every router; after
+//! that an MPDA step or an AH tick — one router changing its own φ
+//! toward some destinations — rewrites that router's row in those
+//! destinations' DAGs, a link going down or up rewrites its tail
+//! router's row in every DAG, and the order is recomputed only when a
+//! row's next-hop list changed. Patch and build being one code path,
+//! the patched store is bit-equal to a fresh build (the dev profile
+//! checks every DAG against an independent build each time it is used;
+//! `FluidSimulator::audit_dags` checks the store in any profile). The
+//! quiescent control plane rewrites every φ each epoch and keeps no
+//! DAG: it builds into one reused buffer. [`FluidWork`] counts all of
+//! it ([`SimReport::fluid`]).
+//!
 //! Measurement semantics: statistics accumulate only after warm-up
 //! (packet mode also counts pre-warm-up *drops*; the cross-validation
 //! suite therefore compares delays, not drop totals). The per-flow
@@ -51,10 +67,92 @@ use mdr_routing::{dijkstra, MpdaRouter, RouteChange, RouterEvent, RouterOutput, 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Per-destination successor DAG in CSR form: `starts[i]..starts[i+1]`
-/// indexes `(next_hop, link, share)` edges, plus a Kahn topological
-/// order over the nodes.
-type DagCsr = (Vec<u32>, Vec<(u32, u32, f64)>, Vec<u32>);
+/// A `(next_hop, link, share)` edge of a successor DAG.
+type Edge = (u32, u32, f64);
+
+/// One destination's successor DAG, stored by row: router `i`'s edges
+/// are `edges[row[i]..row[i] + len[i]]`, where `row`
+/// ([`FluidSimulator::row`], shared by all destinations) is the
+/// out-degree prefix sums — every router has room for its whole
+/// out-degree, so one router's row is rewritten in place without moving
+/// another's.
+#[derive(Clone, Default)]
+struct Dag {
+    edges: Vec<Edge>,
+    len: Vec<u32>,
+    /// Kahn topological order over the nodes (`i` before its successors;
+    /// sources ascending, then first reached first out), current only
+    /// while `order_ok`: a row write that changes the row's next-hop
+    /// list clears the bit, one that moves only shares leaves it.
+    order: Vec<u32>,
+    order_ok: bool,
+}
+
+impl Dag {
+    fn new(nodes: usize, links: usize) -> Self {
+        Dag {
+            edges: vec![(0, 0, 0.0); links],
+            len: vec![0; nodes],
+            order: Vec::with_capacity(nodes),
+            order_ok: false,
+        }
+    }
+
+    fn row(&self, row: &[u32], i: usize) -> &[Edge] {
+        let at = row[i] as usize;
+        &self.edges[at..at + self.len[i] as usize]
+    }
+
+    /// Recompute `order` from the rows. Nodes caught in a (never
+    /// expected under LFI) cycle stay out and their traffic is dropped.
+    fn reorder(&mut self, row: &[u32], indeg: &mut Vec<u32>) {
+        let n = self.len.len();
+        indeg.clear();
+        indeg.resize(n, 0);
+        for i in 0..n {
+            for &(k, _, _) in self.row(row, i) {
+                indeg[k as usize] += 1;
+            }
+        }
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend((0..n as u32).filter(|&i| indeg[i as usize] == 0));
+        let mut head = 0;
+        while head < order.len() {
+            let i = order[head] as usize;
+            head += 1;
+            for &(k, _, _) in self.row(row, i) {
+                indeg[k as usize] -= 1;
+                if indeg[k as usize] == 0 {
+                    order.push(k);
+                }
+            }
+        }
+        self.order = order;
+        self.order_ok = true;
+    }
+}
+
+/// Work the fluid engine did over one run ([`SimReport::fluid`]) — plain
+/// counts, a pure function of the run's inputs, equal with the observer
+/// on or off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FluidWork {
+    /// Successor DAGs built whole (every row written, then ordered).
+    pub dag_builds: u64,
+    /// Single rows rewritten in place in a kept DAG.
+    pub rows_written: u64,
+    /// Kept DAGs re-ordered because a rewritten row's next-hop list
+    /// changed.
+    pub reorders: u64,
+    /// Re-resolves of the fluid solution (settles that found it dirty).
+    pub resolves: u64,
+    /// Per-destination forward passes (dirty destinations only).
+    pub forward_passes: u64,
+    /// Per-destination backward passes (every destination, every
+    /// resolve).
+    pub backward_passes: u64,
+}
 
 /// Sentinel for "destination carries no traffic" in the dest-slot map.
 const NO_DEST: u32 = u32::MAX;
@@ -158,12 +256,25 @@ pub struct FluidSimulator {
     sol_d: Vec<f64>,
     dirty: Vec<bool>,
     any_dirty: bool,
-    /// Per destination slot: the successor DAG as last built, `None`
-    /// once anything it was built from (a φ of that destination, any
-    /// `link_up` bit) may have moved. Empty — nothing is ever kept —
-    /// under the quiescent control plane, which rewrites every φ each
+    /// Out-degree prefix sums: where each router's row starts in every
+    /// [`Dag`].
+    row: Vec<u32>,
+    /// With `keep_dags`, one DAG per destination slot, built once and
+    /// then patched by row whenever something a row was written from —
+    /// that router's φ toward the destination, the `link_up` bit of one
+    /// of its out-links — moves. Without, a single buffer every use
+    /// builds into: the quiescent control plane rewrites every φ each
     /// epoch, so a kept DAG would be memory and never a hit.
-    dags: Vec<Option<DagCsr>>,
+    dags: Vec<Dag>,
+    keep_dags: bool,
+    /// Scratch for [`Dag::reorder`] and for the forward (`arrive`) and
+    /// backward (`p`, `proute`, `m`) passes, one value per node.
+    indeg: Vec<u32>,
+    arrive: Vec<f64>,
+    p: Vec<f64>,
+    proute: Vec<f64>,
+    m: Vec<f64>,
+    work: FluidWork,
     /// Time up to which statistics have been integrated.
     cursor: f64,
     // Measurement.
@@ -206,6 +317,7 @@ impl FluidSimulator {
         );
         let n = topo.node_count();
         let quiescent_cp = cfg.sim_mode == SimMode::FluidQuiescent;
+        let epoch_driven = Self::epoch_driven(&cfg);
         let models: Vec<Mm1> = topo
             .links()
             .iter()
@@ -293,6 +405,10 @@ impl FluidSimulator {
         let queue = EventQueue::with_capacity(2 * n + scenario.events().len() + 16);
         let obs = cfg.observer.build();
         let nflows = flows.len();
+        let mut row = vec![0u32; n + 1];
+        for i in 0..n {
+            row[i + 1] = row[i] + topo.degree(NodeId(i as u32)) as u32;
+        }
         let mut sim = FluidSimulator {
             topo: topo.clone(),
             models,
@@ -312,7 +428,15 @@ impl FluidSimulator {
             sol_d: vec![0.0; nflows],
             dirty: vec![true; nd],
             any_dirty: true,
-            dags: if fixed || !quiescent_cp { vec![None; nd] } else { Vec::new() },
+            row,
+            dags: Vec::new(),
+            keep_dags: !epoch_driven,
+            indeg: Vec::new(),
+            arrive: vec![0.0; n],
+            p: vec![0.0; n],
+            proute: vec![0.0; n],
+            m: vec![0.0; n],
+            work: FluidWork::default(),
             cursor: 0.0,
             warmup_end: cfg.warmup,
             end_time: cfg.warmup + cfg.duration,
@@ -339,13 +463,27 @@ impl FluidSimulator {
                 sim.queue.push(pl, Ev::LongTermTick { node: NodeId(i as u32) });
             }
         }
-        if !quiescent_cp {
+        // The epoch loop reads the scenario directly.
+        if !epoch_driven {
             for (idx, (t, _)) in sim.scenario.iter().enumerate() {
                 sim.queue.push(*t, Ev::Scenario { index: idx });
             }
         }
-        let _ = rng;
+        sim.dags = vec![Dag::new(n, topo.link_count()); if epoch_driven { 1 } else { nd }];
+        if !epoch_driven {
+            for js in 0..nd {
+                let mut dag = std::mem::take(&mut sim.dags[js]);
+                sim.build(&mut dag, js);
+                sim.dags[js] = dag;
+            }
+        }
         sim
+    }
+
+    /// Does the quiescent control plane's epoch loop drive the run (and
+    /// rewrite every φ each epoch), rather than the event queue?
+    fn epoch_driven(cfg: &SimConfig) -> bool {
+        cfg.sim_mode == SimMode::FluidQuiescent && cfg.fixed_routing.is_none()
     }
 
     /// Routing fractions of node `i` toward destination slot `js`.
@@ -360,17 +498,105 @@ impl FluidSimulator {
         }
     }
 
-    /// Successor DAG toward destination slot `js` in CSR form, plus a
-    /// Kahn topological order (`i` before its successors' positions).
-    /// Each edge carries `(next_hop, link, share)` where `share` is the
+    /// Rewrite router `i`'s row of `dag` from its routing fractions
+    /// toward destination slot `js` — the one place φ becomes edges. Each
+    /// edge carries `(next_hop, link, share)` where `share` is the
     /// normalized routing fraction; mass routed toward a dead link (or
     /// an empty successor set) is simply never propagated — the fluid
-    /// analogue of packet mode's no-route drop at a dead next hop.
-    fn build_dag(&self, js: usize) -> DagCsr {
+    /// analogue of packet mode's no-route drop at a dead next hop. φ
+    /// names a next hop at most once, so a row never outgrows the
+    /// router's out-degree.
+    fn write_row(&self, dag: &mut Dag, js: usize, i: usize) {
+        let row = &mut dag.edges[self.row[i] as usize..self.row[i + 1] as usize];
+        let old = dag.len[i] as usize;
+        let mut len = 0;
+        let mut same_hops = true;
+        let pairs = if i == self.active_dests[js].index() { &[] } else { self.phi(i, js) };
+        let total: f64 = pairs.iter().map(|&(_, w)| w.max(0.0)).sum();
+        if total > 0.0 {
+            for &(k, w) in pairs {
+                if w <= 0.0 {
+                    continue;
+                }
+                let Some(lid) = self.topo.link_between(NodeId(i as u32), k) else { continue };
+                if !self.link_up[lid.index()] {
+                    continue;
+                }
+                same_hops &= len < old && row[len].0 == k.0;
+                row[len] = (k.0, lid.index() as u32, w / total);
+                len += 1;
+            }
+        }
+        dag.len[i] = len as u32;
+        dag.order_ok &= same_hops && len == old;
+    }
+
+    /// Build `dag` whole for destination slot `js`: every row, then the
+    /// order.
+    fn build(&mut self, dag: &mut Dag, js: usize) {
+        for i in 0..self.topo.node_count() {
+            self.write_row(dag, js, i);
+        }
+        dag.reorder(&self.row, &mut self.indeg);
+        self.work.dag_builds += 1;
+    }
+
+    /// Router `i`'s routing fractions toward slot `js`, or one of its
+    /// out-links' `link_up` bit, moved: rewrite that one row where the
+    /// DAG is kept.
+    fn patch_row(&mut self, js: usize, i: usize) {
+        if self.keep_dags {
+            let mut dag = std::mem::take(&mut self.dags[js]);
+            self.write_row(&mut dag, js, i);
+            self.dags[js] = dag;
+            self.work.rows_written += 1;
+        }
+    }
+
+    /// The successor DAG toward slot `js`, rows and order current: the
+    /// kept one (re-ordered if a row write changed its edge set), or the
+    /// shared buffer freshly built. The caller hands it back through
+    /// [`Self::keep_dag`].
+    fn take_dag(&mut self, js: usize) -> Dag {
+        let at = self.dag_at(js);
+        let mut dag = std::mem::take(&mut self.dags[at]);
+        if !self.keep_dags {
+            self.build(&mut dag, js);
+        } else if !dag.order_ok {
+            dag.reorder(&self.row, &mut self.indeg);
+            self.work.reorders += 1;
+        }
+        #[cfg(any(test, debug_assertions))]
+        if let Err(e) = self.check_against_oracle(&dag, js) {
+            panic!("{e}");
+        }
+        dag
+    }
+
+    /// Hand back what [`Self::take_dag`] gave out.
+    fn keep_dag(&mut self, js: usize, dag: Dag) {
+        let at = self.dag_at(js);
+        self.dags[at] = dag;
+    }
+
+    /// Where slot `js`'s DAG lives in `dags`.
+    fn dag_at(&self, js: usize) -> usize {
+        if self.keep_dags {
+            js
+        } else {
+            0
+        }
+    }
+
+    /// The successor DAG toward slot `js` built the plain way — CSR
+    /// `starts`, edges, Kahn order, all fresh — kept as the reference the
+    /// row store is compared against.
+    #[cfg(any(test, debug_assertions))]
+    fn build_dag(&self, js: usize) -> (Vec<u32>, Vec<Edge>, Vec<u32>) {
         let n = self.topo.node_count();
         let j = self.active_dests[js];
         let mut starts = vec![0u32; n + 1];
-        let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+        let mut edges: Vec<Edge> = Vec::new();
         let mut indeg = vec![0u32; n];
         for (i, start) in starts.iter_mut().enumerate().take(n) {
             *start = edges.len() as u32;
@@ -395,8 +621,6 @@ impl FluidSimulator {
             }
         }
         starts[n] = edges.len() as u32;
-        // Kahn order: sources first; nodes caught in a (never expected
-        // under LFI) cycle stay out and their traffic is dropped.
         let mut order: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
         let mut head = 0;
         while head < order.len() {
@@ -412,24 +636,49 @@ impl FluidSimulator {
         (starts, edges, order)
     }
 
-    /// The successor DAG toward slot `js`: the kept one when nothing it
-    /// was built from has moved since, else freshly built. The caller
-    /// hands it back through [`Self::keep_dag`].
-    fn take_dag(&mut self, js: usize) -> DagCsr {
-        match self.dags.get_mut(js).and_then(Option::take) {
-            Some(dag) => {
-                debug_assert!(dag == self.build_dag(js), "stale cached DAG for slot {js}");
-                dag
+    /// `dag` (slot `js`) against [`Self::build_dag`]: every row, and the
+    /// order when it claims to be current.
+    #[cfg(any(test, debug_assertions))]
+    fn check_against_oracle(&self, dag: &Dag, js: usize) -> Result<(), String> {
+        let (starts, edges, order) = self.build_dag(js);
+        for i in 0..self.topo.node_count() {
+            let want = &edges[starts[i] as usize..starts[i + 1] as usize];
+            if dag.row(&self.row, i) != want {
+                return Err(format!("slot {js}: row {i} is stale against a fresh build"));
             }
-            None => self.build_dag(js),
         }
+        if dag.order_ok && dag.order != order {
+            return Err(format!("slot {js}: order is stale against a fresh build"));
+        }
+        Ok(())
     }
 
-    /// Keep `dag` for the next resolve (dropped where nothing is kept).
-    fn keep_dag(&mut self, js: usize, dag: DagCsr) {
-        if let Some(kept) = self.dags.get_mut(js) {
-            *kept = Some(dag);
+    /// Every kept DAG against one built whole, now, through the same row
+    /// writer: each row, and the order where it claims to be current (in
+    /// the dev profile also against the reference build). What the
+    /// differential suite asserts after every event, in any profile.
+    #[doc(hidden)]
+    pub fn audit_dags(&self) -> Result<(), String> {
+        if !self.keep_dags {
+            return Ok(());
         }
+        let mut fresh = Dag::new(self.topo.node_count(), self.topo.link_count());
+        let mut indeg = Vec::new();
+        for (js, dag) in self.dags.iter().enumerate() {
+            for i in 0..self.topo.node_count() {
+                self.write_row(&mut fresh, js, i);
+                if dag.row(&self.row, i) != fresh.row(&self.row, i) {
+                    return Err(format!("slot {js}: row {i} differs from a whole build"));
+                }
+            }
+            fresh.reorder(&self.row, &mut indeg);
+            if dag.order_ok && dag.order != fresh.order {
+                return Err(format!("slot {js}: order differs from a whole build"));
+            }
+            #[cfg(any(test, debug_assertions))]
+            self.check_against_oracle(dag, js)?;
+        }
+        Ok(())
     }
 
     /// Re-resolve the fluid solution: forward passes for every dirty
@@ -440,36 +689,38 @@ impl FluidSimulator {
         if !self.any_dirty {
             return;
         }
-        let n = self.topo.node_count();
+        self.work.resolves += 1;
         for js in 0..self.active_dests.len() {
             if !self.dirty[js] {
                 continue;
             }
-            let (starts, edges, order) = self.take_dag(js);
+            self.work.forward_passes += 1;
+            let dag = self.take_dag(js);
             for (l, fjl) in self.fj[js].iter_mut().enumerate() {
                 self.ftot[l] = (self.ftot[l] - *fjl).max(0.0);
                 *fjl = 0.0;
             }
-            let mut a = vec![0.0f64; n];
+            let a = &mut self.arrive;
+            a.fill(0.0);
             for &fi in &self.flows_by_dest[js] {
                 let f = &self.flows[fi as usize];
                 if f.rate > 0.0 {
                     a[f.src.index()] += f.rate;
                 }
             }
-            for &iu in &order {
+            for &iu in &dag.order {
                 let i = iu as usize;
                 if a[i] <= 0.0 {
                     continue;
                 }
-                for &(k, l, share) in &edges[starts[i] as usize..starts[i + 1] as usize] {
+                for &(k, l, share) in dag.row(&self.row, i) {
                     let push = a[i] * share;
                     self.fj[js][l as usize] += push;
                     self.ftot[l as usize] += push;
                     a[k as usize] += push;
                 }
             }
-            self.keep_dag(js, (starts, edges, order));
+            self.keep_dag(js, dag);
         }
         for js in 0..self.active_dests.len() {
             self.backward(js);
@@ -482,20 +733,21 @@ impl FluidSimulator {
     /// probability and delay moments over the successor DAG, evaluated
     /// at the flows' sources.
     fn backward(&mut self, js: usize) {
-        let n = self.topo.node_count();
+        self.work.backward_passes += 1;
         let j = self.active_dests[js];
-        let (starts, edges, order) = self.take_dag(js);
-        let mut p = vec![0.0f64; n];
-        let mut proute = vec![0.0f64; n];
-        let mut m = vec![0.0f64; n];
+        let dag = self.take_dag(js);
+        let (p, proute, m) = (&mut self.p, &mut self.proute, &mut self.m);
+        p.fill(0.0);
+        proute.fill(0.0);
+        m.fill(0.0);
         p[j.index()] = 1.0;
         proute[j.index()] = 1.0;
-        for &iu in order.iter().rev() {
+        for &iu in dag.order.iter().rev() {
             let i = iu as usize;
             if i == j.index() {
                 continue;
             }
-            for &(k, l, share) in &edges[starts[i] as usize..starts[i + 1] as usize] {
+            for &(k, l, share) in dag.row(&self.row, i) {
                 let f = self.ftot[l as usize];
                 let c = self.models[l as usize].capacity;
                 let sigma = if f > c { c / f } else { 1.0 };
@@ -513,7 +765,7 @@ impl FluidSimulator {
             self.sol_proute[fi] = proute[s];
             self.sol_d[fi] = if p[s] > 1e-300 { m[s] / p[s] } else { 0.0 };
         }
-        self.keep_dag(js, (starts, edges, order));
+        self.keep_dag(js, dag);
     }
 
     /// Integrate statistics with the current (piecewise-constant)
@@ -595,9 +847,14 @@ impl FluidSimulator {
         self.any_dirty = true;
     }
 
-    /// A `link_up` bit flipped: every kept DAG may hold the link.
-    fn drop_dags(&mut self) {
-        self.dags.fill(None);
+    /// Flip directed link `lid` (`x → y`) up or down. Only `x`'s rows
+    /// can hold it, one per kept DAG.
+    fn set_link_up(&mut self, lid: LinkId, up: bool) {
+        self.link_up[lid.index()] = up;
+        let x = self.topo.link(lid).from.index();
+        for js in 0..self.active_dests.len() {
+            self.patch_row(js, x);
+        }
     }
 
     /// Mark every destination dirty (topology or wide routing change).
@@ -679,16 +936,14 @@ impl FluidSimulator {
         }
     }
 
-    /// Drop the kept DAG of every destination the allocator visited (a
-    /// move below `SHIFT_EPS` still changes the shares `backward`
-    /// reads), mark those whose allocation moved dirty, and publish the
-    /// step.
+    /// Rewrite router `i`'s row toward every destination the allocator
+    /// visited (a move below `SHIFT_EPS` still changes the shares
+    /// `backward` reads), mark those whose allocation moved dirty, and
+    /// publish the step.
     fn note_step(&mut self, i: NodeId, changed: Vec<RouteChange>, allocs: Allocs) {
         for &(j, outcome) in &allocs {
             if let Ok(js) = self.active_dests.binary_search(&j) {
-                if let Some(kept) = self.dags.get_mut(js) {
-                    *kept = None;
-                }
+                self.patch_row(js, i.index());
                 if outcome.shift > SHIFT_EPS {
                     self.mark_dirty(js);
                 }
@@ -762,8 +1017,7 @@ impl FluidSimulator {
                         if !self.link_up[lid.index()] {
                             continue;
                         }
-                        self.link_up[lid.index()] = false;
-                        self.drop_dags();
+                        self.set_link_up(lid, false);
                         if !self.nodes.is_empty() {
                             self.route_event(x, RouterEvent::LinkDown { to: y });
                         }
@@ -783,8 +1037,7 @@ impl FluidSimulator {
                         if self.link_up[lid.index()] {
                             continue;
                         }
-                        self.link_up[lid.index()] = true;
-                        self.drop_dags();
+                        self.set_link_up(lid, true);
                         let idle = self.models[lid.index()].marginal_delay(0.0);
                         if !self.nodes.is_empty() {
                             // Fresh estimator state, like the packet
@@ -879,7 +1132,14 @@ impl FluidSimulator {
     /// Run to completion and report. Statistics are moved into the
     /// report, like the packet engine.
     pub fn run(&mut self) -> SimReport {
-        if self.cfg.sim_mode == SimMode::FluidQuiescent && self.cfg.fixed_routing.is_none() {
+        self.run_with(|_| {})
+    }
+
+    /// [`Self::run`], calling `after_event` once every processed event —
+    /// the differential suite's hook for [`Self::audit_dags`].
+    #[doc(hidden)]
+    pub fn run_with(&mut self, mut after_event: impl FnMut(&Self)) -> SimReport {
+        if Self::epoch_driven(&self.cfg) {
             let mut next_epoch = 0.0;
             let mut si = 0usize;
             loop {
@@ -898,6 +1158,7 @@ impl FluidSimulator {
                 } else {
                     break;
                 }
+                after_event(self);
             }
         } else {
             while let Some((t, ev)) = self.queue.pop() {
@@ -934,6 +1195,7 @@ impl FluidSimulator {
                 if self.obs.is_some() {
                     self.observe_quiescence();
                 }
+                after_event(self);
             }
         }
         self.time = self.end_time;
@@ -976,6 +1238,7 @@ impl FluidSimulator {
             events_processed: self.events_processed,
             robustness: None,
             telemetry: self.obs.take().map(|o| o.finish()),
+            fluid: Some(self.work),
         }
     }
 
@@ -996,6 +1259,17 @@ mod tests {
     use super::*;
     use mdr_net::topo;
 
+    /// NET1 under fixed shortest-path routes, not yet run.
+    fn fixed_sp(sim_mode: SimMode) -> FluidSimulator {
+        let t = topo::net1();
+        let traffic = TrafficMatrix::from_flows(&t, &topo::net1_flows(2e6)).unwrap();
+        let models: Vec<Mm1> =
+            t.links().iter().map(|l| Mm1::new(l.capacity, l.prop_delay, 1000.0)).collect();
+        let sp = mdr_opt::shortest_path_vars(&t, &models);
+        let cfg = SimConfig { sim_mode, fixed_routing: Some(sp), ..Default::default() };
+        FluidSimulator::new(&t, &traffic, &Scenario::new(), cfg)
+    }
+
     fn ran(sim_mode: SimMode) -> FluidSimulator {
         let t = topo::net1();
         let traffic = TrafficMatrix::from_flows(&t, &topo::net1_flows(2e6)).unwrap();
@@ -1006,52 +1280,126 @@ mod tests {
         sim
     }
 
-    /// Where a DAG can outlive the resolve that built it, one is kept per
-    /// destination slot; the quiescent control plane rewrites every φ
-    /// each epoch and must end a run holding none (on `fluid-isp1k` the
-    /// kept DAGs measured +21.7 % peak RSS for no hit).
+    /// One DAG's rows, shares by bit pattern.
+    type Rows = Vec<Vec<(u32, u32, u64)>>;
+
+    /// Rows and order of every stored DAG.
+    fn stored(sim: &FluidSimulator) -> Vec<(Rows, Vec<u32>)> {
+        let rows = |d: &Dag| {
+            (0..sim.topo.node_count())
+                .map(|i| d.row(&sim.row, i).iter().map(|&(k, l, w)| (k, l, w.to_bits())).collect())
+                .collect()
+        };
+        sim.dags.iter().map(|d| (rows(d), d.order.clone())).collect()
+    }
+
+    /// Where a DAG can outlive the resolve that used it, one is kept per
+    /// destination slot, built once; the quiescent control plane
+    /// rewrites every φ each epoch and keeps none — one buffer, built
+    /// twice per destination per resolve (on `fluid-isp1k` kept DAGs
+    /// measured +21.7 % peak RSS for no hit).
     #[test]
     fn dags_are_kept_only_where_they_can_be_reused() {
         let mut protocol = ran(SimMode::Fluid);
-        assert_eq!(protocol.dags.len(), protocol.active_dests.len());
+        let nd = protocol.active_dests.len();
+        assert!(protocol.keep_dags && protocol.dags.len() == nd);
+        assert_eq!(protocol.work.dag_builds, nd as u64, "one build per destination, ever");
         protocol.mark_all_dirty();
         protocol.resolve();
-        assert!(protocol.dags.iter().all(Option::is_some), "a resolve keeps its DAGs");
-        let quiescent = ran(SimMode::FluidQuiescent);
+        assert_eq!(protocol.work.dag_builds, nd as u64, "a resolve reuses them");
+        assert_eq!(protocol.audit_dags(), Ok(()));
+
+        let mut quiescent = ran(SimMode::FluidQuiescent);
         assert!(!quiescent.active_dests.is_empty());
-        assert!(quiescent.dags.is_empty());
+        assert!(!quiescent.keep_dags && quiescent.dags.len() == 1);
+        assert_eq!((quiescent.work.rows_written, quiescent.work.reorders), (0, 0));
+        let before = quiescent.work;
+        quiescent.mark_all_dirty();
+        quiescent.resolve();
+        assert_eq!(quiescent.work.dag_builds - before.dag_builds, 2 * nd as u64);
+        // Fixed routing keeps its DAGs under either control plane.
+        let fixed = fixed_sp(SimMode::FluidQuiescent);
+        assert!(fixed.keep_dags && fixed.dags.len() == nd);
     }
 
-    /// Every way φ or a link bit can move drops exactly the DAGs it can
-    /// have touched.
+    /// Every way φ or a link bit can move rewrites exactly the rows it
+    /// can have touched, and drops nothing.
     #[test]
-    fn kept_dags_are_dropped_by_what_can_change_them() {
+    fn kept_dags_are_patched_by_what_can_change_them() {
         let mut sim = ran(SimMode::Fluid);
-        let all_kept = |sim: &FluidSimulator| sim.dags.iter().all(Option::is_some);
         sim.mark_all_dirty();
         sim.resolve();
-        assert!(all_kept(&sim));
-        // An allocator visit that moved nothing measurable still drops
-        // the destination's DAG (and only that one) and dirties nothing.
+        let builds = sim.work.dag_builds;
+        // An allocator visit that moved nothing measurable rewrites one
+        // row of one destination — to the same edges, so no re-order —
+        // and dirties nothing.
+        let (before, work) = (stored(&sim), sim.work);
         let j = sim.active_dests[1];
         let still = mdr_flow::AllocOutcome { shift: SHIFT_EPS / 2.0, ..Default::default() };
         sim.note_step(NodeId(0), Vec::new(), vec![(j, still)]);
-        let dropped: Vec<usize> =
-            (0..sim.dags.len()).filter(|&js| sim.dags[js].is_none()).collect();
-        assert_eq!(dropped, vec![1]);
-        assert!(!sim.any_dirty);
-        sim.mark_dirty(1);
-        sim.resolve();
-        assert!(all_kept(&sim));
+        assert_eq!(sim.work.rows_written - work.rows_written, 1);
+        assert!(sim.dags.iter().all(|d| d.order_ok) && !sim.any_dirty);
+        assert_eq!(stored(&sim), before);
         // A rate change moves no DAG.
         sim.apply_scenario(ScenarioEvent::SetFlowRate { flow: 0, rate: 1e6 });
-        assert!(all_kept(&sim) && sim.any_dirty);
-        // A link flip drops them all.
-        let l = *sim.topo.link(LinkId(0));
-        sim.apply_scenario(ScenarioEvent::FailLink { a: l.from, b: l.to });
-        assert!(sim.dags.iter().all(Option::is_none));
+        assert_eq!(sim.work.rows_written - work.rows_written, 1);
+        assert!(sim.any_dirty);
         sim.resolve();
-        sim.apply_scenario(ScenarioEvent::RestoreLink { a: l.from, b: l.to });
-        assert!(sim.dags.iter().all(Option::is_none));
+        // A link flip rewrites the tail router's row in every DAG (each
+        // direction's tail, and whatever rows the two routers' reaction
+        // moves), and only rows of those two routers change.
+        let l = *sim.topo.link(LinkId(0));
+        let (x, y) = (l.from.index(), l.to.index());
+        let uses_link = |sim: &FluidSimulator| {
+            sim.dags.iter().any(|d| d.row(&sim.row, x).iter().any(|e| e.1 == 0))
+        };
+        assert!(uses_link(&sim), "the flip below must remove an edge");
+        for (ev, up) in [
+            (ScenarioEvent::FailLink { a: l.from, b: l.to }, false),
+            (ScenarioEvent::RestoreLink { a: l.from, b: l.to }, true),
+        ] {
+            let (before, work) = (stored(&sim), sim.work);
+            sim.apply_scenario(ev);
+            assert!(sim.work.rows_written - work.rows_written >= 2 * sim.dags.len() as u64);
+            for (js, (was, now)) in before.iter().zip(stored(&sim)).enumerate() {
+                for i in (0..sim.topo.node_count()).filter(|&i| i != x && i != y) {
+                    assert_eq!(was.0[i], now.0[i], "slot {js}: row {i} is not the tail's");
+                }
+            }
+            assert_eq!(sim.audit_dags(), Ok(()));
+            assert!(up || !uses_link(&sim));
+            sim.resolve();
+        }
+        assert_eq!(sim.work.dag_builds, builds, "nothing was ever rebuilt");
+        assert!(sim.work.reorders > 0, "the lost edge re-ordered a DAG");
+    }
+
+    /// `set_link_up` alone (fixed routes: no router reacts) rewrites the
+    /// tail router's row in every DAG and nothing else.
+    #[test]
+    fn a_link_flip_rewrites_only_the_tail_routers_rows() {
+        let mut sim = fixed_sp(SimMode::Fluid);
+        let t = sim.topo.clone();
+        let lid = (0..t.link_count() as u32)
+            .map(LinkId)
+            .find(|&l| sim.dags.iter().any(|d| d.edges.iter().any(|e| e.1 == l.0)))
+            .unwrap();
+        let x = t.link(lid).from.index();
+        let before = stored(&sim);
+        sim.set_link_up(lid, false);
+        assert_eq!(sim.work.rows_written, sim.dags.len() as u64);
+        let mut moved = 0;
+        for (was, now) in before.iter().zip(stored(&sim)) {
+            for i in 0..t.node_count() {
+                assert!(i == x || was.0[i] == now.0[i], "row {i} is not the tail's");
+                moved += usize::from(was.0[i] != now.0[i]);
+            }
+        }
+        assert!(moved > 0);
+        assert_eq!(sim.audit_dags(), Ok(()));
+        sim.set_link_up(lid, true);
+        assert_eq!(stored(&sim).iter().map(|d| &d.0).collect::<Vec<_>>(), {
+            before.iter().map(|d| &d.0).collect::<Vec<_>>()
+        });
     }
 }

@@ -48,7 +48,7 @@ pub use chaos::{
 };
 pub use engine::{PacketDist, SimConfig, SimMode, SimReport, Simulator};
 pub use estimator::{EstimatorKind, LinkEstimator};
-pub use fluid::FluidSimulator;
+pub use fluid::{FluidSimulator, FluidWork};
 pub use monitor::InvariantMonitor;
 pub use scenario::{Scenario, ScenarioEvent};
 pub use stats::{FlowStats, LinkStats};

@@ -4,6 +4,8 @@
 
 use mdr_net::{Flow, LinkDelayModel, Mm1, NodeId, Topology, TopologyBuilder, TrafficMatrix};
 use mdr_sim::{FluidSimulator, Scenario, ScenarioEvent, SimConfig, SimMode, SimReport};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// A 3-node line `n0 — n1 — n2`, 10 Mb/s links, 1 ms propagation.
 fn line3() -> Topology {
@@ -22,6 +24,13 @@ fn fluid_cfg() -> SimConfig {
 fn run_fluid(t: &Topology, flows: &[Flow], cfg: SimConfig) -> SimReport {
     let traffic = TrafficMatrix::from_flows(t, flows).unwrap();
     FluidSimulator::new(t, &traffic, &Scenario::new(), cfg).run()
+}
+
+/// Shortest-path routing variables at idle costs.
+fn sp_vars(t: &Topology) -> mdr_opt::RoutingVars {
+    let models: Vec<Mm1> =
+        t.links().iter().map(|l| Mm1::new(l.capacity, l.prop_delay, 1000.0)).collect();
+    mdr_opt::shortest_path_vars(t, &models)
 }
 
 fn assert_all_finite(r: &SimReport) {
@@ -130,14 +139,109 @@ fn quiescent_control_plane_matches_distributed_fluid() {
     }
 }
 
+/// A scripted event must land whichever control plane and routing the
+/// run uses: a flow switched off half-way delivers half.
+#[test]
+fn scenario_events_apply_under_every_control_plane() {
+    let t = line3();
+    let traffic = TrafficMatrix::from_flows(&t, &[Flow::new(NodeId(0), NodeId(2), 1e6)]).unwrap();
+    let off = Scenario::new().at(5.0, ScenarioEvent::SetFlowRate { flow: 0, rate: 0.0 });
+    for sim_mode in [SimMode::Fluid, SimMode::FluidQuiescent] {
+        for fixed_routing in [None, Some(sp_vars(&t))] {
+            let what = format!("{sim_mode:?}, fixed routing {}", fixed_routing.is_some());
+            let cfg =
+                SimConfig { warmup: 1.0, duration: 9.0, sim_mode, fixed_routing, ..fluid_cfg() };
+            let r = FluidSimulator::new(&t, &traffic, &off, cfg).run();
+            assert_eq!(r.delivered, 4000, "{what}: 1000 packets/s from t = 1 s to t = 5 s");
+            assert!(r.events_processed > 0, "{what}");
+        }
+    }
+}
+
+/// The row-patched DAG store against a whole build after *every* event
+/// (`audit_dags`: a real assert, in any profile), over seeded random
+/// interleavings of everything that can move a row: LSU floods, `T_s`
+/// and `T_l` ticks, link failures and restores, rate changes. γ = 0
+/// leaves AH renormalizing without moving anything, γ = 1 drains a
+/// successor to zero in one tick, so rows shrink and orders move.
+#[test]
+fn patched_dags_equal_whole_builds_after_every_event() {
+    let ba = mdr_net::gen::barabasi_albert(60, 2, 11);
+    let ends: Vec<NodeId> = ba.nodes().step_by(8).collect();
+    let ba_flows = mdr_net::gen::gravity_flows(&ends, 2, 4.0e7, 11);
+    // The cold-start flood makes a BA-60 run four times a NET1 run.
+    let nets = [
+        ("net1", mdr_net::topo::net1(), mdr_net::topo::net1_flows(2.5e6), 2),
+        ("ba60", ba, ba_flows, 1),
+    ];
+    for (name, t, flows, seeds) in &nets {
+        let traffic = TrafficMatrix::from_flows(t, flows).unwrap();
+        let physical: Vec<_> = t.links().iter().filter(|l| l.from < l.to).collect();
+        for (gi, ah_gain) in [0.0, 0.4, 1.0].into_iter().enumerate() {
+            for seed in [gi as u64, 7].into_iter().take(*seeds) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut scenario = Scenario::new();
+                for _ in 0..10 {
+                    let l = physical[rng.gen_range(0..physical.len())];
+                    let at = rng.gen_range(0.2..3.0);
+                    let back = at + rng.gen_range(0.01..1.0);
+                    let flow = rng.gen_range(0..flows.len());
+                    let rate = [0.0, 1.0e6, 4.0e6][rng.gen_range(0..3usize)];
+                    scenario = scenario
+                        .at(at, ScenarioEvent::FailLink { a: l.from, b: l.to })
+                        .at(back, ScenarioEvent::RestoreLink { a: l.to, b: l.from })
+                        .at(rng.gen_range(0.2..3.5), ScenarioEvent::SetFlowRate { flow, rate });
+                }
+                let cfg = SimConfig {
+                    warmup: 0.5,
+                    duration: 3.0,
+                    t_short: 0.1,
+                    t_long: 0.5,
+                    ah_gain,
+                    seed,
+                    ..fluid_cfg()
+                };
+                let audited = |cfg: SimConfig| {
+                    let what = format!(
+                        "{name} gain {ah_gain} seed {seed} fixed {}",
+                        cfg.fixed_routing.is_some()
+                    );
+                    let mut sim = FluidSimulator::new(t, &traffic, &scenario, cfg);
+                    let mut events = 0u64;
+                    let report = sim.run_with(|sim| {
+                        events += 1;
+                        if let Err(e) = sim.audit_dags() {
+                            panic!("{what}: after event {events} at t = {}: {e}", sim.now());
+                        }
+                    });
+                    assert_eq!(events, report.events_processed, "{what}");
+                    assert_all_finite(&report);
+                    report.fluid.expect("a fluid run reports its work")
+                };
+                let work = audited(cfg.clone());
+                let nd = flows.iter().map(|f| f.dst).collect::<std::collections::BTreeSet<_>>();
+                assert_eq!(work.dag_builds, nd.len() as u64, "built once each, then patched");
+                assert!(work.rows_written > 1000 && work.reorders > 0, "{work:?}");
+                assert!(work.forward_passes <= work.backward_passes);
+                // Fixed routes: link flips are all that moves a row.
+                if gi == 0 {
+                    let work = audited(SimConfig { fixed_routing: Some(sp_vars(t)), ..cfg });
+                    assert_eq!(work.dag_builds, nd.len() as u64);
+                    assert!(work.rows_written > 0);
+                }
+            }
+        }
+    }
+}
+
 /// Everything that can move a successor DAG, on one run: a link fails
 /// and comes back twice (LSU floods each time), flow rates change —
 /// once to zero and back — and `T_s` ticks run throughout, long enough
 /// for AH to settle into moves far below the telemetry threshold. The
-/// engine keeps each destination's DAG across settles; in this profile
-/// every reuse is compared against a fresh build, so a missed
-/// invalidation fails here. The fixed-routing control plane keeps DAGs
-/// too and only link flips can move them.
+/// engine keeps each destination's DAG across settles and patches it by
+/// row; in this profile every use is compared against a fresh build, so
+/// a missed row write fails here. The fixed-routing control plane keeps
+/// DAGs too and only link flips can move them.
 #[test]
 fn kept_dags_survive_interleaved_faults_rates_ticks_and_floods() {
     // Two unequal paths 0 → 3 (via 1 and via 2) plus a chord, so AH has
@@ -181,11 +285,7 @@ fn kept_dags_survive_interleaved_faults_rates_ticks_and_floods() {
     assert_eq!(r.mean_delays_ms, again.mean_delays_ms);
     assert_eq!(r.control_bytes, again.control_bytes);
 
-    let sp = mdr_opt::shortest_path_vars(
-        &t,
-        &t.links().iter().map(|l| Mm1::new(l.capacity, l.prop_delay, 1000.0)).collect::<Vec<_>>(),
-    );
-    let fixed = run(SimConfig { fixed_routing: Some(sp), ..cfg });
+    let fixed = run(SimConfig { fixed_routing: Some(sp_vars(&t)), ..cfg });
     assert_all_finite(&fixed);
     assert!(fixed.flows[0].dropped_no_route > 0, "fixed routes lose the failed link's traffic");
 }

@@ -48,7 +48,12 @@ fn scenario_grid() -> Vec<(&'static str, SimJob)> {
         .at(4.0, ScenarioEvent::FailLink { a: x, b: z })
         .at(7.0, ScenarioEvent::RestoreLink { a: x, b: z });
     let cfg = SimConfig { warmup: 2.0, duration: 8.0, seed: 13, ..Default::default() };
-    out.push(("triangle_failure", SimJob::new(&t, &traffic, cfg).with_scenario(&scen)));
+    out.push(("triangle_failure", SimJob::new(&t, &traffic, cfg.clone()).with_scenario(&scen)));
+
+    // The same triangle in the fluid engine, whose report also carries
+    // its work counts (`SimReport::fluid`).
+    let cfg = SimConfig { sim_mode: SimMode::Fluid, ..cfg };
+    out.push(("triangle_failure_fluid", SimJob::new(&t, &traffic, cfg).with_scenario(&scen)));
 
     // NET1 under the full chaos stack with invariant auditing on.
     let t = topo::net1();
@@ -82,6 +87,9 @@ fn every_observer_leaves_every_scenario_bit_identical() {
     for (name, job) in scenario_grid() {
         let off = job.run();
         assert!(off.telemetry.is_none(), "{name}: observer-off run must carry no telemetry");
+        let fluid = job.cfg.sim_mode != SimMode::Packet;
+        assert_eq!(off.fluid.is_some(), fluid, "{name}: work counts exactly on fluid runs");
+        assert!(off.fluid.is_none_or(|w| w.dag_builds > 0 && w.rows_written > 0 && w.resolves > 0));
         let modes = [
             ObserverMode::Null,
             ObserverMode::Recording { data_plane: true },
