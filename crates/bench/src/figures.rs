@@ -2,15 +2,14 @@
 //!
 //! The one `mdr-bench` binary dispatches over [`all`]: `mdr-bench <id>`
 //! runs one experiment, `mdr-bench all` drives the whole registry
-//! in-process so it can time each experiment and report simulator
-//! throughput (`BENCH_sim.json`).
-//! All simulator runs go through the parallel batch APIs
-//! ([`run_jobs_recorded`] / [`run_many_recorded`]), which spread jobs
-//! across cores while keeping results bit-identical to serial runs.
+//! in-process and prints each experiment's wall-clock seconds.
+//! All simulator runs go through the parallel batch APIs (`run_jobs` /
+//! `run_many`), which spread jobs across cores while keeping results
+//! bit-identical to serial runs.
 
 use crate::{
     cairn_setup, comparison_figure, comparison_figure_seeds, figure_run_config, mean, net1_setup,
-    run_jobs_recorded, run_many_recorded, Figure, CAIRN_RATE, NET1_RATE,
+    run_jobs_ok, Figure, CAIRN_RATE, NET1_RATE,
 };
 use mdr::prelude::*;
 use mdr_net::gen;
@@ -303,7 +302,7 @@ mean over 4 seeds)",
             })
         })
         .collect();
-    let results = run_jobs_recorded(jobs);
+    let results = run_jobs_ok(jobs);
     let mut burst_means = Vec::new();
     for runs in results.chunks(seeds.len()) {
         let mut burst = Vec::new();
@@ -375,7 +374,7 @@ pub fn link_failure() {
         .iter()
         .map(|&s| RunJob::new(&t, &flows, s, cfg).with_scenario(&scen))
         .collect();
-    for r in run_jobs_recorded(jobs) {
+    for r in run_jobs_ok(jobs) {
         let rep = r.report.as_ref().expect("simulated scheme");
         let (fail_mean, worst_p99) = window_stats(rep, flows.len());
         fig.note(format!(
@@ -493,7 +492,7 @@ fn sweep(name: &str, topo: &Topology, base_flows: &[Flow], rates: &[f64]) {
             schemes.iter().map(move |&s| RunJob::new(topo, &flows, s, cfg)).collect::<Vec<_>>()
         })
         .collect();
-    let results = run_jobs_recorded(jobs);
+    let results = run_jobs_ok(jobs);
     let mut opt_v = Vec::new();
     let mut mp_v = Vec::new();
     let mut sp_v = Vec::new();
@@ -649,7 +648,7 @@ pub fn ablation_ah() {
     let setups = [("CAIRN", cairn_setup(CAIRN_RATE)), ("NET1", net1_setup(NET1_RATE))];
     // OPT references for both topologies, then each topology's gain
     // sweep, all as parallel batches.
-    let opts = run_jobs_recorded(
+    let opts = run_jobs_ok(
         setups
             .iter()
             .map(|(_, (t, flows, _))| RunJob::new(t, flows, Scheme::opt(), RunConfig::default()))
@@ -673,7 +672,7 @@ pub fn ablation_ah() {
                 SimJob::new(topo_, &traffic, cfg)
             })
             .collect();
-        let reports = run_many_recorded(jobs);
+        let reports = run_many(jobs);
         let mut vals = Vec::new();
         for (&gain, r) in gains.iter().zip(&reports) {
             println!(
@@ -710,7 +709,7 @@ pub fn ablation_estimator() {
             })
         })
         .collect();
-    let results = run_jobs_recorded(jobs);
+    let results = run_jobs_ok(jobs);
     for ((name, _), chunk) in setups.iter().zip(results.chunks(ests.len())) {
         let mut vals = Vec::new();
         for (est, r) in ests.iter().zip(chunk) {
@@ -759,7 +758,7 @@ pub fn ablation_traffic() {
             })
         })
         .collect();
-    let reports = run_many_recorded(jobs);
+    let reports = run_many(jobs);
     for (&(label, _), chunk) in modes.iter().zip(reports.chunks(dists.len())) {
         let mut vals = Vec::new();
         for (dist, r) in dists.iter().zip(chunk) {
@@ -1149,7 +1148,7 @@ pub fn chaos(smoke: bool) {
             jobs.push(SimJob::new(net1_t, &net1_traffic, cfg));
         }
     }
-    let reports = run_many_recorded(jobs);
+    let reports = run_many(jobs);
 
     let mut doc = ChaosResults {
         // The smoke subset writes beside the full results, not over
@@ -1350,7 +1349,7 @@ pub fn trace(smoke: bool) {
         .iter()
         .map(|(name, scen)| job(scen, ObserverMode::Jsonl { path: path(name), data_plane: false }))
         .collect();
-    let reports = run_many_recorded(jobs);
+    let reports = run_many(jobs);
 
     for ((name, scen), rep) in scenarios.iter().zip(&reports) {
         let sink = rep
@@ -1430,7 +1429,7 @@ asserted bit-identical to observer-on"
         }
     }
     let mut samples = Vec::new();
-    for rep in run_many_recorded(jobs) {
+    for rep in run_many(jobs) {
         let metrics = rep
             .telemetry
             .and_then(|tel| tel.metrics)
@@ -1594,7 +1593,7 @@ pub fn scale(smoke: bool) {
             jobs.push(SimJob::new(&s.topo, &traffic, cfg));
         }
     }
-    let reports = run_many_recorded(jobs);
+    let reports = run_many(jobs);
 
     let id = if smoke { "scale_smoke" } else { "scale" };
     let mut fig = Figure::new(

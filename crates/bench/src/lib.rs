@@ -1,9 +1,9 @@
-//! Shared harness for the figure-reproduction binaries.
+//! Shared harness for the figure-reproduction experiments.
 //!
-//! Every binary in `src/bin/` regenerates one figure (or prose claim)
-//! of the paper; this library holds the common setup, the table
-//! printer, and JSON persistence so `EXPERIMENTS.md` can be assembled
-//! from machine-readable results under `results/`.
+//! Every entry of the [`figures::all`] registry regenerates one figure
+//! (or prose claim) of the paper; this library holds the common setup,
+//! the table printer, and JSON persistence so `EXPERIMENTS.md` can be
+//! assembled from machine-readable results under `results/`.
 
 // No unsafe anywhere: the whole workspace is plain safe Rust, and
 // `mdr-lint` verifies every crate root carries this attribute.
@@ -13,48 +13,14 @@ use mdr::prelude::*;
 use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod figures;
 
-/// Simulator events processed by runs dispatched through this library
-/// (see [`record_sim_events`]) — the throughput numerator of
-/// `BENCH_sim.json`.
-static SIM_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Add `n` simulator events to the process-wide counter.
-pub fn record_sim_events(n: u64) {
-    SIM_EVENTS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Simulator events recorded so far in this process.
-pub fn sim_events() -> u64 {
-    SIM_EVENTS.load(Ordering::Relaxed)
-}
-
 /// Run a batch of scheme evaluations in parallel (job order preserved),
 /// panicking on the first error — figure inputs are static, so an error
-/// is a bug — and recording every simulated event into [`sim_events`].
-pub fn run_jobs_recorded(jobs: Vec<RunJob>) -> Vec<RunResult> {
-    run_jobs(jobs)
-        .into_iter()
-        .map(|r| {
-            let r = r.expect("scheme run");
-            if let Some(rep) = &r.report {
-                record_sim_events(rep.events_processed);
-            }
-            r
-        })
-        .collect()
-}
-
-/// Run a batch of raw simulator jobs in parallel, recording events.
-pub fn run_many_recorded(jobs: Vec<SimJob>) -> Vec<SimReport> {
-    let reports = run_many(jobs);
-    for r in &reports {
-        record_sim_events(r.events_processed);
-    }
-    reports
+/// is a bug.
+fn run_jobs_ok(jobs: Vec<RunJob>) -> Vec<RunResult> {
+    run_jobs(jobs).into_iter().map(|r| r.expect("scheme run")).collect()
 }
 
 /// Standard simulated durations for figure runs: warm-up long enough to
@@ -223,7 +189,7 @@ pub fn comparison_figure(
 ) -> Figure {
     let mut fig = Figure::new(id, title, flow_labels);
     let jobs: Vec<RunJob> = schemes.iter().map(|&s| RunJob::new(topo, flows, s, cfg)).collect();
-    let results = run_jobs_recorded(jobs);
+    let results = run_jobs_ok(jobs);
     let mut opt_delays: Option<Vec<f64>> = None;
     for (scheme, r) in schemes.iter().zip(results) {
         if matches!(scheme, Scheme::Opt { .. }) {
@@ -279,7 +245,7 @@ pub fn comparison_figure_seeds(
         .flat_map(|&scheme| seeds.iter().map(move |&seed| (scheme, seed)))
         .map(|(scheme, seed)| RunJob::new(topo, flows, scheme, RunConfig { seed, ..cfg }))
         .collect();
-    let results = run_jobs_recorded(jobs);
+    let results = run_jobs_ok(jobs);
     for (scheme, chunk) in schemes.iter().zip(results.chunks(seeds.len())) {
         let mut acc: Vec<f64> = vec![0.0; flows.len()];
         for r in chunk {

@@ -98,14 +98,14 @@ pub struct TScenario {
     /// Node count.
     pub n: u8,
     /// Undirected adjacencies (each becomes two `PeerChannel`s).
-    pub adjacencies: Vec<(u8, u8)>,
+    pub adjacencies: &'static [(u8, u8)],
     /// `(src, dst, count)`: payload LSUs `src` may queue toward `dst`.
-    pub sends: Vec<(u8, u8, u32)>,
+    pub sends: &'static [(u8, u8, u32)],
     /// `(node, count)`: crash-restart budget (incarnation bumps).
-    pub crashes: Vec<(u8, u32)>,
+    pub crashes: &'static [(u8, u32)],
     /// `(node, peer, count)`: dead-interval expiries `node`'s channel
     /// toward `peer` may fire (the same-incarnation session reset).
-    pub dead_expiries: Vec<(u8, u8, u32)>,
+    pub dead_expiries: &'static [(u8, u8, u32)],
     /// Cap on *observed resets per directed channel* (crash-induced,
     /// timer-induced, and peer-induced alike). Resets must be budgeted
     /// like every other fault: the wire keeps stale frames forever, so
@@ -128,7 +128,7 @@ pub struct TScenario {
     /// itself (identity included). The canonical state key is the
     /// minimum encoding over these; `declared_perms_are_scenario_
     /// automorphisms` in this module's tests keeps them honest.
-    pub perms: Vec<Vec<u8>>,
+    pub perms: &'static [&'static [u8]],
 }
 
 /// The shared small configuration: window 2, reorder bound 2, one
@@ -391,7 +391,7 @@ pub fn initial_world(s: &TScenario, mutant: ChannelMutant) -> TWorld<'_> {
     let mut dead_left = BTreeMap::new();
     let mut payload_next = BTreeMap::new();
     let mut stream_gen = BTreeMap::new();
-    for &(a, b) in &s.adjacencies {
+    for &(a, b) in s.adjacencies {
         for (x, y) in [(a, b), (b, a)] {
             nodes[x as usize].chans.insert(y, PeerChannel::with_mutant(s.cfg, 1, 0.0, mutant));
             sends_left.insert((x, y), 0);
@@ -400,13 +400,13 @@ pub fn initial_world(s: &TScenario, mutant: ChannelMutant) -> TWorld<'_> {
             stream_gen.insert((x, y), 1);
         }
     }
-    for &(a, b, k) in &s.sends {
+    for &(a, b, k) in s.sends {
         sends_left.insert((a, b), k);
     }
-    for &(a, b, k) in &s.dead_expiries {
+    for &(a, b, k) in s.dead_expiries {
         dead_left.insert((a, b), k);
     }
-    for &(x, k) in &s.crashes {
+    for &(x, k) in s.crashes {
         nodes[x as usize].crash_left = k;
     }
     TWorld {
@@ -679,7 +679,7 @@ impl CheckWorld for TWorld<'_> {
 
     fn key(&self) -> Vec<u8> {
         let mut best: Option<Vec<u8>> = None;
-        for p in &self.s.perms {
+        for p in self.s.perms {
             let enc = self.encode_under(p);
             if best.as_ref().is_none_or(|b| enc < *b) {
                 best = Some(enc);
@@ -886,24 +886,22 @@ pub fn explore(s: &TScenario, mutant: ChannelMutant, use_por: bool) -> Outcome<T
 /// The tier-1 transport scenario suite (sound protocol: every run must
 /// hold, and at least three must exhaust their reachable space).
 pub fn suite() -> Vec<TScenario> {
-    let id2 = vec![vec![0, 1]];
-    let sym2 = vec![vec![0, 1], vec![1, 0]];
     vec![
         TScenario {
             name: "pair-bringup-transfer",
             what_it_traps: "window/ack bookkeeping under lost, duplicated, and reordered \
                             hello/data/ack frames over a cold two-node bring-up",
             n: 2,
-            adjacencies: vec![(0, 1)],
-            sends: vec![(0, 1, 2), (1, 0, 2)],
-            crashes: vec![],
-            dead_expiries: vec![],
+            adjacencies: &[(0, 1)],
+            sends: &[(0, 1, 2), (1, 0, 2)],
+            crashes: &[],
+            dead_expiries: &[],
             reset_budget: 0,
             policy: None,
             cfg: small_cfg(),
             depth: 64,
             max_states: 3_000_000,
-            perms: sym2,
+            perms: &[&[0, 1], &[1, 0]],
         },
         TScenario {
             name: "pair-crash-restart",
@@ -912,16 +910,16 @@ pub fn suite() -> Vec<TScenario> {
                             a crash-restart, and wildcard-addressed pre-crash traffic \
                             masquerading as proof of re-sync",
             n: 2,
-            adjacencies: vec![(0, 1)],
-            sends: vec![],
-            crashes: vec![(1, 1)],
-            dead_expiries: vec![],
+            adjacencies: &[(0, 1)],
+            sends: &[],
+            crashes: &[(1, 1)],
+            dead_expiries: &[],
             reset_budget: 2,
             policy: Some(ReleasePolicy::AllNeighborsProven),
             cfg: small_cfg(),
             depth: 64,
             max_states: 3_000_000,
-            perms: id2.clone(),
+            perms: &[&[0, 1]],
         },
         TScenario {
             name: "pair-session-reset",
@@ -929,32 +927,32 @@ pub fn suite() -> Vec<TScenario> {
                             restarting the sender's sequence space while the peer's stale \
                             acks and segments are still on the wire",
             n: 2,
-            adjacencies: vec![(0, 1)],
-            sends: vec![(0, 1, 2)],
-            crashes: vec![],
-            dead_expiries: vec![(0, 1, 1)],
+            adjacencies: &[(0, 1)],
+            sends: &[(0, 1, 2)],
+            crashes: &[],
+            dead_expiries: &[(0, 1, 1)],
             reset_budget: 1,
             policy: None,
             cfg: small_cfg(),
             depth: 64,
             max_states: 3_000_000,
-            perms: id2.clone(),
+            perms: &[&[0, 1]],
         },
         TScenario {
             name: "triangle-restart-quarantine",
             what_it_traps: "quarantine-release soundness: a restarted hub may rejoin only \
                             after BOTH spokes prove they re-synced to its new incarnation",
             n: 3,
-            adjacencies: vec![(0, 1), (0, 2)],
-            sends: vec![],
-            crashes: vec![(0, 1)],
-            dead_expiries: vec![],
+            adjacencies: &[(0, 1), (0, 2)],
+            sends: &[],
+            crashes: &[(0, 1)],
+            dead_expiries: &[],
             reset_budget: 2,
             policy: Some(ReleasePolicy::AllNeighborsProven),
             cfg: small_cfg(),
             depth: 48,
             max_states: 3_000_000,
-            perms: vec![vec![0, 1, 2], vec![0, 2, 1]],
+            perms: &[&[0, 1, 2], &[0, 2, 1]],
         },
         TScenario {
             name: "reorder-at-bound",
@@ -962,16 +960,16 @@ pub fn suite() -> Vec<TScenario> {
                             max_reorder out-of-order segments is legal, one more must tear \
                             down — never deliver out of order",
             n: 2,
-            adjacencies: vec![(0, 1)],
-            sends: vec![(0, 1, 3)],
-            crashes: vec![],
-            dead_expiries: vec![],
+            adjacencies: &[(0, 1)],
+            sends: &[(0, 1, 3)],
+            crashes: &[],
+            dead_expiries: &[],
             reset_budget: 1,
             policy: None,
             cfg: ReliableConfig { window: 3, max_reorder: 1, ..small_cfg() },
             depth: 64,
             max_states: 3_000_000,
-            perms: id2,
+            perms: &[&[0, 1]],
         },
         TScenario {
             name: "ring6-hello-mesh",
@@ -979,29 +977,36 @@ pub fn suite() -> Vec<TScenario> {
                             establishment around a ring, tractable only under the \
                             adjacency-component reduction plus D6 symmetry",
             n: 6,
-            adjacencies: vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)],
-            sends: vec![],
-            crashes: vec![],
-            dead_expiries: vec![],
+            adjacencies: &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)],
+            sends: &[],
+            crashes: &[],
+            dead_expiries: &[],
             reset_budget: 0,
             policy: None,
             cfg: small_cfg(),
             depth: 72,
             max_states: 3_000_000,
-            perms: d6_perms(),
+            perms: D6,
         },
     ]
 }
 
-/// The dihedral group of the 6-ring: 6 rotations and 6 reflections.
-fn d6_perms() -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(12);
-    for r in 0..6u8 {
-        out.push((0..6u8).map(|i| (i + r) % 6).collect());
-        out.push((0..6u8).map(|i| (6 + r - i) % 6).collect());
-    }
-    out
-}
+/// The dihedral group of the 6-ring: 6 rotations and 6 reflections
+/// (rotation by `r`, then the reflection `i -> r - i`, for `r` in 0..6).
+const D6: &[&[u8]] = &[
+    &[0, 1, 2, 3, 4, 5],
+    &[0, 5, 4, 3, 2, 1],
+    &[1, 2, 3, 4, 5, 0],
+    &[1, 0, 5, 4, 3, 2],
+    &[2, 3, 4, 5, 0, 1],
+    &[2, 1, 0, 5, 4, 3],
+    &[3, 4, 5, 0, 1, 2],
+    &[3, 2, 1, 0, 5, 4],
+    &[4, 5, 0, 1, 2, 3],
+    &[4, 3, 2, 1, 0, 5],
+    &[5, 0, 1, 2, 3, 4],
+    &[5, 4, 3, 2, 1, 0],
+];
 
 /// One checker self-validation case: a deliberately unsound transition
 /// relation that must produce a minimal counterexample of the expected
@@ -1243,7 +1248,7 @@ mod tests {
     #[test]
     fn declared_perms_are_scenario_automorphisms() {
         for s in suite() {
-            for p in &s.perms {
+            for &p in s.perms {
                 assert_eq!(p.len(), s.n as usize, "{}: perm arity", s.name);
                 let mut seen = vec![false; s.n as usize];
                 for &v in p {
@@ -1265,10 +1270,10 @@ mod tests {
                 let map3 = |v: &[(u8, u8, u32)]| -> BTreeSet<(u8, u8, u32)> {
                     v.iter().map(|&(a, b, k)| (p[a as usize], p[b as usize], k)).collect()
                 };
-                assert_eq!(set3(&s.sends), map3(&s.sends), "{}: perm breaks sends", s.name);
+                assert_eq!(set3(s.sends), map3(s.sends), "{}: perm breaks sends", s.name);
                 assert_eq!(
-                    set3(&s.dead_expiries),
-                    map3(&s.dead_expiries),
+                    set3(s.dead_expiries),
+                    map3(s.dead_expiries),
                     "{}: perm breaks dead-expiry budgets",
                     s.name
                 );
@@ -1277,6 +1282,17 @@ mod tests {
                     s.crashes.iter().map(|&(x, k)| (p[x as usize], k)).collect();
                 assert_eq!(crashes, mapped_crashes, "{}: perm breaks crash budgets", s.name);
             }
+            // The groups are written out, not generated, so the table
+            // proves itself: 12 distinct automorphisms of C6 are all of
+            // D6, and the minimum over any group must cover the
+            // unpermuted encoding.
+            let distinct: BTreeSet<&[u8]> = s.perms.iter().copied().collect();
+            assert_eq!(distinct.len(), s.perms.len(), "{}: repeated perm", s.name);
+            if s.name == "ring6-hello-mesh" {
+                assert_eq!(s.perms.len(), 12, "{}: D6 has 12 elements", s.name);
+            }
+            let id: Vec<u8> = (0..s.n).collect();
+            assert!(s.perms.contains(&&id[..]), "{}: identity missing", s.name);
         }
     }
 
@@ -1333,16 +1349,16 @@ mod tests {
             name: "tiny-pair",
             what_it_traps: "",
             n: 2,
-            adjacencies: vec![(0, 1)],
-            sends: vec![(0, 1, 1)],
-            crashes: vec![],
-            dead_expiries: vec![],
+            adjacencies: &[(0, 1)],
+            sends: &[(0, 1, 1)],
+            crashes: &[],
+            dead_expiries: &[],
             reset_budget: 2,
             policy: None,
             cfg: small_cfg(),
             depth: 40,
             max_states: 500_000,
-            perms: vec![vec![0, 1]],
+            perms: &[&[0, 1]],
         };
         match explore(&s, ChannelMutant::None, true) {
             Outcome::Holds(st) => {
