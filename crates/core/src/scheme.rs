@@ -9,7 +9,7 @@
 //!   successor (the stand-in for OSPF/RIP-style routing, §5).
 
 use mdr_net::{Flow, Mm1, NetError, Topology, TrafficMatrix};
-use mdr_opt::{evaluate, EvalError, Evaluation, GallagerConfig};
+use mdr_opt::{EvalError, Evaluation, GallagerConfig};
 use mdr_sim::{EstimatorKind, Scenario, SimConfig, SimJob, SimMode, SimReport};
 use std::fmt;
 
@@ -191,7 +191,6 @@ pub fn run_with_scenario(
                 &traffic,
                 GallagerConfig { eta, max_iters, tol: 1e-10 },
             )?;
-            let eval = evaluate(topo, &models, &traffic, &sol.vars)?;
             // Measure the optimal allocation in the packet simulator
             // under the same stationary traffic — the paper's OPT series
             // is likewise a quasi-static simulation, so this keeps the
@@ -202,7 +201,7 @@ pub fn run_with_scenario(
                 seed: cfg.seed,
                 mean_packet_bits: cfg.mean_packet_bits,
                 sim_mode: cfg.sim_mode,
-                fixed_routing: Some(sol.vars.clone()),
+                fixed_routing: Some(sol.vars),
                 ..Default::default()
             };
             let report = SimJob::new(topo, &traffic, sim_cfg).run();
@@ -213,7 +212,7 @@ pub fn run_with_scenario(
                 per_flow_delay_ms: per_flow,
                 mean_delay_ms: mean,
                 report: Some(report),
-                analytic: Some(eval),
+                analytic: Some(sol.eval),
             })
         }
         Scheme::Mp { t_long, t_short, estimator } => {

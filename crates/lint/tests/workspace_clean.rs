@@ -55,10 +55,12 @@ fn workspace_scan_is_clean_with_shell_only_allowlist() {
     // setup errors — bind failures, bad config — may still abort.)
     // So does the control-plane agent that node hosts, with both
     // simulator hosts: the shared piece must not be the unguarded one.
+    // Likewise the DAG solver in `mdr-opt` every fluid settle runs.
     for must_cover in [
         "crates/sim/src/agent.rs",
         "crates/sim/src/engine.rs",
         "crates/sim/src/fluid.rs",
+        "crates/opt/src/dag.rs",
         "crates/node/src/core.rs",
         "crates/node/src/reliable.rs",
         "crates/node/src/hlc.rs",

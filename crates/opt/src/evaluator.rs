@@ -3,14 +3,15 @@
 //! Given a topology, per-link M/M/1 delay models, offered traffic `r`,
 //! and routing variables `φ`, solve:
 //!
-//! * `t^j_i = r_ij + Σ_k t^j_k φ_kji` — node flows (Eq. 1), solved in
-//!   topological order of the per-destination routing DAG;
+//! * `t^j_i = r_ij + Σ_k t^j_k φ_kji` — node flows (Eq. 1), by the
+//!   forward pass over each destination's routing DAG ([`crate::dag`]);
 //! * `f_ik = Σ_j t^j_i φ_ijk` — link flows (Eq. 2);
 //! * `D_T = Σ_(i,k) D_ik(f_ik)` — total expected delay (Eq. 3);
 //! * `d^j_i = Σ_k φ_ijk (T_ik(f_ik) + d^j_k)` — expected per-packet
 //!   delay from `i` to `j`, the quantity the paper's figures plot per
-//!   flow.
+//!   flow: the backward pass with `σ ≡ 1` and `w_l = T_l(f_l)`.
 
+use crate::dag::{row_starts, Dag, Reach};
 use crate::vars::RoutingVars;
 use mdr_net::{LinkDelayModel, Mm1, NodeId, Topology, TrafficMatrix};
 use std::fmt;
@@ -45,15 +46,15 @@ impl std::error::Error for EvalError {}
 pub struct Evaluation {
     /// `f_ik` per directed link id.
     pub link_flow: Vec<f64>,
-    /// `t^j_i`: `node_flow[j][i]`.
+    /// `t^j_i`: `node_flow[j][i]`. At the destination, `node_flow[j][j]`
+    /// is the rate delivered to `j`; a destination without traffic has
+    /// a row of zeros.
     pub node_flow: Vec<Vec<f64>>,
     /// `D_T` (Eq. 3), in (packets/s)·s summed over links.
     pub total_delay: f64,
-    /// Expected per-packet delay `d^j_i` for every `(i, j)`:
-    /// `pair_delay[j][i]`, seconds; `f64::INFINITY` when unreachable.
-    pub pair_delay: Vec<Vec<f64>>,
     /// Expected per-packet delay of each flow in the traffic matrix, in
-    /// the matrix's insertion order (the paper's per-flow series).
+    /// the matrix's insertion order (the paper's per-flow series), in
+    /// seconds; `f64::INFINITY` for a flow with no route.
     pub flow_delays: Vec<f64>,
     /// Highest link utilization `f_ik / C_ik`.
     pub max_utilization: f64,
@@ -70,40 +71,58 @@ impl Evaluation {
     }
 }
 
-/// Topologically order nodes of the routing DAG for destination `j`:
-/// edges `i → k` for `φ_ijk > 0`, `i ≠ j`. Order is from "most upstream"
-/// to `j` (every node appears after all its predecessors).
-fn topo_order(n: usize, j: NodeId, vars: &RoutingVars) -> Result<Vec<NodeId>, EvalError> {
-    // in-degree in the successor graph.
-    let mut indeg = vec![0usize; n];
-    for i in 0..n as u32 {
-        let i = NodeId(i);
-        if i == j {
-            continue;
-        }
-        for &(k, _) in vars.get(i, j) {
-            indeg[k.index()] += 1;
-        }
+/// Write `dag` from `vars` toward `j` and order it: router `i`'s row is
+/// its φ entries toward `j`, less any toward a non-neighbour (which
+/// [`evaluate`] reports as [`EvalError::NoRoute`] where it carries
+/// traffic).
+fn opt_dag(
+    topo: &Topology,
+    row: &[u32],
+    vars: &RoutingVars,
+    j: NodeId,
+    dag: &mut Dag,
+    indeg: &mut Vec<u32>,
+) -> Result<(), EvalError> {
+    for i in topo.nodes() {
+        let pairs = if i == j { &[] } else { vars.get(i, j) };
+        let edges =
+            pairs.iter().filter_map(|&(k, share)| Some((k.0, topo.link_between(i, k)?.0, share)));
+        dag.set_row(row, i.index(), edges);
     }
-    let mut stack: Vec<NodeId> =
-        (0..n as u32).map(NodeId).filter(|x| indeg[x.index()] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        if u == j {
-            continue;
-        }
-        for &(k, _) in vars.get(u, j) {
-            indeg[k.index()] -= 1;
-            if indeg[k.index()] == 0 {
-                stack.push(k);
-            }
-        }
+    dag.reorder(row, indeg);
+    if dag.is_acyclic() {
+        Ok(())
+    } else {
+        Err(EvalError::CyclicRouting(j))
     }
-    if order.len() != n {
-        return Err(EvalError::CyclicRouting(j));
+}
+
+/// Marginal distances `δ^j_i = ∂D_T/∂r_ij` (Eq. 5) toward each of
+/// `dests`, as `[slot][i]`: the backward pass with `σ ≡ 1` and
+/// `w_l = D'_l(f_l)` (`link_marginal`), `δ = m/p`, and `f64::INFINITY`
+/// where `p = 0`. A node that reaches `j` only in part gets the
+/// conditional mean; only a hand-built φ makes one — its dead end then
+/// carries no traffic, since [`evaluate`] rejects one that does, and
+/// Gallager's solver starts fully routed and moves traffic only toward
+/// finite δ.
+pub(crate) fn deltas(
+    topo: &Topology,
+    vars: &RoutingVars,
+    link_marginal: &[f64],
+    dests: &[NodeId],
+) -> Result<Vec<Vec<f64>>, EvalError> {
+    let n = topo.node_count();
+    let row = row_starts(topo);
+    let (mut dag, mut indeg) = (Dag::new(n, topo.link_count()), Vec::new());
+    let ones = vec![1.0; topo.link_count()];
+    let mut reach = Reach::new(n);
+    let mut out = Vec::with_capacity(dests.len());
+    for &j in dests {
+        opt_dag(topo, &row, vars, j, &mut dag, &mut indeg)?;
+        dag.backward(&row, j.index(), &ones, link_marginal, &mut reach);
+        out.push((0..n).map(|i| reach.mean(i)).collect());
     }
-    Ok(order)
+    Ok(out)
 }
 
 /// Evaluate routing variables (see module docs). `models[id]` is the
@@ -114,48 +133,46 @@ pub fn evaluate(
     traffic: &TrafficMatrix,
     vars: &RoutingVars,
 ) -> Result<Evaluation, EvalError> {
-    let n = topo.node_count();
-    if models.len() != topo.link_count() {
+    let (n, links) = (topo.node_count(), topo.link_count());
+    if models.len() != links {
         return Err(EvalError::ModelCountMismatch);
     }
-    let mut link_flow = vec![0.0; topo.link_count()];
-    let mut node_flow = vec![vec![0.0; n]; n];
-    let mut orders: Vec<Option<Vec<NodeId>>> = vec![None; n];
+    let row = row_starts(topo);
+    let mut indeg = Vec::new();
+    // Every destination of a flow, zero-rate flows included: each needs
+    // its DAG again for the flow delays.
+    let mut dests: Vec<NodeId> = traffic.flows().iter().map(|f| f.dst).collect();
+    dests.sort_unstable();
+    dests.dedup();
+    let mut dags = vec![Dag::new(n, links); dests.len()];
 
-    // Pass 1: node and link flows (Eqs. 1-2).
-    for j in topo.nodes() {
-        let has_traffic = topo.nodes().any(|i| traffic.rate(i, j) > 0.0);
-        if !has_traffic {
+    // Forward passes (Eqs. 1-2), for destinations with traffic.
+    let mut link_flow = vec![0.0; links];
+    let mut node_flow = vec![vec![0.0; n]; n];
+    for (&j, dag) in dests.iter().zip(&mut dags) {
+        let ordered = opt_dag(topo, &row, vars, j, dag, &mut indeg);
+        let t = &mut node_flow[j.index()];
+        for i in topo.nodes() {
+            t[i.index()] = traffic.rate(i, j);
+        }
+        if t.iter().all(|&r| r <= 0.0) {
             continue;
         }
-        let order = topo_order(n, j, vars)?;
-        for &i in &order {
-            if i == j {
-                continue;
-            }
-            let inflow = node_flow[j.index()][i.index()] + traffic.rate(i, j);
-            node_flow[j.index()][i.index()] = inflow;
-            if inflow <= 0.0 {
-                continue;
-            }
-            let succ = vars.get(i, j);
-            if succ.is_empty() {
-                return Err(EvalError::NoRoute { at: i, dst: j });
-            }
-            for &(k, frac) in succ {
-                let part = inflow * frac;
-                node_flow[j.index()][k.index()] += part; // wrong for k == j? t at dest not needed
-                let lid = topo.link_between(i, k).ok_or(EvalError::NoRoute { at: i, dst: j })?;
-                link_flow[lid.index()] += part;
-            }
+        ordered?;
+        dag.forward(&row, t, |l, push| link_flow[l] += push);
+        let dead_end = topo.nodes().find(|&i| {
+            let routed = dag.row(&row, i.index()).len();
+            i != j && t[i.index()] > 0.0 && (routed == 0 || routed < vars.get(i, j).len())
+        });
+        if let Some(at) = dead_end {
+            return Err(EvalError::NoRoute { at, dst: j });
         }
-        orders[j.index()] = Some(order);
     }
 
-    // Pass 2: total delay and per-packet link delays.
+    // Total delay and per-packet link delays.
     let mut total_delay = 0.0;
     let mut max_utilization: f64 = 0.0;
-    let mut link_pkt_delay = vec![0.0; topo.link_count()];
+    let mut link_pkt_delay = vec![0.0; links];
     for (id, l) in topo.links().iter().enumerate() {
         let f = link_flow[id];
         total_delay += models[id].rate_delay(f);
@@ -163,56 +180,24 @@ pub fn evaluate(
         max_utilization = max_utilization.max(f / l.capacity);
     }
 
-    // Pass 3: per-pair expected packet delays, destination by
-    // destination, walking the DAG from j outward (reverse topological
-    // order).
-    let mut pair_delay = vec![vec![f64::INFINITY; n]; n];
-    for j in topo.nodes() {
-        pair_delay[j.index()][j.index()] = 0.0;
-        // Need an order even for destinations without traffic, so that
-        // flow_delays of zero-rate flows are still defined.
-        let order = match &orders[j.index()] {
-            Some(o) => o.clone(),
-            None => match topo_order(n, j, vars) {
-                Ok(o) => o,
-                Err(_) => continue, // cyclic but carrying no traffic
-            },
-        };
-        for &i in order.iter().rev() {
-            if i == j {
-                continue;
-            }
-            let succ = vars.get(i, j);
-            if succ.is_empty() {
-                continue; // unreachable: stays INFINITY
-            }
-            let mut d = 0.0;
-            let mut ok = true;
-            for &(k, frac) in succ {
-                let lid = match topo.link_between(i, k) {
-                    Some(l) => l,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                };
-                let dk = pair_delay[j.index()][k.index()];
-                if !dk.is_finite() {
-                    ok = false;
-                    break;
-                }
-                d += frac * (link_pkt_delay[lid.index()] + dk);
-            }
-            if ok {
-                pair_delay[j.index()][i.index()] = d;
+    // Per-flow delays: one backward pass per destination. A cyclic DAG
+    // that carries no traffic leaves its flows at INFINITY.
+    let ones = vec![1.0; links];
+    let mut reach = Reach::new(n);
+    let mut flow_delays = vec![f64::INFINITY; traffic.flows().len()];
+    for (&j, dag) in dests.iter().zip(&dags) {
+        if !dag.is_acyclic() {
+            continue;
+        }
+        dag.backward(&row, j.index(), &ones, &link_pkt_delay, &mut reach);
+        for (d, f) in flow_delays.iter_mut().zip(traffic.flows()) {
+            if f.dst == j {
+                *d = reach.mean(f.src.index());
             }
         }
     }
 
-    let flow_delays =
-        traffic.flows().iter().map(|f| pair_delay[f.dst.index()][f.src.index()]).collect();
-
-    Ok(Evaluation { link_flow, node_flow, total_delay, pair_delay, flow_delays, max_utilization })
+    Ok(Evaluation { link_flow, node_flow, total_delay, flow_delays, max_utilization })
 }
 
 #[cfg(test)]
@@ -303,28 +288,20 @@ mod tests {
 
     #[test]
     fn cyclic_routing_detected() {
-        let (t, m) = simple();
-        let traffic = TrafficMatrix::from_flows(&t, &[Flow::new(n(0), n(1), 1.0)]).unwrap();
-        let mut v = RoutingVars::new(2);
-        // 0 and 1 point at each other for destination 1: cycle.
-        v.set(n(0), n(1), vec![(n(1), 1.0)]);
-        // Nonsensical: destination routes away from itself — build a
-        // 3-node cycle instead.
-        let t3 = TopologyBuilder::new()
+        let t = TopologyBuilder::new()
             .nodes(3)
             .bidi(n(0), n(1), 10.0, 0.1)
             .bidi(n(1), n(2), 10.0, 0.1)
             .bidi(n(2), n(0), 10.0, 0.1)
             .build()
             .unwrap();
-        let m3: Vec<Mm1> =
-            t3.links().iter().map(|l| Mm1::unit_packets(l.capacity, l.prop_delay)).collect();
-        let traffic3 = TrafficMatrix::from_flows(&t3, &[Flow::new(n(0), n(2), 1.0)]).unwrap();
-        let mut v3 = RoutingVars::new(3);
-        v3.set(n(0), n(2), vec![(n(1), 1.0)]);
-        v3.set(n(1), n(2), vec![(n(0), 1.0)]); // loop 0 <-> 1
-        assert_eq!(evaluate(&t3, &m3, &traffic3, &v3).unwrap_err(), EvalError::CyclicRouting(n(2)));
-        let _ = (t, m, traffic, v);
+        let m: Vec<Mm1> =
+            t.links().iter().map(|l| Mm1::unit_packets(l.capacity, l.prop_delay)).collect();
+        let traffic = TrafficMatrix::from_flows(&t, &[Flow::new(n(0), n(2), 1.0)]).unwrap();
+        let mut v = RoutingVars::new(3);
+        v.set(n(0), n(2), vec![(n(1), 1.0)]);
+        v.set(n(1), n(2), vec![(n(0), 1.0)]); // loop 0 <-> 1
+        assert_eq!(evaluate(&t, &m, &traffic, &v).unwrap_err(), EvalError::CyclicRouting(n(2)));
     }
 
     #[test]
@@ -381,5 +358,9 @@ mod tests {
         assert!((e.link_flow[l12.index()] - 5.0).abs() < 1e-12);
         // t^2_1 = r_12 + t from 0 = 3 + 2.
         assert!((e.node_flow[2][1] - 5.0).abs() < 1e-12);
+        // At the destination: the rate delivered to it. Elsewhere a
+        // destination without traffic has a row of zeros.
+        assert!((e.node_flow[2][2] - 5.0).abs() < 1e-12);
+        assert!(e.node_flow[0].iter().chain(&e.node_flow[1]).all(|&t| t == 0.0));
     }
 }

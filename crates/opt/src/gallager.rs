@@ -7,8 +7,8 @@
 //! 1. Solve the flow model for the current `φ` and compute the link
 //!    marginal delays `D'_ik(f_ik)`.
 //! 2. Compute the marginal distances `δ^j_i = ∂D_T/∂r_ij` via Eq. 5's
-//!    recursion `δ^j_i = Σ_k φ_ijk (D'_ik + δ^j_k)` over the routing
-//!    DAG.
+//!    recursion `δ^j_i = Σ_k φ_ijk (D'_ik + δ^j_k)` — the backward pass
+//!    over the routing DAG ([`crate::dag`]), once per iteration.
 //! 3. For every `(i, j)`, move routing fraction from neighbors with
 //!    large `D'_ik + δ^j_k` toward the minimizing neighbor, at most
 //!    `η · a_ijk / t^j_i` each (Gallager's update with global step size
@@ -24,7 +24,7 @@
 //! practical protocol; quantifying exactly that gap is what the MP
 //! scheme is for.
 
-use crate::evaluator::{evaluate, EvalError, Evaluation};
+use crate::evaluator::{deltas, evaluate, EvalError, Evaluation};
 use crate::vars::{shortest_path_vars, RoutingVars};
 use mdr_net::{LinkDelayModel, Mm1, NodeId, Topology, TrafficMatrix};
 
@@ -61,65 +61,6 @@ pub struct GallagerResult {
     pub history: Vec<f64>,
 }
 
-/// Compute marginal distances `δ^j_i` for destination `j` (Eq. 5
-/// recursion) over the routing DAG implied by `vars`. Nodes with no
-/// successors get `f64::INFINITY`.
-fn marginal_distances(
-    topo: &Topology,
-    vars: &RoutingVars,
-    link_marginal: &[f64],
-    j: NodeId,
-) -> Vec<f64> {
-    let n = topo.node_count();
-    let mut delta = vec![f64::INFINITY; n];
-    delta[j.index()] = 0.0;
-    // Memoized DFS over successors (the graph is a DAG).
-    fn visit(
-        i: NodeId,
-        j: NodeId,
-        topo: &Topology,
-        vars: &RoutingVars,
-        lm: &[f64],
-        delta: &mut Vec<f64>,
-        visiting: &mut Vec<bool>,
-    ) -> f64 {
-        if delta[i.index()].is_finite() || i == j {
-            return delta[i.index()];
-        }
-        if visiting[i.index()] {
-            // Cycle (cannot happen with our blocking rule, but never
-            // recurse forever).
-            return f64::INFINITY;
-        }
-        visiting[i.index()] = true;
-        let succ = vars.get(i, j).to_vec();
-        let mut d = 0.0;
-        let mut any = false;
-        for (k, frac) in succ {
-            let lid = match topo.link_between(i, k) {
-                Some(l) => l,
-                None => continue,
-            };
-            let dk = visit(k, j, topo, vars, lm, delta, visiting);
-            if !dk.is_finite() {
-                d = f64::INFINITY;
-                any = true;
-                break;
-            }
-            d += frac * (lm[lid.index()] + dk);
-            any = true;
-        }
-        visiting[i.index()] = false;
-        delta[i.index()] = if any { d } else { f64::INFINITY };
-        delta[i.index()]
-    }
-    let mut visiting = vec![false; n];
-    for i in topo.nodes() {
-        visit(i, j, topo, vars, link_marginal, &mut delta, &mut visiting);
-    }
-    delta
-}
-
 /// Run OPT from single-shortest-path initial routing.
 ///
 /// Because Gallager's convergence constant is instance-dependent (the
@@ -140,16 +81,14 @@ pub fn solve(
     let mut total_iters = 0usize;
     for mult in [1.0, 1e2, 1e4, 1e6] {
         let rung = GallagerConfig { eta: cfg.eta * mult, ..cfg };
-        let mut vars = shortest_path_vars(topo, models);
-        let (iterations, converged, history) = iterate(topo, models, traffic, rung, &mut vars)?;
-        total_iters += iterations;
-        let eval = evaluate(topo, models, traffic, &vars)?;
+        let r = iterate(topo, models, traffic, rung, shortest_path_vars(topo, models))?;
+        total_iters += r.iterations;
         let better = match &best {
-            Some(b) => eval.total_delay < b.eval.total_delay,
+            Some(b) => r.eval.total_delay < b.eval.total_delay,
             None => true,
         };
         if better {
-            best = Some(GallagerResult { vars, eval, iterations, converged, history });
+            best = Some(r);
         }
     }
     let mut r = best.expect("ladder is non-empty");
@@ -159,17 +98,19 @@ pub fn solve(
 
 /// One Gallager update of every `(i, j)` with step size `eta`,
 /// producing a fresh variable set (the input is not modified).
+/// `delta[slot]` holds `vars`' marginal distances toward
+/// `destinations[slot]`.
 fn step(
     topo: &Topology,
     vars: &RoutingVars,
     eval: &Evaluation,
     link_marginal: &[f64],
+    delta: &[Vec<f64>],
     destinations: &[NodeId],
     eta: f64,
 ) -> RoutingVars {
     let mut next = vars.clone();
-    for &j in destinations {
-        let delta = marginal_distances(topo, vars, link_marginal, j);
+    for (&j, delta) in destinations.iter().zip(delta) {
         for i in topo.nodes() {
             if i == j {
                 continue;
@@ -251,8 +192,8 @@ fn step(
     next
 }
 
-/// Internal iteration driver operating on `vars` in place. Returns
-/// `(iterations, converged, history)`.
+/// One rung of [`solve`]'s ladder: iterate from the starting point
+/// `vars`.
 ///
 /// The step size starts at `cfg.eta` but adapts by backtracking: a step
 /// that fails to reduce `D_T` is retried at half the size, and accepted
@@ -267,23 +208,26 @@ fn iterate(
     models: &[Mm1],
     traffic: &TrafficMatrix,
     cfg: GallagerConfig,
-    vars: &mut RoutingVars,
-) -> Result<(usize, bool, Vec<f64>), EvalError> {
+    mut vars: RoutingVars,
+) -> Result<GallagerResult, EvalError> {
     let destinations: Vec<NodeId> = traffic.active_destinations();
     let mut history = Vec::with_capacity(cfg.max_iters + 1);
     let mut eta = cfg.eta;
     let eta_cap = cfg.eta * 1e8;
-    let mut eval = evaluate(topo, models, traffic, vars)?;
+    let mut eval = evaluate(topo, models, traffic, &vars)?;
     history.push(eval.total_delay);
     let mut small_improvements = 0u32;
-    for it in 0..cfg.max_iters {
+    let (mut iterations, mut converged) = (0, false);
+    while !converged && iterations < cfg.max_iters {
+        iterations += 1;
         let link_marginal: Vec<f64> = (0..topo.link_count())
             .map(|id| models[id].marginal_delay(eval.link_flow[id]))
             .collect();
+        let delta = deltas(topo, &vars, &link_marginal, &destinations)?;
         // Backtracking line search on the step size.
         let mut accepted = false;
         for _ in 0..60 {
-            let candidate = step(topo, vars, &eval, &link_marginal, &destinations, eta);
+            let candidate = step(topo, &vars, &eval, &link_marginal, &delta, &destinations, eta);
             // A candidate that forms a transient cycle (possible when a
             // retained uphill edge meets a fresh downhill one) is simply
             // rejected like a non-improving step; η-scaling guarantees
@@ -298,16 +242,14 @@ fn iterate(
             };
             if cand_eval.total_delay <= eval.total_delay {
                 let impr = (eval.total_delay - cand_eval.total_delay) / eval.total_delay.max(1e-30);
-                *vars = candidate;
+                vars = candidate;
                 eval = cand_eval;
                 history.push(eval.total_delay);
                 eta = (eta * 2.0).min(eta_cap);
                 accepted = true;
                 if impr < cfg.tol {
                     small_improvements += 1;
-                    if small_improvements >= 3 {
-                        return Ok((it + 1, true, history));
-                    }
+                    converged = small_improvements >= 3;
                 } else {
                     small_improvements = 0;
                 }
@@ -315,12 +257,10 @@ fn iterate(
             }
             eta *= 0.5;
         }
-        if !accepted {
-            // No step of any size improves: stationary point reached.
-            return Ok((it + 1, true, history));
-        }
+        // No step of any size improves: stationary point reached.
+        converged |= !accepted;
     }
-    Ok((cfg.max_iters, false, history))
+    Ok(GallagerResult { vars, eval, iterations, converged, history })
 }
 
 #[cfg(test)]
@@ -386,7 +326,7 @@ mod tests {
         let eval = &r.eval;
         let lm: Vec<f64> =
             (0..t.link_count()).map(|id| m[id].marginal_delay(eval.link_flow[id])).collect();
-        let delta = super::marginal_distances(&t, &r.vars, &lm, n(2));
+        let delta = &deltas(&t, &r.vars, &lm, &[n(2)]).unwrap()[0];
         let l02 = t.link_between(n(0), n(2)).unwrap();
         let l01 = t.link_between(n(0), n(1)).unwrap();
         let md_direct = lm[l02.index()]; // δ_2 = 0

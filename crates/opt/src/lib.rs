@@ -1,7 +1,13 @@
 //! # mdr-opt — Gallager's minimum-delay routing and the analytic model
 //!
-//! Two pieces:
+//! Three pieces:
 //!
+//! * [`dag`] — the one solver for Eqs. 1–3 and 5: a routing DAG toward
+//!   one destination, stored by row, with a forward pass (node and link
+//!   flows) and a backward pass (delivery probability and delay mass
+//!   from per-link survival fractions and weights). The fluid engine of
+//!   `mdr-sim`, [`evaluator`], Gallager's marginal distances and
+//!   [`optimality`] all call it.
 //! * [`evaluator`] — the analytic network model of §2.1: given routing
 //!   variables `φ` it solves the conservation equations (Eqs. 1–2) for
 //!   node flows `t^j_i` and link flows `f_ik`, computes the total
@@ -27,6 +33,7 @@
 // `mdr-lint` verifies every crate root carries this attribute.
 #![forbid(unsafe_code)]
 
+pub mod dag;
 pub mod evaluator;
 pub mod gallager;
 pub mod optimality;

@@ -13,7 +13,7 @@
 //! paper's title. OPT solutions should score near zero; MP's score
 //! quantifies the delay gap's source.
 
-use crate::evaluator::{evaluate, EvalError};
+use crate::evaluator::{deltas, evaluate, EvalError};
 use crate::vars::RoutingVars;
 use mdr_net::{LinkDelayModel, Mm1, NodeId, Topology, TrafficMatrix};
 
@@ -41,56 +41,6 @@ impl OptimalityReport {
     }
 }
 
-/// Marginal distance `δ^j_i` for every `(i, j)` (Eq. 5 recursion),
-/// computed over the routing DAG. `INFINITY` for unreachable pairs.
-fn all_marginal_distances(
-    topo: &Topology,
-    vars: &RoutingVars,
-    link_marginal: &[f64],
-) -> Vec<Vec<f64>> {
-    let n = topo.node_count();
-    let mut out = vec![vec![f64::INFINITY; n]; n]; // [j][i]
-    for j in topo.nodes() {
-        let delta = &mut out[j.index()];
-        delta[j.index()] = 0.0;
-        // Fixed-point by repeated sweeps (the graph is a DAG, so at most
-        // n sweeps settle it; simpler than topological sorting here).
-        for _ in 0..n {
-            let mut changed = false;
-            for i in topo.nodes() {
-                if i == j {
-                    continue;
-                }
-                let mut d = 0.0;
-                let mut ok = !vars.get(i, j).is_empty();
-                for &(k, frac) in vars.get(i, j) {
-                    let lid = match topo.link_between(i, k) {
-                        Some(l) => l,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    };
-                    let dk = delta[k.index()];
-                    if !dk.is_finite() {
-                        ok = false;
-                        break;
-                    }
-                    d += frac * (link_marginal[lid.index()] + dk);
-                }
-                if ok && (delta[i.index()] - d).abs() > 1e-15 {
-                    delta[i.index()] = d;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-    out
-}
-
 /// Check Eqs. 10–12 for `vars` under `traffic`. Only `(i, j)` pairs that
 /// actually carry traffic (`t^j_i > 0`) are scored — balancing unused
 /// pairs is irrelevant to `D_T`.
@@ -103,13 +53,14 @@ pub fn check_optimality(
     let eval = evaluate(topo, models, traffic, vars)?;
     let link_marginal: Vec<f64> =
         (0..topo.link_count()).map(|id| models[id].marginal_delay(eval.link_flow[id])).collect();
-    let delta = all_marginal_distances(topo, vars, &link_marginal);
+    let dests = traffic.active_destinations();
+    let deltas = deltas(topo, vars, &link_marginal, &dests)?;
 
     let mut worst_used_spread = 0.0f64;
     let mut worst_unused_undercut = 0.0f64;
     let mut worst_pair = None;
     let mut split_pairs = 0usize;
-    for j in topo.nodes() {
+    for (&j, delta) in dests.iter().zip(&deltas) {
         for i in topo.nodes() {
             if i == j || eval.node_flow[j.index()][i.index()] <= 0.0 {
                 continue;
@@ -123,7 +74,7 @@ pub fn check_optimality(
             }
             let md = |k: NodeId| -> Option<f64> {
                 let lid = topo.link_between(i, k)?;
-                let dk = delta[j.index()][k.index()];
+                let dk = delta[k.index()];
                 dk.is_finite().then(|| link_marginal[lid.index()] + dk)
             };
             let used_mds: Vec<f64> = used.iter().filter_map(|&(k, _)| md(k)).collect();

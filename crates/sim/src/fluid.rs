@@ -24,19 +24,22 @@
 //!   tables, so 10k+ routers fit in memory.
 //!
 //! Per routing epoch the fluid solution is obtained per destination by
-//! a forward pass over the successor DAG (Kahn order; LFI guarantees
-//! acyclicity) propagating injected rates into per-link flows, and a
-//! backward pass computing per-source delivery probability and mean
-//! delay, with per-link survival `σ_l = min(1, C_l/f_l)` so an
+//! the two passes of [`mdr_opt::dag`], the solver `mdr_opt::evaluate`
+//! also runs: a forward pass over the successor DAG (Kahn order; LFI
+//! guarantees acyclicity) propagating injected rates into per-link
+//! flows, and a backward pass computing per-source delivery probability
+//! and mean delay, with per-link survival `σ_l = min(1, C_l/f_l)` so an
 //! overloaded link saturates instead of producing negative delays (the
-//! `Mm1` affine continuation keeps `T_l` finite at ρ ≥ 1). Saturation
-//! losses land in [`FlowStats::dropped_congestion`] — packet mode
-//! queues instead of dropping, so the field is fluid-only.
+//! `Mm1` affine continuation keeps `T_l` finite at ρ ≥ 1). `σ_l` and
+//! `T_l` are computed once per resolve. Saturation losses land in
+//! [`FlowStats::dropped_congestion`] — packet mode queues instead of
+//! dropping, so the field is fluid-only.
 //!
-//! The successor DAGs live in one store, written by row: a `Dag` holds
-//! every router's `(next_hop, link, share)` edges in a fixed-capacity
-//! row plus a Kahn order, and `write_row` is the only code that turns φ
-//! into edges. A whole build is `write_row` for every router; after
+//! The successor DAGs live in one store of `mdr_opt`'s row-stored
+//! [`Dag`]s: every router's `(next_hop, link, share)` edges in a
+//! fixed-capacity row plus a Kahn order, and `write_row` is the only
+//! code that turns φ into edges (normalised shares, dead links left
+//! out). A whole build is `write_row` for every router; after
 //! that an MPDA step or an AH tick — one router changing its own φ
 //! toward some destinations — rewrites that router's row in those
 //! destinations' DAGs, a link going down or up rewrites its tail
@@ -62,76 +65,11 @@ use crate::telemetry::{publish_step, SimEvent, SimObserver, SHIFT_EPS};
 use crate::{SimConfig, SimMode, SimReport};
 use mdr_flow::{Allocator, SuccessorCost, Update};
 use mdr_net::{LinkDelayModel, LinkId, Mm1, NodeId, Topology, TrafficMatrix};
+use mdr_opt::dag::{row_starts, Dag, Reach};
 use mdr_proto::LsuMessage;
 use mdr_routing::{dijkstra, MpdaRouter, RouteChange, RouterEvent, RouterOutput, TopoTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// A `(next_hop, link, share)` edge of a successor DAG.
-type Edge = (u32, u32, f64);
-
-/// One destination's successor DAG, stored by row: router `i`'s edges
-/// are `edges[row[i]..row[i] + len[i]]`, where `row`
-/// ([`FluidSimulator::row`], shared by all destinations) is the
-/// out-degree prefix sums — every router has room for its whole
-/// out-degree, so one router's row is rewritten in place without moving
-/// another's.
-#[derive(Clone, Default)]
-struct Dag {
-    edges: Vec<Edge>,
-    len: Vec<u32>,
-    /// Kahn topological order over the nodes (`i` before its successors;
-    /// sources ascending, then first reached first out), current only
-    /// while `order_ok`: a row write that changes the row's next-hop
-    /// list clears the bit, one that moves only shares leaves it.
-    order: Vec<u32>,
-    order_ok: bool,
-}
-
-impl Dag {
-    fn new(nodes: usize, links: usize) -> Self {
-        Dag {
-            edges: vec![(0, 0, 0.0); links],
-            len: vec![0; nodes],
-            order: Vec::with_capacity(nodes),
-            order_ok: false,
-        }
-    }
-
-    fn row(&self, row: &[u32], i: usize) -> &[Edge] {
-        let at = row[i] as usize;
-        &self.edges[at..at + self.len[i] as usize]
-    }
-
-    /// Recompute `order` from the rows. Nodes caught in a (never
-    /// expected under LFI) cycle stay out and their traffic is dropped.
-    fn reorder(&mut self, row: &[u32], indeg: &mut Vec<u32>) {
-        let n = self.len.len();
-        indeg.clear();
-        indeg.resize(n, 0);
-        for i in 0..n {
-            for &(k, _, _) in self.row(row, i) {
-                indeg[k as usize] += 1;
-            }
-        }
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend((0..n as u32).filter(|&i| indeg[i as usize] == 0));
-        let mut head = 0;
-        while head < order.len() {
-            let i = order[head] as usize;
-            head += 1;
-            for &(k, _, _) in self.row(row, i) {
-                indeg[k as usize] -= 1;
-                if indeg[k as usize] == 0 {
-                    order.push(k);
-                }
-            }
-        }
-        self.order = order;
-        self.order_ok = true;
-    }
-}
 
 /// Work the fluid engine did over one run ([`SimReport::fluid`]) — plain
 /// counts, a pure function of the run's inputs, equal with the observer
@@ -268,12 +206,15 @@ pub struct FluidSimulator {
     dags: Vec<Dag>,
     keep_dags: bool,
     /// Scratch for [`Dag::reorder`] and for the forward (`arrive`) and
-    /// backward (`p`, `proute`, `m`) passes, one value per node.
+    /// backward (`reach`) passes, one value per node.
     indeg: Vec<u32>,
     arrive: Vec<f64>,
-    p: Vec<f64>,
-    proute: Vec<f64>,
-    m: Vec<f64>,
+    reach: Reach,
+    /// Per directed link at the last resolve: survival fraction
+    /// `σ_l = min(1, C_l / f_l)` and per-packet delay `T_l(f_l)`, the
+    /// backward pass's inputs.
+    sigma: Vec<f64>,
+    t_l: Vec<f64>,
     work: FluidWork,
     /// Time up to which statistics have been integrated.
     cursor: f64,
@@ -405,10 +346,6 @@ impl FluidSimulator {
         let queue = EventQueue::with_capacity(2 * n + scenario.events().len() + 16);
         let obs = cfg.observer.build();
         let nflows = flows.len();
-        let mut row = vec![0u32; n + 1];
-        for i in 0..n {
-            row[i + 1] = row[i] + topo.degree(NodeId(i as u32)) as u32;
-        }
         let mut sim = FluidSimulator {
             topo: topo.clone(),
             models,
@@ -428,14 +365,14 @@ impl FluidSimulator {
             sol_d: vec![0.0; nflows],
             dirty: vec![true; nd],
             any_dirty: true,
-            row,
+            row: row_starts(topo),
             dags: Vec::new(),
             keep_dags: !epoch_driven,
             indeg: Vec::new(),
             arrive: vec![0.0; n],
-            p: vec![0.0; n],
-            proute: vec![0.0; n],
-            m: vec![0.0; n],
+            reach: Reach::new(n),
+            sigma: vec![1.0; topo.link_count()],
+            t_l: vec![0.0; topo.link_count()],
             work: FluidWork::default(),
             cursor: 0.0,
             warmup_end: cfg.warmup,
@@ -507,28 +444,14 @@ impl FluidSimulator {
     /// names a next hop at most once, so a row never outgrows the
     /// router's out-degree.
     fn write_row(&self, dag: &mut Dag, js: usize, i: usize) {
-        let row = &mut dag.edges[self.row[i] as usize..self.row[i + 1] as usize];
-        let old = dag.len[i] as usize;
-        let mut len = 0;
-        let mut same_hops = true;
         let pairs = if i == self.active_dests[js].index() { &[] } else { self.phi(i, js) };
         let total: f64 = pairs.iter().map(|&(_, w)| w.max(0.0)).sum();
-        if total > 0.0 {
-            for &(k, w) in pairs {
-                if w <= 0.0 {
-                    continue;
-                }
-                let Some(lid) = self.topo.link_between(NodeId(i as u32), k) else { continue };
-                if !self.link_up[lid.index()] {
-                    continue;
-                }
-                same_hops &= len < old && row[len].0 == k.0;
-                row[len] = (k.0, lid.index() as u32, w / total);
-                len += 1;
-            }
-        }
-        dag.len[i] = len as u32;
-        dag.order_ok &= same_hops && len == old;
+        let pairs = if total > 0.0 { pairs } else { &[] };
+        let edges = pairs.iter().filter(|&&(_, w)| w > 0.0).filter_map(|&(k, w)| {
+            let lid = self.topo.link_between(NodeId(i as u32), k)?;
+            self.link_up[lid.index()].then_some((k.0, lid.0, w / total))
+        });
+        dag.set_row(&self.row, i, edges);
     }
 
     /// Build `dag` whole for destination slot `js`: every row, then the
@@ -562,7 +485,7 @@ impl FluidSimulator {
         let mut dag = std::mem::take(&mut self.dags[at]);
         if !self.keep_dags {
             self.build(&mut dag, js);
-        } else if !dag.order_ok {
+        } else if !dag.order_ok() {
             dag.reorder(&self.row, &mut self.indeg);
             self.work.reorders += 1;
         }
@@ -592,11 +515,11 @@ impl FluidSimulator {
     /// `starts`, edges, Kahn order, all fresh — kept as the reference the
     /// row store is compared against.
     #[cfg(any(test, debug_assertions))]
-    fn build_dag(&self, js: usize) -> (Vec<u32>, Vec<Edge>, Vec<u32>) {
+    fn build_dag(&self, js: usize) -> (Vec<u32>, Vec<mdr_opt::dag::Edge>, Vec<u32>) {
         let n = self.topo.node_count();
         let j = self.active_dests[js];
         let mut starts = vec![0u32; n + 1];
-        let mut edges: Vec<Edge> = Vec::new();
+        let mut edges = Vec::new();
         let mut indeg = vec![0u32; n];
         for (i, start) in starts.iter_mut().enumerate().take(n) {
             *start = edges.len() as u32;
@@ -647,7 +570,7 @@ impl FluidSimulator {
                 return Err(format!("slot {js}: row {i} is stale against a fresh build"));
             }
         }
-        if dag.order_ok && dag.order != order {
+        if dag.order_ok() && dag.order() != order {
             return Err(format!("slot {js}: order is stale against a fresh build"));
         }
         Ok(())
@@ -672,7 +595,7 @@ impl FluidSimulator {
                 }
             }
             fresh.reorder(&self.row, &mut indeg);
-            if dag.order_ok && dag.order != fresh.order {
+            if dag.order_ok() && dag.order() != fresh.order() {
                 return Err(format!("slot {js}: order differs from a whole build"));
             }
             #[cfg(any(test, debug_assertions))]
@@ -696,8 +619,9 @@ impl FluidSimulator {
             }
             self.work.forward_passes += 1;
             let dag = self.take_dag(js);
-            for (l, fjl) in self.fj[js].iter_mut().enumerate() {
-                self.ftot[l] = (self.ftot[l] - *fjl).max(0.0);
+            let (fj, ftot) = (&mut self.fj[js], &mut self.ftot);
+            for (l, fjl) in fj.iter_mut().enumerate() {
+                ftot[l] = (ftot[l] - *fjl).max(0.0);
                 *fjl = 0.0;
             }
             let a = &mut self.arrive;
@@ -708,19 +632,16 @@ impl FluidSimulator {
                     a[f.src.index()] += f.rate;
                 }
             }
-            for &iu in &dag.order {
-                let i = iu as usize;
-                if a[i] <= 0.0 {
-                    continue;
-                }
-                for &(k, l, share) in dag.row(&self.row, i) {
-                    let push = a[i] * share;
-                    self.fj[js][l as usize] += push;
-                    self.ftot[l as usize] += push;
-                    a[k as usize] += push;
-                }
-            }
+            dag.forward(&self.row, a, |l, push| {
+                fj[l] += push;
+                ftot[l] += push;
+            });
             self.keep_dag(js, dag);
+        }
+        for (l, model) in self.models.iter().enumerate() {
+            let (f, c) = (self.ftot[l], model.capacity);
+            self.sigma[l] = if f > c { c / f } else { 1.0 };
+            self.t_l[l] = model.packet_delay(f);
         }
         for js in 0..self.active_dests.len() {
             self.backward(js);
@@ -729,35 +650,14 @@ impl FluidSimulator {
         self.any_dirty = false;
     }
 
-    /// Backward pass for destination slot `js`: per-node delivery
-    /// probability and delay moments over the successor DAG, evaluated
-    /// at the flows' sources.
+    /// Backward pass for destination slot `js`, read at the flows'
+    /// sources.
     fn backward(&mut self, js: usize) {
         self.work.backward_passes += 1;
-        let j = self.active_dests[js];
+        let j = self.active_dests[js].index();
         let dag = self.take_dag(js);
-        let (p, proute, m) = (&mut self.p, &mut self.proute, &mut self.m);
-        p.fill(0.0);
-        proute.fill(0.0);
-        m.fill(0.0);
-        p[j.index()] = 1.0;
-        proute[j.index()] = 1.0;
-        for &iu in dag.order.iter().rev() {
-            let i = iu as usize;
-            if i == j.index() {
-                continue;
-            }
-            for &(k, l, share) in dag.row(&self.row, i) {
-                let f = self.ftot[l as usize];
-                let c = self.models[l as usize].capacity;
-                let sigma = if f > c { c / f } else { 1.0 };
-                let t_l = self.models[l as usize].packet_delay(f);
-                let k = k as usize;
-                p[i] += share * sigma * p[k];
-                proute[i] += share * proute[k];
-                m[i] += share * sigma * (t_l * p[k] + m[k]);
-            }
-        }
+        dag.backward(&self.row, j, &self.sigma, &self.t_l, &mut self.reach);
+        let Reach { p, proute, m } = &self.reach;
         for &fi in &self.flows_by_dest[js] {
             let fi = fi as usize;
             let s = self.flows[fi].src.index();
@@ -1290,7 +1190,7 @@ mod tests {
                 .map(|i| d.row(&sim.row, i).iter().map(|&(k, l, w)| (k, l, w.to_bits())).collect())
                 .collect()
         };
-        sim.dags.iter().map(|d| (rows(d), d.order.clone())).collect()
+        sim.dags.iter().map(|d| (rows(d), d.order().to_vec())).collect()
     }
 
     /// Where a DAG can outlive the resolve that used it, one is kept per
@@ -1338,7 +1238,7 @@ mod tests {
         let still = mdr_flow::AllocOutcome { shift: SHIFT_EPS / 2.0, ..Default::default() };
         sim.note_step(NodeId(0), Vec::new(), vec![(j, still)]);
         assert_eq!(sim.work.rows_written - work.rows_written, 1);
-        assert!(sim.dags.iter().all(|d| d.order_ok) && !sim.any_dirty);
+        assert!(sim.dags.iter().all(|d| d.order_ok()) && !sim.any_dirty);
         assert_eq!(stored(&sim), before);
         // A rate change moves no DAG.
         sim.apply_scenario(ScenarioEvent::SetFlowRate { flow: 0, rate: 1e6 });
@@ -1380,9 +1280,12 @@ mod tests {
     fn a_link_flip_rewrites_only_the_tail_routers_rows() {
         let mut sim = fixed_sp(SimMode::Fluid);
         let t = sim.topo.clone();
+        let carries = |d: &Dag, l: LinkId| {
+            (0..t.node_count()).any(|i| d.row(&sim.row, i).iter().any(|e| e.1 == l.0))
+        };
         let lid = (0..t.link_count() as u32)
             .map(LinkId)
-            .find(|&l| sim.dags.iter().any(|d| d.edges.iter().any(|e| e.1 == l.0)))
+            .find(|&l| sim.dags.iter().any(|d| carries(d, l)))
             .unwrap();
         let x = t.link(lid).from.index();
         let before = stored(&sim);

@@ -101,6 +101,35 @@ fn single_flow_matches_mm1_closed_form() {
     assert!((r.delivered as f64 - offered_pkts).abs() <= 1.0);
 }
 
+/// Under fixed routing the fluid engine solves the analytic model: on
+/// NET1 below saturation, under OPT's routing and under shortest-path
+/// routing, every flow's fluid mean delay is `mdr_opt::evaluate`'s
+/// per-flow delay.
+#[test]
+fn fixed_routing_matches_the_analytic_model() {
+    let t = mdr_net::topo::net1();
+    let traffic = TrafficMatrix::from_flows(&t, &mdr_net::topo::net1_flows(2e6)).unwrap();
+    let cfg = fluid_cfg();
+    let models: Vec<Mm1> = t
+        .links()
+        .iter()
+        .map(|l| Mm1::new(l.capacity, l.prop_delay, cfg.mean_packet_bits))
+        .collect();
+    let r = traffic.total_rate();
+    let opt_cfg = mdr_opt::GallagerConfig { eta: r * r * 2e-7, max_iters: 300, tol: 1e-10 };
+    let opt = mdr_opt::solve(&t, &models, &traffic, opt_cfg).unwrap();
+    for (name, vars) in [("OPT", opt.vars), ("SP", sp_vars(&t))] {
+        let e = mdr_opt::evaluate(&t, &models, &traffic, &vars).unwrap();
+        assert!(e.max_utilization < 1.0, "{name}: saturated");
+        let cfg = SimConfig { fixed_routing: Some(vars), ..fluid_cfg() };
+        let rep = FluidSimulator::new(&t, &traffic, &Scenario::new(), cfg).run();
+        for (fi, (&ms, &d)) in rep.mean_delays_ms.iter().zip(&e.flow_delays).enumerate() {
+            let fluid = ms / 1000.0;
+            assert!((fluid - d).abs() / d < 1e-9, "{name} flow {fi}: fluid {fluid} s vs {d} s");
+        }
+    }
+}
+
 /// Zero-rate flows are legal inputs (scenarios may switch them on
 /// later): they must produce zero deliveries and zero delay without
 /// disturbing the live flow sharing their destination slot.
