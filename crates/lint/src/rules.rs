@@ -17,10 +17,11 @@
 //! | MDR007 | no-panic            | `.unwrap()`/`.expect(` in the engine event loop and |
 //! |        |                     | `mdr-proto` decode paths                            |
 //!
-//! `#[cfg(test)]` modules, `#[test]` functions, and `tests/`/`benches/`
-//! trees are exempt from MDR001–005 and MDR007 (tests assert exact
-//! values and may use whatever is convenient); MDR006 applies
-//! everywhere.
+//! The scanner reads `crates/*/src` and, for MDR006's crate-root check
+//! only, `tests/lib.rs`; integration-test trees are not read at all.
+//! Inside what it reads, `#[cfg(test)]` modules and `#[test]` functions
+//! are exempt from MDR001–005 and MDR007 (tests assert exact values and
+//! may use whatever is convenient); MDR006 applies everywhere.
 
 use crate::config::{AllowEntry, LintConfig};
 use crate::diag::Diagnostic;

@@ -172,6 +172,15 @@ pub struct RouterStats {
     pub dropped: u64,
     /// MTU executions.
     pub mtu_runs: u64,
+    /// MTUs that ran Dijkstra (the others found their merged table
+    /// unmoved).
+    pub mtu_dijkstras: u64,
+    /// NTUs that computed `D^i_jk` by walking the tree `T^i_k`.
+    pub ntu_tree_walks: u64,
+    /// NTUs that ran Dijkstra over `T^i_k` (a node had two in-links).
+    pub ntu_dijkstras: u64,
+    /// Destinations whose successor set Eq. 17 evaluated.
+    pub eq17_dests: u64,
 }
 
 /// The MPDA router.
@@ -272,7 +281,7 @@ impl MpdaRouter {
     /// Protocol counters.
     pub fn stats(&self) -> RouterStats {
         let mut s = self.stats;
-        s.mtu_runs = self.core.mtu_runs;
+        self.core.count_into(&mut s);
         s
     }
 
@@ -382,18 +391,23 @@ impl MpdaRouter {
             return (Vec::new(), false);
         }
         let (diff, old_dist) = self.core.mtu();
-        if was_active {
-            // Step 3: ACTIVE phase ends — `old_dist` holds the distances
-            // as last *reported* to neighbors; FD may rise to
-            // min(reported, new), which is safe because every neighbor
-            // has acknowledged the reported values.
-            for ((fd, &reported), &d) in self.fd.iter_mut().zip(&old_dist).zip(&self.core.dist) {
-                *fd = reported.min(d);
-            }
-        } else {
-            // Step 2: PASSIVE — T^i updated immediately; FD can only drop.
-            for (fd, &d) in self.fd.iter_mut().zip(&self.core.dist) {
-                *fd = fd.min(d);
+        let moved = &mut self.core.moved;
+        let dist = self.core.dist.iter().zip(&old_dist);
+        for (j, (fd, (&d, &reported))) in self.fd.iter_mut().zip(dist).enumerate() {
+            let new = if was_active {
+                // Step 3: ACTIVE phase ends — `reported` is the distance
+                // last *reported* to neighbors; FD may rise to
+                // min(reported, new), which is safe because every
+                // neighbor has acknowledged the reported value.
+                reported.min(d)
+            } else {
+                // Step 2: PASSIVE — T^i updated immediately; FD can only
+                // drop.
+                fd.min(d)
+            };
+            if new.to_bits() != fd.to_bits() {
+                *fd = new;
+                moved.insert(j);
             }
         }
         (diff, old_dist != self.core.dist)
@@ -451,28 +465,30 @@ impl MpdaRouter {
         sends
     }
 
-    /// Eq. 17: `S^i_j = { k | D^i_jk < FD^i_j ∧ k ∈ N^i }`. Returns the
-    /// sets that moved, ascending by destination.
+    /// Eq. 17: `S^i_j = { k | D^i_jk < FD^i_j ∧ k ∈ N^i }`, for the
+    /// destinations in `core.moved` — the only ones whose `FD^i_j` or
+    /// some `D^i_jk` changed, or whose neighbor set shrank, since the
+    /// last call. Returns the sets that moved, ascending by destination.
     fn recompute_successors(&mut self) -> Vec<RouteChange> {
         let n = self.core.n;
+        let me = self.core.id.index();
         let mut changed = Vec::new();
         let mut set: Vec<NodeId> = Vec::new();
-        for j in 0..n {
+        for j in self.core.moved.drain().filter(|&j| j != me) {
+            self.stats.eq17_dests += 1;
             set.clear();
-            if j != self.core.id.index() {
-                let fdj = self.fd[j];
-                for (s, nb) in self.core.nbrs.iter().enumerate() {
-                    let djk = self.core.neighbor_dist[s * n + j];
-                    let admit = match self.rule {
-                        UpdateRule::Lfi => djk < fdj,
-                        // The deliberately unsound variant: `≤` admits
-                        // neighbors at *equal* feasible distance, breaking
-                        // the strict potential of Theorem 1.
-                        UpdateRule::NonStrictSuccessors => djk <= fdj && fdj < INFINITE_COST,
-                    };
-                    if admit {
-                        set.push(nb.id);
-                    }
+            let fdj = self.fd[j];
+            for (s, nb) in self.core.nbrs.iter().enumerate() {
+                let djk = self.core.neighbor_dist[s * n + j];
+                let admit = match self.rule {
+                    UpdateRule::Lfi => djk < fdj,
+                    // The deliberately unsound variant: `≤` admits
+                    // neighbors at *equal* feasible distance, breaking
+                    // the strict potential of Theorem 1.
+                    UpdateRule::NonStrictSuccessors => djk <= fdj && fdj < INFINITE_COST,
+                };
+                if admit {
+                    set.push(nb.id);
                 }
             }
             if set != self.successors[j] {
@@ -878,5 +894,9 @@ mod tests {
         assert!(s.lsu_sent > 0);
         assert!(s.lsu_received > 0);
         assert!(s.mtu_runs > 0);
+        assert!(s.mtu_dijkstras > 0 && s.mtu_dijkstras <= s.mtu_runs);
+        assert!(s.ntu_tree_walks > 0);
+        assert_eq!(s.ntu_dijkstras, 0, "every T^i_k of a converging line is a tree");
+        assert!(s.eq17_dests > 0 && s.eq17_dests <= s.events * 2);
     }
 }

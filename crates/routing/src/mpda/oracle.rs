@@ -1,20 +1,24 @@
 //! Differential oracle for [`MpdaRouter::handle`].
 //!
-//! The router keeps `D^i_jk` and `S^i_j` incrementally: it skips the NTU
-//! Dijkstra for pure ACKs, diffs successor sets in place, and reads its
-//! per-neighbor state out of address-ordered slots. This module recomputes
-//! all of that from the tables alone, the slow obvious way — a fresh
-//! Dijkstra per neighbor table, Eq. 17 over every `(j, k)`, the successor
-//! diff from before/after copies, and MTU on ordered maps — and compares
-//! after **every** event of seeded random schedules.
+//! The router does work only where an event moved something: NTU skips
+//! pure ACKs and walks `T^i_k` as a tree instead of running Dijkstra
+//! when it is one, Eq. 17 visits only the destinations whose `FD^i_j` or
+//! some `D^i_jk` moved, MTU skips steps 4–8 when its merged table cannot
+//! have moved, and all per-neighbor state sits in address-ordered slots.
+//! This module recomputes everything from the tables alone, the slow
+//! obvious way — a fresh Dijkstra per neighbor table, Eq. 17 over every
+//! `(j, k)`, the successor diff from before/after copies, and MTU on
+//! ordered maps after every MTU, skipped or not — and compares after
+//! **every** event of seeded random schedules. The work counters in
+//! [`super::RouterStats`] show that each shortcut was actually taken.
 
-use super::{MpdaRouter, RouteChange, RouterEvent, RouterOutput, UpdateRule};
+use super::{MpdaRouter, RouteChange, RouterEvent, RouterOutput, RouterStats, UpdateRule};
 use crate::harness::RouterSm;
 use crate::spf::dijkstra;
 use crate::table::TopoTable;
 use crate::Harness;
 use mdr_net::{gen, topo, LinkCost, NodeId, Topology, INFINITE_COST};
-use mdr_proto::LsuMessage;
+use mdr_proto::{LsuEntry, LsuMessage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -162,8 +166,9 @@ impl RouterSm for Audited {
 }
 
 /// A seeded schedule of link failures, repairs and cost changes with a
-/// few deliveries between each, every event audited.
-fn churn(t: &Topology, rule: UpdateRule, seed: u64, rounds: usize) {
+/// few deliveries between each, every event audited. Returns the
+/// routers' counters, summed.
+fn churn(t: &Topology, rule: UpdateRule, seed: u64, rounds: usize) -> RouterStats {
     let n = t.node_count();
     let routers = (0..n as u32).map(|i| Audited::new(NodeId(i), n, rule)).collect();
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -195,6 +200,15 @@ fn churn(t: &Topology, rule: UpdateRule, seed: u64, rounds: usize) {
     assert!(h.run_to_quiescence(5_000_000), "did not quiesce");
     let audited: u64 = h.routers.iter().map(|a| a.events).sum();
     assert!(audited > h.delivered(), "every delivery and every link event is audited");
+    h.routers.iter().map(|a| a.r.stats()).fold(RouterStats::default(), |t, s| RouterStats {
+        events: t.events + s.events,
+        mtu_runs: t.mtu_runs + s.mtu_runs,
+        mtu_dijkstras: t.mtu_dijkstras + s.mtu_dijkstras,
+        ntu_tree_walks: t.ntu_tree_walks + s.ntu_tree_walks,
+        ntu_dijkstras: t.ntu_dijkstras + s.ntu_dijkstras,
+        eq17_dests: t.eq17_dests + s.eq17_dests,
+        ..t
+    })
 }
 
 #[test]
@@ -205,7 +219,13 @@ fn kept_state_equals_the_reference_after_every_event() {
             churn(&topo::cairn(), rule, seed, 30);
             churn(&topo::net1(), rule, 100 + seed, 30);
         }
-        churn(&ba60, rule, 7, 25);
+        // The shortcuts were taken, not just harmless: most NTUs walked
+        // a tree, some MTUs skipped Dijkstra, and Eq. 17 visited a small
+        // share of the `events × (n − 1)` destinations a full sweep would.
+        let s = churn(&ba60, rule, 7, 25);
+        assert!(s.ntu_tree_walks > 10 * s.ntu_dijkstras, "{s:?}");
+        assert!(s.mtu_dijkstras > 0 && s.mtu_dijkstras < s.mtu_runs, "{s:?}");
+        assert!(s.eq17_dests > 0 && s.eq17_dests * 4 < s.events * 59, "{s:?}");
     }
 }
 
@@ -217,12 +237,15 @@ fn ack_from(k: u32) -> RouterEvent {
     RouterEvent::Lsu { from: n(k), msg: LsuMessage::ack_only(n(k)) }
 }
 
-fn tree_from(k: u32) -> RouterEvent {
-    let entries = vec![mdr_proto::LsuEntry::add(n(k), n(2), 1.0)];
+fn lsu(k: u32, entries: Vec<LsuEntry>) -> RouterEvent {
     RouterEvent::Lsu { from: n(k), msg: LsuMessage::update(n(k), entries) }
 }
 
-/// The one pure ACK that must run Dijkstra: until the first LSU after
+fn tree_from(k: u32) -> RouterEvent {
+    lsu(k, vec![LsuEntry::add(n(k), n(2), 1.0)])
+}
+
+/// The one pure ACK that must recompute `D^i_jk`: until the first LSU after
 /// link-up, `D^i_kk` is the infinite seed and `k` is not a successor
 /// toward itself.
 #[test]
@@ -274,4 +297,63 @@ fn ack_only_over_a_non_empty_table_changes_no_distance() {
     a.handle(ack_from(1));
     assert_eq!((a.r.core.nbrs[0].topo.clone(), a.r.core.neighbor_dist.clone()), before);
     assert_eq!(a.r.distance(n(2)), 2.0);
+}
+
+/// A link that comes up twice without going down keeps `T^i_k`, and the
+/// neighbor's full-table sync only adds: the link its tree dropped
+/// stays. `T^i_k` then has a node with two in-links, and NTU must fall
+/// back to Dijkstra.
+#[test]
+fn a_stale_link_after_a_double_link_up_falls_back_to_dijkstra() {
+    let mut a = Audited::new(n(0), 4, UpdateRule::Lfi);
+    a.handle(RouterEvent::LinkUp { to: n(1), cost: 1.0 });
+    a.handle(lsu(1, vec![LsuEntry::add(n(1), n(2), 1.0), LsuEntry::add(n(2), n(3), 1.0)]));
+    a.handle(ack_from(1));
+    a.handle(RouterEvent::LinkUp { to: n(1), cost: 1.0 });
+    let walks = a.r.stats().ntu_tree_walks;
+    assert_eq!((walks, a.r.stats().ntu_dijkstras), (1, 0));
+    // Neighbor 1's tree is now 1 → 3 → 2; the sync does not delete 2 → 3
+    // or 1 → 2, so 2 has in-links from 1 and 3.
+    a.handle(lsu(1, vec![LsuEntry::add(n(1), n(3), 1.0), LsuEntry::add(n(3), n(2), 1.0)]));
+    let nb = &a.r.core.nbrs[0];
+    assert_eq!((nb.topo.cost(n(1), n(2)), nb.topo.cost(n(3), n(2))), (Some(1.0), Some(1.0)));
+    assert_eq!((a.r.stats().ntu_tree_walks, a.r.stats().ntu_dijkstras), (walks, 1));
+    assert_eq!(a.r.neighbor_distance(n(1), n(2)), 1.0);
+    assert_eq!(a.r.neighbor_distance(n(1), n(3)), 1.0);
+}
+
+/// Cost changes that a non-preferred neighbor reports leave the merged
+/// table as it was: MTU runs, skips Dijkstra, and reports nothing. The
+/// audit rebuilds MTU from scratch after each of them.
+#[test]
+fn cost_changes_from_a_non_preferred_neighbor_skip_mtu_dijkstra() {
+    // Neighbor 1 is 1 from 3, neighbor 2 is 5 from 3: 1 is preferred for
+    // head 3, so 2's report of 3 → 4 is never merged.
+    let mut a = Audited::new(n(0), 5, UpdateRule::Lfi);
+    for k in [1, 2] {
+        a.handle(RouterEvent::LinkUp { to: n(k), cost: 1.0 });
+    }
+    a.handle(lsu(1, vec![LsuEntry::add(n(1), n(3), 1.0), LsuEntry::add(n(3), n(4), 1.0)]));
+    a.handle(lsu(2, vec![LsuEntry::add(n(2), n(3), 5.0), LsuEntry::add(n(3), n(4), 2.0)]));
+    // Every ACK may end a phase whose MTU sends again: ACK until quiet.
+    for _ in 0..4 {
+        for k in [1, 2] {
+            a.handle(ack_from(k));
+        }
+    }
+    assert!(!a.r.is_active());
+    let before = a.r.stats();
+    for c in [3.0, 0.5, 7.0] {
+        let out = a.handle(lsu(2, vec![LsuEntry::change(n(3), n(4), c)]));
+        assert_eq!(out.sends, vec![super::SendTo { to: n(2), msg: LsuMessage::ack_only(n(0)) }]);
+        assert_eq!(a.r.neighbor_distance(n(2), n(4)), 5.0 + c);
+    }
+    let after = a.r.stats();
+    assert_eq!(after.mtu_runs, before.mtu_runs + 3);
+    assert_eq!(after.mtu_dijkstras, before.mtu_dijkstras);
+    assert_eq!(a.r.distance(n(4)), 3.0);
+    // The same report from the preferred neighbor moves the tree.
+    a.handle(lsu(1, vec![LsuEntry::change(n(3), n(4), 4.0)]));
+    assert_eq!(a.r.stats().mtu_dijkstras, after.mtu_dijkstras + 1);
+    assert_eq!(a.r.distance(n(4)), 6.0);
 }

@@ -73,7 +73,7 @@ impl PdaRouter {
     /// Protocol counters.
     pub fn stats(&self) -> RouterStats {
         let mut s = self.stats;
-        s.mtu_runs = self.core.mtu_runs;
+        self.core.count_into(&mut s);
         s
     }
 

@@ -1,8 +1,10 @@
 //! Shortest-path computations over link-state tables.
 //!
-//! Both PDA procedures run Dijkstra: NTU runs it on each neighbor
+//! Both PDA procedures need shortest paths: NTU on each neighbor
 //! topology `T^i_k` (rooted at the neighbor), MTU on the merged main
-//! table `T^i` (rooted at the router). "Because there are potentially
+//! table `T^i` (rooted at the router). `T^i_k` is normally a tree, which
+//! [`tree_distances`] walks; anything else goes through [`dijkstra`].
+//! "Because there are potentially
 //! many shortest-path trees, ties should be broken consistently during
 //! the run of Dijkstra's algorithm" (§4.1.1) — we break ties first on
 //! distance, then in favor of the lower-address parent, then the
@@ -139,6 +141,52 @@ pub fn dijkstra(n: usize, links: &TopoTable, root: NodeId) -> SpfResult {
         }
     }
     SpfResult { dist, parent }
+}
+
+/// `dijkstra(n, links, root).dist` for a table that is a tree below
+/// `n`, by one walk down from the root; `None` when some node `t < n`
+/// other than the root is the tail of two links whose heads are `< n`,
+/// and the caller must run [`dijkstra`].
+///
+/// NTU's `T^i_k` is a delayed copy of `k`'s shortest-path tree (MTU step
+/// 6 keeps tree links only), so this is the common case. With one
+/// in-link per node there is one candidate distance per node, so the
+/// result is Dijkstra's bit for bit: `v` is reached iff its parent is
+/// and `dist[parent] + c ≤ INFINITE_COST` (a NaN sum is never reached),
+/// and ids `≥ n` and links into the root are ignored, as Dijkstra does.
+pub fn tree_distances(n: usize, links: &TopoTable, root: NodeId) -> Option<Vec<LinkCost>> {
+    let links = links.as_slice();
+    // The table ascends by head, so head `h < n`'s out-links are
+    // `links[starts[h]..starts[h + 1]]`.
+    let mut starts = vec![0; n + 1];
+    let mut has_parent = vec![false; n];
+    for &(h, t, _) in links.iter().take_while(|l| l.0.index() < n) {
+        starts[h.index() + 1] += 1;
+        if t.index() < n && t != root && std::mem::replace(&mut has_parent[t.index()], true) {
+            return None;
+        }
+    }
+    for h in 0..n {
+        starts[h + 1] += starts[h];
+    }
+    let mut dist = vec![INFINITE_COST; n];
+    if root.index() >= n {
+        return Some(dist);
+    }
+    dist[root.index()] = 0.0;
+    // One in-link per node: each node is pushed at most once, by its
+    // parent, so no visited set is needed.
+    let mut stack = vec![root.index()];
+    while let Some(u) = stack.pop() {
+        for &(_, v, c) in &links[starts[u]..starts[u + 1]] {
+            let nd = dist[u] + c;
+            if v.index() < n && v != root && nd <= INFINITE_COST {
+                dist[v.index()] = nd;
+                stack.push(v.index());
+            }
+        }
+    }
+    Some(dist)
 }
 
 /// Bellman-Ford over the same table — used by tests to cross-validate
