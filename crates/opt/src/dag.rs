@@ -47,13 +47,26 @@ pub fn row_starts(topo: &Topology) -> Vec<u32> {
 pub struct Dag {
     edges: Vec<Edge>,
     len: Vec<u32>,
-    /// Kahn topological order over the nodes (`i` before its successors;
-    /// sources ascending, then first reached first out), current only
+    /// Topological order (`i` before its successors), current only
     /// while `order_ok`: a row write that changes the row's next-hop
-    /// list clears the bit, one that moves only shares leaves it.
+    /// list clears the bit, one that moves only shares leaves it. After
+    /// [`Self::reorder`] the Kahn order over every node (sources
+    /// ascending, then first reached first out); after
+    /// [`Self::build_reached`] a depth-first order over the reached
+    /// nodes only.
     order: Vec<u32>,
     order_ok: bool,
+    /// Scratch for [`Self::build_reached`]: per node [`UNSEEN`],
+    /// [`DONE`], or the next edge of its row to follow while it is on
+    /// the depth-first path `stack`.
+    mark: Vec<u32>,
+    stack: Vec<u32>,
 }
+
+/// [`Dag::build_reached`]'s mark of a node no search has met.
+const UNSEEN: u32 = u32::MAX;
+/// ... and of one whose successors are all done.
+const DONE: u32 = u32::MAX - 1;
 
 impl Dag {
     /// An edgeless DAG over `nodes` routers and `links` directed links.
@@ -63,6 +76,8 @@ impl Dag {
             len: vec![0; nodes],
             order: Vec::with_capacity(nodes),
             order_ok: false,
+            mark: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
@@ -139,6 +154,72 @@ impl Dag {
         }
         self.order = order;
         self.order_ok = true;
+    }
+
+    /// Write only the rows a depth-first search from `roots` meets, each
+    /// by `write_row(self, i)` the first time it is met, and set the
+    /// order to the reverse post-order of that search: every reached node
+    /// before its successors, no other node in it. False, with the order
+    /// not current, when the search meets a cycle — the caller then
+    /// builds whole.
+    ///
+    /// What [`Self::backward`] gives at a reached node is then bit for
+    /// bit what it gives after a whole build, if the whole DAG is
+    /// loop-free: it sums each row in row order from its successors'
+    /// final values, so no topological order changes a value, and it
+    /// never reads a row outside the order. (A cycle no root reaches is
+    /// not seen here, while the whole build's Kahn order would leave the
+    /// nodes below it out.) [`Self::forward`] needs the whole build: the
+    /// order of its `arrive` sums is part of its result.
+    pub fn build_reached(
+        &mut self,
+        row: &[u32],
+        roots: impl IntoIterator<Item = usize>,
+        mut write_row: impl FnMut(&mut Self, usize),
+    ) -> bool {
+        self.order_ok = false;
+        let mut mark = std::mem::take(&mut self.mark);
+        let mut stack = std::mem::take(&mut self.stack);
+        mark.clear();
+        mark.resize(self.len.len(), UNSEEN);
+        stack.clear();
+        self.order.clear();
+        let mut acyclic = true;
+        'roots: for r in roots {
+            if mark[r] != UNSEEN {
+                continue;
+            }
+            write_row(self, r);
+            mark[r] = 0;
+            stack.push(r as u32);
+            while let Some(&top) = stack.last() {
+                let i = top as usize;
+                let Some(&(k, _, _)) = self.row(row, i).get(mark[i] as usize) else {
+                    mark[i] = DONE;
+                    self.order.push(top);
+                    stack.pop();
+                    continue;
+                };
+                mark[i] += 1;
+                match mark[k as usize] {
+                    UNSEEN => {
+                        write_row(self, k as usize);
+                        mark[k as usize] = 0;
+                        stack.push(k);
+                    }
+                    DONE => {}
+                    _ => {
+                        acyclic = false;
+                        break 'roots;
+                    }
+                }
+            }
+        }
+        self.mark = mark;
+        self.stack = stack;
+        self.order.reverse();
+        self.order_ok = acyclic;
+        acyclic
     }
 
     /// The forward pass (Eqs. 1–2). `arrive` holds each node's injected

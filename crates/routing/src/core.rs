@@ -111,6 +111,8 @@ pub(crate) struct LsCore {
     ntu_tree_walks: u64,
     /// NTUs that ran Dijkstra over `T^i_k`.
     ntu_dijkstras: u64,
+    /// Nodes settled, summed over the MTU and NTU Dijkstras.
+    spf_settled: u64,
 }
 
 impl LsCore {
@@ -134,6 +136,7 @@ impl LsCore {
             mtu_dijkstras: 0,
             ntu_tree_walks: 0,
             ntu_dijkstras: 0,
+            spf_settled: 0,
         }
     }
 
@@ -143,6 +146,7 @@ impl LsCore {
         s.mtu_dijkstras = self.mtu_dijkstras;
         s.ntu_tree_walks = self.ntu_tree_walks;
         s.ntu_dijkstras = self.ntu_dijkstras;
+        s.spf_settled = self.spf_settled;
     }
 
     /// The adjacency changed: MTU must run whole, and the `written`
@@ -206,7 +210,9 @@ impl LsCore {
             }
             None => {
                 self.ntu_dijkstras += 1;
-                dijkstra(n, &nb.topo, from).dist
+                let spf = dijkstra(n, &nb.topo, from);
+                self.spf_settled += spf.settled as u64;
+                spf.dist
             }
         };
         let row = &mut self.neighbor_dist[s * n..(s + 1) * n];
@@ -329,6 +335,7 @@ impl LsCore {
         let merged = TopoTable::from_sorted(merged);
         // Step 6: Dijkstra, keep only tree links. Step 7: new distances.
         let spf = dijkstra(self.n, &merged, self.id);
+        self.spf_settled += spf.settled as u64;
         let old_topo = std::mem::replace(&mut self.main_topo, spf.tree_links(&merged));
         let old_dist = std::mem::replace(&mut self.dist, spf.dist);
         // Step 8: differences to report.

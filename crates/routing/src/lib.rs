@@ -48,5 +48,5 @@ pub use mpda::{
     UpdateRule,
 };
 pub use pda::PdaRouter;
-pub use spf::{bellman_ford, dijkstra, SpfResult};
+pub use spf::{bellman_ford, dijkstra, Spf, SpfResult};
 pub use table::TopoTable;

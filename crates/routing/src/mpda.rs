@@ -181,6 +181,9 @@ pub struct RouterStats {
     pub ntu_dijkstras: u64,
     /// Destinations whose successor set Eq. 17 evaluated.
     pub eq17_dests: u64,
+    /// Nodes settled, summed over the MTU and NTU Dijkstras: their work
+    /// in units of one node of one SPF.
+    pub spf_settled: u64,
 }
 
 /// The MPDA router.
@@ -897,6 +900,8 @@ mod tests {
         assert!(s.mtu_dijkstras > 0 && s.mtu_dijkstras <= s.mtu_runs);
         assert!(s.ntu_tree_walks > 0);
         assert_eq!(s.ntu_dijkstras, 0, "every T^i_k of a converging line is a tree");
+        // Each MTU Dijkstra settles the router and at most the two others.
+        assert!(s.spf_settled >= s.mtu_dijkstras && s.spf_settled <= 3 * s.mtu_dijkstras);
         assert!(s.eq17_dests > 0 && s.eq17_dests <= s.events * 2);
     }
 }

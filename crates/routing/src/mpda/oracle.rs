@@ -10,7 +10,8 @@
 //! `(j, k)`, the successor diff from before/after copies, and MTU on
 //! ordered maps after every MTU, skipped or not — and compares after
 //! **every** event of seeded random schedules. The work counters in
-//! [`super::RouterStats`] show that each shortcut was actually taken.
+//! [`super::RouterStats`] show that each shortcut was actually taken,
+//! and `spf_settled` is checked against the tree each MTU Dijkstra kept.
 
 use super::{MpdaRouter, RouteChange, RouterEvent, RouterOutput, RouterStats, UpdateRule};
 use crate::harness::RouterSm;
@@ -75,7 +76,7 @@ impl Audited {
         let old_succ: Vec<Vec<NodeId>> =
             (0..self.r.core.n as u32).map(|j| self.r.successors(NodeId(j)).to_vec()).collect();
         let old_dist = self.r.core.dist.clone();
-        let old_mtu_runs = self.r.stats().mtu_runs;
+        let old_stats = self.r.stats();
         match &ev {
             RouterEvent::Lsu { from, .. } if self.r.link_cost(*from).is_some() => {
                 self.heard.insert(*from);
@@ -90,7 +91,7 @@ impl Audited {
         }
         let out = self.r.handle(ev.clone());
         self.events += 1;
-        self.audit(&ev, &old_succ, &old_dist, old_mtu_runs, &out);
+        self.audit(&ev, &old_succ, &old_dist, &old_stats, &out);
         out
     }
 
@@ -99,7 +100,7 @@ impl Audited {
         ev: &RouterEvent,
         old_succ: &[Vec<NodeId>],
         old_dist: &[LinkCost],
-        old_mtu_runs: u64,
+        old: &RouterStats,
         out: &RouterOutput,
     ) {
         let (r, core) = (&self.r, &self.r.core);
@@ -146,12 +147,21 @@ impl Audited {
         assert_eq!(out.changed, changed, "{at}: changed");
         assert_eq!(out.routes_changed, old_dist != core.dist || !changed.is_empty(), "{at}");
         // T^i and D^i_j, whenever this event ran MTU.
-        if r.stats().mtu_runs > old_mtu_runs {
+        let now = r.stats();
+        if now.mtu_runs > old.mtu_runs {
             let (tree, dist) = reference_mtu(r);
             assert_eq!(core.main_topo, tree, "{at}: T^i");
             assert_eq!(core.dist, dist, "{at}: D^i_j");
         } else {
             assert_eq!(core.dist, old_dist, "{at}: distances moved without MTU");
+        }
+        // Nodes settled: an MTU Dijkstra settles the router and one node
+        // per link of the tree it keeps; a skipped MTU and a tree walk
+        // settle none.
+        if now.ntu_dijkstras == old.ntu_dijkstras {
+            let ran = now.mtu_dijkstras > old.mtu_dijkstras;
+            let want = if ran { 1 + core.main_topo.len() as u64 } else { 0 };
+            assert_eq!(now.spf_settled - old.spf_settled, want, "{at}: nodes settled");
         }
     }
 }
@@ -207,6 +217,7 @@ fn churn(t: &Topology, rule: UpdateRule, seed: u64, rounds: usize) -> RouterStat
         ntu_tree_walks: t.ntu_tree_walks + s.ntu_tree_walks,
         ntu_dijkstras: t.ntu_dijkstras + s.ntu_dijkstras,
         eq17_dests: t.eq17_dests + s.eq17_dests,
+        spf_settled: t.spf_settled + s.spf_settled,
         ..t
     })
 }
@@ -226,6 +237,8 @@ fn kept_state_equals_the_reference_after_every_event() {
         assert!(s.ntu_tree_walks > 10 * s.ntu_dijkstras, "{s:?}");
         assert!(s.mtu_dijkstras > 0 && s.mtu_dijkstras < s.mtu_runs, "{s:?}");
         assert!(s.eq17_dests > 0 && s.eq17_dests * 4 < s.events * 59, "{s:?}");
+        let spfs = s.mtu_dijkstras + s.ntu_dijkstras;
+        assert!(s.spf_settled >= spfs && s.spf_settled <= 60 * spfs, "{s:?}");
     }
 }
 

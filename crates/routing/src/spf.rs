@@ -9,11 +9,12 @@
 //! the run of Dijkstra's algorithm" (§4.1.1) — we break ties first on
 //! distance, then in favor of the lower-address parent, then the
 //! lower-address node, which makes the produced tree a pure function of
-//! the link set.
+//! the link set. [`Spf`] is the one relaxation loop; [`dijkstra`] runs it
+//! over a table.
 
 use crate::table::TopoTable;
 use mdr_net::{LinkCost, NodeId, INFINITE_COST};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Result of a shortest-path run over `n` nodes.
@@ -25,6 +26,9 @@ pub struct SpfResult {
     /// `parent[j]` — predecessor of `j` on its shortest path
     /// (`None` for the root and unreachable nodes).
     pub parent: Vec<Option<NodeId>>,
+    /// Nodes settled: popped from the heap for the first time, the root
+    /// included.
+    pub settled: usize,
 }
 
 impl SpfResult {
@@ -62,46 +66,136 @@ impl SpfResult {
     }
 }
 
-/// Heap entry ordered so that `BinaryHeap` pops the *smallest*
-/// `(dist, parent, node)` triple — the deterministic tie-break order.
-#[derive(PartialEq)]
+/// A heap entry: `node` reached at `dist` through `parent`, held as
+/// two integers that order as the triple `(dist, parent, node)` does —
+/// the deterministic tie-break order, `dist` as `total_cmp` orders it
+/// (NaN last instead of silently tying) — so comparing two entries is
+/// comparing two integer pairs. The heap pops the smallest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct HeapEntry {
-    dist: LinkCost,
-    parent: u32, // u32::MAX for the root
-    node: NodeId,
+    /// `dist`'s bits, negative values' magnitude bits flipped: the
+    /// `total_cmp` order as `i64` order, and its own inverse.
+    dist: i64,
+    /// `parent << 32 | node`.
+    tie: u64,
 }
 
-impl Eq for HeapEntry {}
+/// `parent` of the root and of every node not settled.
+const NO_PARENT: u32 = u32::MAX;
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smaller dist = "greater" for max-heap popping.
-        // `total_cmp` gives a genuine total order (NaN sorts last
-        // instead of silently tying), which `Ord` requires.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.parent.cmp(&self.parent))
-            .then_with(|| other.node.cmp(&self.node))
+impl HeapEntry {
+    fn new(dist: LinkCost, parent: u32, node: u32) -> Self {
+        HeapEntry {
+            dist: Self::flip(dist.to_bits() as i64),
+            tie: (parent as u64) << 32 | node as u64,
+        }
+    }
+
+    fn flip(bits: i64) -> i64 {
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    }
+
+    fn dist(&self) -> LinkCost {
+        f64::from_bits(Self::flip(self.dist) as u64)
+    }
+
+    fn parent(&self) -> u32 {
+        (self.tie >> 32) as u32
+    }
+
+    fn node(&self) -> usize {
+        self.tie as u32 as usize
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// The one relaxation loop of Dijkstra's algorithm, over any adjacency,
+/// with its buffers kept across runs: a caller that runs many SPFs over
+/// one graph allocates once. [`dijkstra`] is this loop over a
+/// [`TopoTable`]; the fluid engine's quiescent control plane runs it
+/// over a topology's in-links.
+///
+/// With non-negative costs, `dist` does not depend on the tie-breaking
+/// (the `(dist, parent, node)` heap order, or the order `adj` lists a
+/// node's links in): `dist[v]` is the least, over the paths from the
+/// root, of the path's costs added up left to right. Rounded addition
+/// of a cost `c ≥ 0` never decreases a distance and is monotone in it,
+/// which is all Dijkstra's correctness argument needs; so each `dist[v]`
+/// is fixed by the graph alone, and every order of settling equal
+/// distances arrives at it. Only `parent` records which of the equal
+/// paths won.
+#[derive(Debug, Default)]
+pub struct Spf {
+    dist: Vec<LinkCost>,
+    parent: Vec<u32>,
+    done: Vec<bool>,
+    heap: BinaryHeap<Reverse<HeapEntry>>,
+    settled: usize,
+}
+
+impl Spf {
+    /// Shortest paths from `root` over nodes `0..n`, where `adj(u)` lists
+    /// `u`'s out-links as `(v, cost)`; links to `v ≥ n` are ignored.
+    /// Costs must be non-negative.
+    pub fn run<I>(&mut self, n: usize, root: NodeId, mut adj: impl FnMut(usize) -> I)
+    where
+        I: IntoIterator<Item = (usize, LinkCost)>,
+    {
+        let Spf { dist, parent, done, heap, settled } = self;
+        dist.clear();
+        dist.resize(n, INFINITE_COST);
+        parent.clear();
+        parent.resize(n, NO_PARENT);
+        done.clear();
+        done.resize(n, false);
+        heap.clear();
+        *settled = 0;
+        if root.index() >= n {
+            return;
+        }
+        dist[root.index()] = 0.0;
+        heap.push(Reverse(HeapEntry::new(0.0, NO_PARENT, root.0)));
+        while let Some(Reverse(top)) = heap.pop() {
+            let (d, u) = (top.dist(), top.node());
+            if std::mem::replace(&mut done[u], true) {
+                continue;
+            }
+            *settled += 1;
+            parent[u] = top.parent();
+            for (v, c) in adj(u) {
+                if v >= n || done[v] {
+                    continue;
+                }
+                let nd = d + c;
+                // Strict improvement, or equal cost through a lower-address
+                // parent: push; the heap ordering resolves remaining ties.
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    heap.push(Reverse(HeapEntry::new(nd, u as u32, v as u32)));
+                } else if nd == dist[v] {
+                    heap.push(Reverse(HeapEntry::new(nd, u as u32, v as u32)));
+                }
+            }
+        }
+    }
+
+    /// `dist[v]` of the last run: the cost of the shortest path
+    /// root → `v`, [`INFINITE_COST`] if unreachable.
+    pub fn dist(&self) -> &[LinkCost] {
+        &self.dist
+    }
+
+    /// The last run as an [`SpfResult`].
+    fn into_result(self) -> SpfResult {
+        let parent = self.parent.iter().map(|&p| (p != NO_PARENT).then_some(NodeId(p))).collect();
+        SpfResult { dist: self.dist, parent, settled: self.settled }
     }
 }
 
 /// Dijkstra's algorithm over a [`TopoTable`], for a network of `n`
-/// routers. Costs must be non-negative (link costs are marginal delays,
+/// routers: [`Spf::run`] over the table's links in `(head, tail)`
+/// order. Costs must be non-negative (link costs are marginal delays,
 /// which are strictly positive).
 pub fn dijkstra(n: usize, links: &TopoTable, root: NodeId) -> SpfResult {
-    let mut dist = vec![INFINITE_COST; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    if root.index() >= n {
-        return SpfResult { dist, parent };
-    }
     // The table is sorted by (head, tail), so head `h`'s out-links are
     // the slice `starts[h]..starts[h + 1]`; heads outside `0..n` sort
     // last and are cut off.
@@ -114,33 +208,9 @@ pub fn dijkstra(n: usize, links: &TopoTable, root: NodeId) -> SpfResult {
             at += 1;
         }
     }
-    dist[root.index()] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry { dist: 0.0, parent: u32::MAX, node: root });
-    while let Some(HeapEntry { dist: d, parent: via, node: u }) = heap.pop() {
-        if done[u.index()] {
-            continue;
-        }
-        done[u.index()] = true;
-        if via != u32::MAX {
-            parent[u.index()] = Some(NodeId(via));
-        }
-        for &(_, v, c) in &links[starts[u.index()]..starts[u.index() + 1]] {
-            if v.index() >= n || done[v.index()] {
-                continue;
-            }
-            let nd = d + c;
-            // Strict improvement, or equal cost through a lower-address
-            // parent: push; the heap ordering resolves remaining ties.
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                heap.push(HeapEntry { dist: nd, parent: u.0, node: v });
-            } else if nd == dist[v.index()] {
-                heap.push(HeapEntry { dist: nd, parent: u.0, node: v });
-            }
-        }
-    }
-    SpfResult { dist, parent }
+    let mut spf = Spf::default();
+    spf.run(n, root, |u| links[starts[u]..starts[u + 1]].iter().map(|&(_, v, c)| (v.index(), c)));
+    spf.into_result()
 }
 
 /// `dijkstra(n, links, root).dist` for a table that is a tree below

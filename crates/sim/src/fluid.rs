@@ -20,8 +20,13 @@
 //!   recomputes *converged* MPDA tables every `T_s` epoch by
 //!   per-destination reverse SPF (at quiescence MPDA's successor set
 //!   toward `j` is exactly the strict-downstream set `{k : D_k < D_i}`
-//!   on marginal-delay link costs). No per-router `O(E)` topology
-//!   tables, so 10k+ routers fit in memory.
+//!   on marginal-delay link costs). Each epoch computes every link's
+//!   marginal cost once, lays the up in-links out as one reversed
+//!   graph, and runs `mdr_routing`'s one relaxation loop ([`Spf`], its
+//!   buffers reused) over it per destination; the successor costs
+//!   `D_k + l_ik` read the same costs. One allocator per destination,
+//!   keyed by router. No per-router `O(E)` topology tables, so 10k+
+//!   routers fit in memory.
 //!
 //! Per routing epoch the fluid solution is obtained per destination by
 //! the two passes of [`mdr_opt::dag`], the solver `mdr_opt::evaluate`
@@ -49,8 +54,14 @@
 //! checks every DAG against an independent build each time it is used;
 //! `FluidSimulator::audit_dags` checks the store in any profile). The
 //! quiescent control plane rewrites every φ each epoch and keeps no
-//! DAG: it builds into one reused buffer. [`FluidWork`] counts all of
-//! it ([`SimReport::fluid`]).
+//! DAG: it builds into one reused buffer, per destination per resolve
+//! whole for the forward pass (the Kahn order of the `arrive` sums is
+//! part of its result) and, for the backward pass, only the rows a
+//! depth-first search from the destination's flow sources meets
+//! ([`Dag::build_reached`]: the pass sums each row from its successors'
+//! final values, so its value at a source does not depend on the order,
+//! and it reads no other row). [`FluidWork`] counts all of it
+//! ([`SimReport::fluid`]).
 //!
 //! Measurement semantics: statistics accumulate only after warm-up
 //! (packet mode also counts pre-warm-up *drops*; the cross-validation
@@ -64,10 +75,10 @@ use crate::stats::{DelayHistogram, DelaySeries, FlowStats, LinkStats};
 use crate::telemetry::{publish_step, SimEvent, SimObserver, SHIFT_EPS};
 use crate::{SimConfig, SimMode, SimReport};
 use mdr_flow::{Allocator, SuccessorCost, Update};
-use mdr_net::{LinkDelayModel, LinkId, Mm1, NodeId, Topology, TrafficMatrix};
+use mdr_net::{LinkDelayModel, LinkId, Mm1, NodeId, Topology, TrafficMatrix, INFINITE_COST};
 use mdr_opt::dag::{row_starts, Dag, Reach};
 use mdr_proto::LsuMessage;
-use mdr_routing::{dijkstra, MpdaRouter, RouteChange, RouterEvent, RouterOutput, TopoTable};
+use mdr_routing::{MpdaRouter, RouteChange, RouterEvent, RouterOutput, Spf};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,6 +89,9 @@ use rand::{Rng, SeedableRng};
 pub struct FluidWork {
     /// Successor DAGs built whole (every row written, then ordered).
     pub dag_builds: u64,
+    /// Successor DAGs built for a backward pass only where the
+    /// destination's flow sources reach ([`Dag::build_reached`]).
+    pub reached_builds: u64,
     /// Single rows rewritten in place in a kept DAG.
     pub rows_written: u64,
     /// Kept DAGs re-ordered because a rewritten row's next-hop list
@@ -174,10 +188,19 @@ pub struct FluidSimulator {
     queue: EventQueue,
     msgs: MsgSlab,
     nodes: Vec<NodeSt>,
-    // Control plane (quiescent mode): one allocator per node indexed by
-    // *destination slot* (the allocator keys purely on the id's index,
-    // so remapping destinations into dense slots is transparent to it).
+    // Control plane (quiescent mode): one allocator per *destination
+    // slot*, keyed by router (the allocator keeps each key's state apart
+    // and keys purely on the id's index), so one destination's sweep
+    // and one DAG build read one allocator's contiguous state.
     qalloc: Vec<Allocator>,
+    /// The quiescent epoch's reverse SPF, its buffers kept across runs;
+    /// each link's marginal cost at the epoch's link flows; and the
+    /// reversed graph the SPF runs over, `(from, cost)` per up in-link
+    /// of `u` at `rev[rev_start[u]..rev_start[u + 1]]`.
+    spf: Spf,
+    cost: Vec<f64>,
+    rev_start: Vec<u32>,
+    rev: Vec<(u32, f64)>,
     // Fluid data plane.
     active_dests: Vec<NodeId>,
     flows: Vec<FlowSt>,
@@ -231,6 +254,10 @@ pub struct FluidSimulator {
     scenario: Vec<(f64, ScenarioEvent)>,
     obs: Option<Box<dyn SimObserver>>,
     quiescent_seen: bool,
+    /// Run each quiescent epoch by [`Self::on_epoch_reference`] and build
+    /// every DAG whole: the reference of the differential test.
+    #[cfg(test)]
+    old_epoch: bool,
 }
 
 impl FluidSimulator {
@@ -301,8 +328,8 @@ impl FluidSimulator {
         let mut boot_sends: Vec<(NodeId, NodeId, LsuMessage)> = Vec::new();
         if !fixed {
             if quiescent_cp {
-                qalloc = (0..n)
-                    .map(|_| Allocator::new(nd, cfg.mode).with_ah_gain(cfg.ah_gain))
+                qalloc = (0..nd)
+                    .map(|_| Allocator::new(n, cfg.mode).with_ah_gain(cfg.ah_gain))
                     .collect();
             } else {
                 let dests: std::sync::Arc<[NodeId]> = active_dests.as_slice().into();
@@ -354,6 +381,10 @@ impl FluidSimulator {
             msgs: MsgSlab::new(),
             nodes,
             qalloc,
+            spf: Spf::default(),
+            cost: vec![0.0; if quiescent_cp { topo.link_count() } else { 0 }],
+            rev_start: vec![0; if quiescent_cp { n + 1 } else { 0 }],
+            rev: Vec::new(),
             active_dests,
             flows,
             flows_by_dest,
@@ -387,6 +418,8 @@ impl FluidSimulator {
             scenario: scenario.events(),
             obs,
             quiescent_seen: false,
+            #[cfg(test)]
+            old_epoch: false,
             cfg,
         };
         if !fixed && !quiescent_cp {
@@ -429,7 +462,7 @@ impl FluidSimulator {
             return vars.get(NodeId(i as u32), self.active_dests[js]);
         }
         if self.cfg.sim_mode == SimMode::FluidQuiescent {
-            self.qalloc[i].params(NodeId(js as u32)).pairs()
+            self.qalloc[js].params(NodeId(i as u32)).pairs()
         } else {
             self.nodes[i].agent.params(self.active_dests[js]).pairs()
         }
@@ -492,6 +525,26 @@ impl FluidSimulator {
         #[cfg(any(test, debug_assertions))]
         if let Err(e) = self.check_against_oracle(&dag, js) {
             panic!("{e}");
+        }
+        dag
+    }
+
+    /// The shared buffer built for slot `js`'s backward pass only where
+    /// the flows' sources reach: the rows the pass reads at the sources
+    /// are the whole build's, and so is what it computes there (see
+    /// [`Dag::build_reached`]; the whole DAG is loop-free, every edge
+    /// descending `D_k < D_i`). Built whole if the search meets a cycle.
+    fn take_reached_dag(&mut self, js: usize) -> Dag {
+        let mut dag = std::mem::take(&mut self.dags[0]);
+        let sources = self.flows_by_dest[js].iter().map(|&fi| self.flows[fi as usize].src.index());
+        if dag.build_reached(&self.row, sources, |dag, i| self.write_row(dag, js, i)) {
+            self.work.reached_builds += 1;
+            #[cfg(any(test, debug_assertions))]
+            if let Err(e) = self.check_reached_against_oracle(&dag, js) {
+                panic!("{e}");
+            }
+        } else {
+            self.build(&mut dag, js);
         }
         dag
     }
@@ -576,6 +629,47 @@ impl FluidSimulator {
         Ok(())
     }
 
+    /// A reached build (slot `js`) against [`Dag::build_reached`]'s
+    /// premise and promise: the reference DAG is loop-free, the order
+    /// holds exactly the nodes the flows' sources reach, each before its
+    /// successors, and every reached row is the reference's.
+    #[cfg(any(test, debug_assertions))]
+    fn check_reached_against_oracle(&self, dag: &Dag, js: usize) -> Result<(), String> {
+        let n = self.topo.node_count();
+        let (starts, edges, order) = self.build_dag(js);
+        if order.len() != n {
+            return Err(format!("slot {js}: a cycle, so a reached build is not exact"));
+        }
+        let succ = |i: usize| &edges[starts[i] as usize..starts[i + 1] as usize];
+        let mut reached = vec![false; n];
+        let mut stack: Vec<usize> =
+            self.flows_by_dest[js].iter().map(|&fi| self.flows[fi as usize].src.index()).collect();
+        while let Some(i) = stack.pop() {
+            if !std::mem::replace(&mut reached[i], true) {
+                stack.extend(succ(i).iter().map(|e| e.0 as usize));
+            }
+        }
+        let mut pos = vec![usize::MAX; n];
+        for (at, &i) in dag.order().iter().enumerate() {
+            pos[i as usize] = at;
+        }
+        for i in 0..n {
+            if reached[i] != (pos[i] != usize::MAX) {
+                return Err(format!("slot {js}: node {i} reached is {}", reached[i]));
+            }
+            if reached[i] && dag.row(&self.row, i) != succ(i) {
+                return Err(format!("slot {js}: reached row {i} is stale"));
+            }
+            if reached[i] && succ(i).iter().any(|e| pos[e.0 as usize] <= pos[i]) {
+                return Err(format!("slot {js}: node {i} is not before its successors"));
+            }
+        }
+        if dag.order().len() != reached.iter().filter(|&&r| r).count() {
+            return Err(format!("slot {js}: a node twice in the order"));
+        }
+        Ok(())
+    }
+
     /// Every kept DAG against one built whole, now, through the same row
     /// writer: each row, and the order where it claims to be current (in
     /// the dev profile also against the reference build). What the
@@ -655,7 +749,10 @@ impl FluidSimulator {
     fn backward(&mut self, js: usize) {
         self.work.backward_passes += 1;
         let j = self.active_dests[js].index();
-        let dag = self.take_dag(js);
+        let reached = !self.keep_dags;
+        #[cfg(test)]
+        let reached = reached && !self.old_epoch;
+        let dag = if reached { self.take_reached_dag(js) } else { self.take_dag(js) };
         dag.backward(&self.row, j, &self.sigma, &self.t_l, &mut self.reach);
         let Reach { p, proute, m } = &self.reach;
         for &fi in &self.flows_by_dest[js] {
@@ -989,9 +1086,72 @@ impl FluidSimulator {
     fn on_epoch(&mut self, t: f64) {
         self.time = t;
         self.settle(t);
+        #[cfg(test)]
+        if self.old_epoch {
+            return self.on_epoch_reference();
+        }
         let n = self.topo.node_count();
-        // Reverse topology at current marginal costs: dist from `j` in
-        // the reversed graph is the cost of `i → j` in the real one.
+        // Each link's marginal cost, once: the SPF's weight and the
+        // `l^i_k` term of every successor cost through the link.
+        for (l, model) in self.models.iter().enumerate() {
+            self.cost[l] = model.marginal_delay(self.ftot[l]);
+        }
+        // The reversed graph, from the in-links: dist from `j` in it is
+        // the cost of `i → j` in the real one.
+        self.rev.clear();
+        for u in 0..n {
+            self.rev_start[u] = self.rev.len() as u32;
+            for (lid, l) in self.topo.in_links(NodeId(u as u32)) {
+                if self.link_up[lid.index()] {
+                    self.rev.push((l.from.0, self.cost[lid.index()]));
+                }
+            }
+        }
+        self.rev_start[n] = self.rev.len() as u32;
+        let (topo, link_up, cost) = (&self.topo, &self.link_up, &self.cost);
+        let (rev, rev_start) = (&self.rev, &self.rev_start);
+        let mut sc: Vec<SuccessorCost> = Vec::new();
+        for js in 0..self.active_dests.len() {
+            let j = self.active_dests[js];
+            self.spf.run(n, j, |u| {
+                let run = &rev[rev_start[u] as usize..rev_start[u + 1] as usize];
+                run.iter().map(|&(v, c)| (v as usize, c))
+            });
+            let dist = self.spf.dist();
+            let mut moved = false;
+            for i in 0..n {
+                if i == j.index() {
+                    continue;
+                }
+                sc.clear();
+                let di = dist[i];
+                if di < INFINITE_COST {
+                    for (lid, l) in topo.out_links(NodeId(i as u32)) {
+                        let dk = dist[l.to.index()];
+                        // LFI at quiescence: strictly-downstream
+                        // neighbors only (D_k < D_i).
+                        if link_up[lid.index()] && dk < di {
+                            sc.push(SuccessorCost::new(l.to, dk + cost[lid.index()]));
+                        }
+                    }
+                }
+                let outcome = self.qalloc[js].update(NodeId(i as u32), &sc, Update::ShortTerm);
+                moved |= outcome.shift > SHIFT_EPS;
+            }
+            if moved {
+                self.dirty[js] = true;
+                self.any_dirty = true;
+            }
+        }
+    }
+
+    /// The quiescent epoch as it ran before it read only what the flows
+    /// need: a `TopoTable` of the reversed links, `dijkstra` per
+    /// destination, and each link's marginal cost recomputed per use.
+    #[cfg(test)]
+    fn on_epoch_reference(&mut self) {
+        use mdr_routing::{dijkstra, TopoTable};
+        let n = self.topo.node_count();
         let links = self.topo.links().iter().enumerate().filter(|&(lid, _)| self.link_up[lid]);
         let rev: TopoTable = links
             .map(|(lid, l)| (l.to, l.from, self.models[lid].marginal_delay(self.ftot[lid])))
@@ -1012,8 +1172,6 @@ impl FluidSimulator {
                             continue;
                         }
                         let dk = spf.dist[l.to.index()];
-                        // LFI at quiescence: strictly-downstream
-                        // neighbors only (D_k < D_i).
                         if dk < di {
                             let cost = dk
                                 + self.models[lid.index()].marginal_delay(self.ftot[lid.index()]);
@@ -1021,7 +1179,7 @@ impl FluidSimulator {
                         }
                     }
                 }
-                let outcome = self.qalloc[i].update(NodeId(js as u32), &sc, Update::ShortTerm);
+                let outcome = self.qalloc[js].update(NodeId(i as u32), &sc, Update::ShortTerm);
                 if outcome.shift > SHIFT_EPS {
                     self.mark_dirty(js);
                 }
@@ -1196,8 +1354,9 @@ mod tests {
     /// Where a DAG can outlive the resolve that used it, one is kept per
     /// destination slot, built once; the quiescent control plane
     /// rewrites every φ each epoch and keeps none — one buffer, built
-    /// twice per destination per resolve (on `fluid-isp1k` kept DAGs
-    /// measured +21.7 % peak RSS for no hit).
+    /// per destination per resolve whole for the forward pass and where
+    /// the sources reach for the backward pass (on `fluid-isp1k` kept
+    /// DAGs measured +21.7 % peak RSS for no hit).
     #[test]
     fn dags_are_kept_only_where_they_can_be_reused() {
         let mut protocol = ran(SimMode::Fluid);
@@ -1216,10 +1375,61 @@ mod tests {
         let before = quiescent.work;
         quiescent.mark_all_dirty();
         quiescent.resolve();
-        assert_eq!(quiescent.work.dag_builds - before.dag_builds, 2 * nd as u64);
+        assert_eq!(quiescent.work.dag_builds - before.dag_builds, nd as u64);
+        assert_eq!(quiescent.work.reached_builds - before.reached_builds, nd as u64);
         // Fixed routing keeps its DAGs under either control plane.
         let fixed = fixed_sp(SimMode::FluidQuiescent);
         assert!(fixed.keep_dags && fixed.dags.len() == nd);
+    }
+
+    /// The quiescent epoch — reverse SPF over the in-links at costs
+    /// computed once, backward passes over the rows the sources reach —
+    /// against [`FluidSimulator::on_epoch_reference`] with whole builds
+    /// for both passes: the same report, bit for bit, on an ISP and a BA
+    /// graph, MP and SP, three AH gains, with link failures, repairs and
+    /// rate changes between epochs (every reached build is also checked
+    /// against `build_dag`).
+    #[test]
+    fn the_quiescent_epoch_equals_its_reference() {
+        let isp = mdr_net::gen::two_tier_isp(5, 19, 3);
+        let ba = mdr_net::gen::barabasi_albert(60, 2, 5);
+        for t in [isp, ba] {
+            let nodes: Vec<NodeId> = t.nodes().collect();
+            let flows = mdr_net::gen::elephant_mice_flows(&nodes, 40, 4e7, 0.7, 9);
+            let traffic = TrafficMatrix::from_flows(&t, &flows).unwrap();
+            let l = t.links()[t.link_count() / 3];
+            let scenario = Scenario::new()
+                .at(2.5, ScenarioEvent::FailLink { a: l.from, b: l.to })
+                .at(3.3, ScenarioEvent::SetFlowRate { flow: 0, rate: 0.0 })
+                .at(4.1, ScenarioEvent::RestoreLink { a: l.from, b: l.to })
+                .at(5.3, ScenarioEvent::SetFlowRate { flow: 0, rate: 2e7 });
+            for mode in [mdr_flow::Mode::Multipath, mdr_flow::Mode::SinglePath] {
+                for ah_gain in [0.0, 0.4, 1.0] {
+                    let cfg = SimConfig {
+                        sim_mode: SimMode::FluidQuiescent,
+                        mode,
+                        ah_gain,
+                        warmup: 1.0,
+                        duration: 6.0,
+                        ..Default::default()
+                    };
+                    let run = |old_epoch: bool| {
+                        let mut sim = FluidSimulator::new(&t, &traffic, &scenario, cfg.clone());
+                        sim.old_epoch = old_epoch;
+                        let report = sim.run();
+                        (SimReport { fluid: None, ..report.clone() }, report.fluid.unwrap())
+                    };
+                    let ((new, work), (old, old_work)) = (run(false), run(true));
+                    let at = format!("{} routers, {mode:?}, γ = {ah_gain}", t.node_count());
+                    assert!(new.delivered > 0 && new.dropped > 0, "{at}: {new:?}");
+                    assert_eq!(new, old, "{at}");
+                    assert_eq!(work.reached_builds, work.backward_passes, "{at}");
+                    assert_eq!(work.dag_builds, work.forward_passes, "{at}");
+                    assert_eq!(old_work.dag_builds, work.forward_passes + work.backward_passes);
+                    assert_eq!(old_work.reached_builds, 0, "{at}");
+                }
+            }
+        }
     }
 
     /// Every way φ or a link bit can move rewrites exactly the rows it
