@@ -13,6 +13,7 @@ use crate::{
 };
 use mdr::prelude::*;
 use mdr_net::gen;
+use mdr_routing::harness::RouterSm;
 use mdr_routing::{dv, lfi, Harness};
 use std::collections::BTreeMap;
 
@@ -560,28 +561,37 @@ pub fn ablation_lfi() {
         1.0 + ((a.0.wrapping_mul(2654435761) ^ b.0.wrapping_mul(40503) ^ salt) % 90) as f64 / 10.0
     };
     let links: Vec<_> = t.links().to_vec();
-
-    // --- MPDA arm ---
-    let mut h = Harness::mpda(&t, |a, b| cost(a, b, 0), 5);
-    assert!(h.run_to_quiescence(2_000_000));
-    for (round, l) in links.iter().cycle().take(120).enumerate() {
-        h.change_cost(l.from, l.to, cost(l.from, l.to, round as u32 + 1));
-    }
     let n = t.node_count();
-    let (steps, loops) = {
-        let mut steps = 0u64;
-        let mut loops = 0u64;
+    // Converge, run the churn, then drain it one delivery at a time,
+    // counting the instants at which `looped` holds.
+    fn churn<R: RouterSm>(
+        mut h: Harness<R>,
+        links: &[Link],
+        cost: impl Fn(NodeId, NodeId, u32) -> f64,
+        looped: impl Fn(&Harness<R>) -> bool,
+    ) -> (Harness<R>, u64, u64) {
+        assert!(h.run_to_quiescence(2_000_000));
+        for (round, l) in links.iter().cycle().take(120).enumerate() {
+            h.change_cost(l.from, l.to, cost(l.from, l.to, round as u32 + 1));
+        }
+        let (mut steps, mut loops) = (0u64, 0u64);
         loop {
-            if lfi::check_loop_freedom(&h.routers).is_err() {
-                loops += 1;
-            }
+            loops += looped(&h) as u64;
             if !h.step() {
-                break;
+                return (h, steps, loops);
             }
             steps += 1;
         }
-        (steps, loops)
+    }
+
+    // --- MPDA arm ---
+    let mpda_lfi = |h: &Harness<MpdaRouter>| {
+        let r = &h.routers;
+        let succ = |i: NodeId, j| r[i.index()].successors(j);
+        lfi::check(n, succ, |i, j| r[i.index()].feasible_distance(j), |_, _| true)
     };
+    let h = Harness::mpda(&t, |a, b| cost(a, b, 0), 5);
+    let (_, steps, loops) = churn(h, &links, cost, |h| mpda_lfi(h).is_err());
     println!("MPDA (LFI on):  {steps} deliveries, {loops} loop observations");
     fig.add_series(
         "MPDA (LFI on)",
@@ -589,43 +599,20 @@ pub fn ablation_lfi() {
     );
     assert_eq!(loops, 0, "Theorem 3 violated");
 
-    // --- PDA arm: identical churn, Eq. 14 successors ---
-    let mut h = Harness::pda(&t, |a, b| cost(a, b, 0), 5);
-    assert!(h.run_to_quiescence(2_000_000));
-    for (round, l) in links.iter().cycle().take(120).enumerate() {
-        h.change_cost(l.from, l.to, cost(l.from, l.to, round as u32 + 1));
-    }
-    let succ_snapshot = |h: &Harness<mdr_routing::PdaRouter>| -> Vec<Vec<Vec<NodeId>>> {
-        (0..n as u32).map(|j| h.routers.iter().map(|r| r.successors(NodeId(j))).collect()).collect()
+    // --- PDA arm: identical churn, Eq. 14 successors. PDA keeps no
+    // feasible distances, so no edge is FD-comparable: only the cycle
+    // half of the check applies. ---
+    let pda_loop = |h: &Harness<PdaRouter>| {
+        lfi::check(n, |i, j| h.routers[i.index()].successors(j), |_, _| 0.0, |_, _| false)
     };
-    let (steps, loops) = {
-        let mut steps = 0u64;
-        let mut loops = 0u64;
-        loop {
-            let snap = succ_snapshot(&h);
-            let looped = snap
-                .iter()
-                .any(|dest| lfi::find_cycle(n, |i| dest[i.index()].as_slice()).is_some());
-            if looped {
-                loops += 1;
-            }
-            if !h.step() {
-                break;
-            }
-            steps += 1;
-        }
-        (steps, loops)
-    };
+    let h = Harness::pda(&t, |a, b| cost(a, b, 0), 5);
+    let (h, steps, loops) = churn(h, &links, cost, |h| pda_loop(h).is_err());
     println!("PDA (LFI off):  {steps} deliveries, {loops} loop observations");
     // Sanity: at quiescence Eq. 14 gives a DAG again (Theorem 2), so the
     // loop observations above are genuinely *transient*.
     h.assert_converged();
-    let snap = succ_snapshot(&h);
-    for (j, dest) in snap.iter().enumerate() {
-        assert!(
-            lfi::find_cycle(n, |i| dest[i.index()].as_slice()).is_none(),
-            "PDA still looping at quiescence for destination {j}"
-        );
+    if let Err(v) = pda_loop(&h) {
+        panic!("PDA still looping at quiescence: {v}");
     }
     fig.add_series(
         "PDA (LFI off)",

@@ -14,9 +14,9 @@ pub use mdr_routing::{
 };
 pub use mdr_sim::{
     run_many, run_many_with, ControlChaos, DirProfile, EstimatorKind, FaultClass, FaultEvent,
-    FaultPlan, FaultProcess, FaultRecord, FluidSimulator, FluidWork, GreyFailure, InvariantMonitor,
-    LossModel, MetricsHub, MetricsReport, NetEmu, NetProfile, NullObserver, ObserverMode,
-    PacketDist, PartitionSpec, RecordingObserver, RobustnessCounters, RobustnessReport, RunSet,
-    Scenario, ScenarioEvent, SimConfig, SimEvent, SimJob, SimMode, SimObserver, SimReport,
-    Simulator, TelemetryReport,
+    FaultPlan, FaultProcess, FaultRecord, FluidSimulator, FluidWork, GreyFailure, LossModel,
+    MetricsHub, MetricsReport, NetEmu, NetProfile, NullObserver, ObserverMode, PacketDist,
+    PartitionSpec, RecordingObserver, RobustnessCounters, RobustnessReport, RunSet, Scenario,
+    ScenarioEvent, SimConfig, SimEvent, SimJob, SimMode, SimObserver, SimReport, Simulator,
+    TelemetryReport,
 };

@@ -15,9 +15,9 @@
 //!   destroy in-flight messages, repairs) applied in program order but
 //!   at any point relative to deliveries,
 //!
-//! asserting [`mdr_routing::lfi::check_loop_freedom_with`] and
-//! [`mdr_routing::lfi::check_fd_ordering_with`] in **every reachable
-//! state**. States are deduplicated on the routers' canonical
+//! asserting the full LFI check [`mdr_routing::lfi::check`] — both
+//! acyclicity and FD ordering — in **every reachable state**. States
+//! are deduplicated on the routers' canonical
 //! [`MpdaRouter::encode_state`] encoding plus channel contents, so the
 //! exploration is exhaustive over distinct protocol states, not merely
 //! over action sequences. Because the search is breadth-first, a
@@ -231,10 +231,9 @@ impl LfiWorld<'_> {
     }
 
     /// Append the *property projection* of router `r`: the exact state
-    /// the LFI checks read — `feasible_distance(j)` and `successors(j)`
-    /// for every destination (see [`lfi::check_loop_freedom_with`] /
-    /// [`lfi::check_fd_ordering_with`]). An action that leaves every
-    /// router's projection unchanged is invisible to the invariant.
+    /// the LFI check reads — `feasible_distance(j)` and `successors(j)`
+    /// for every destination (see [`lfi::check`]). An action that leaves
+    /// every router's projection unchanged is invisible to the invariant.
     fn lfi_projection(r: &MpdaRouter, n: usize, out: &mut Vec<u8>) {
         for j in 0..n {
             let j = NodeId(j as u32);
@@ -313,20 +312,10 @@ impl CheckWorld for LfiWorld<'_> {
     }
 
     fn check(&self) -> Result<(), String> {
-        let n = self.routers.len();
-        if let Err((j, cycle)) = lfi::check_loop_freedom_with(n, |i| &self.routers[i.index()]) {
-            let cycle: Vec<u32> = cycle.iter().map(|x| x.0).collect();
-            return Err(format!("successor graph for destination {j} has a cycle: {cycle:?}"));
-        }
-        if let Err((i, k, j)) = lfi::check_fd_ordering_with(n, |i| &self.routers[i.index()]) {
-            let fdi = self.routers[i.index()].feasible_distance(j);
-            let fdk = self.routers[k.index()].feasible_distance(j);
-            return Err(format!(
-                "FD ordering violated on successor edge {i} → {k} for destination {j}: \
-                 FD^{k}_{j} = {fdk} is not < FD^{i}_{j} = {fdi}"
-            ));
-        }
-        Ok(())
+        let r = &self.routers;
+        let succ = |i: NodeId, j| r[i.index()].successors(j);
+        lfi::check(r.len(), succ, |i, j| r[i.index()].feasible_distance(j), |_, _| true)
+            .map_err(|v| v.to_string())
     }
 
     /// Invisible-head ample rule: once the environment schedule is

@@ -30,7 +30,7 @@
 //!     [`mdr_sim::telemetry::JsonlSink`];
 //!   - [`trace`] — merging per-process JSONL traces by hybrid logical
 //!     clock and replaying the merged history through
-//!     [`mdr_sim::InvariantMonitor`]: the LFI audits run against state
+//!     [`mdr_routing::lfi::Auditor`]: the LFI audits run against state
 //!     reconstructed from *real processes*, not simulated routers.
 //! * **I/O shell** — [`shell`]: UDP sockets, process spawning, the
 //!   kill/restart soak harness. This is the only place wall-clock time

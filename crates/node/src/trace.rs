@@ -1,12 +1,12 @@
 //! Merged-trace auditing: replay the per-process JSONL traces of a
-//! deployment through the *same* LFI checkers the simulator runs live.
+//! deployment through the *same* LFI auditor the simulators run live.
 //!
 //! Each process wrote records stamped by its [hybrid logical
 //! clock](crate::hlc). Sorting all records by `(hlc_l, hlc_c, node)`
 //! produces a single linearization consistent with causality, and every
 //! prefix of it is a consistent cut of the distributed computation —
 //! so replaying `snapshot` records in merge order and running
-//! [`InvariantMonitor::audit_view`] after each state change checks the
+//! [`lfi::Auditor::audit`] after each state change checks the
 //! Loop-Free Invariant over the reachable global states of the *real*
 //! multi-process control plane, kill/restart cycles and packet loss
 //! included. This is the deployment-grade counterpart of the chaos
@@ -15,9 +15,9 @@
 //! The module is deterministic-core code: it consumes strings and
 //! returns a report; file handling lives in the shell.
 
-use crate::record::{NodeRecord, PeerSync, RecordBody, SnapDest};
+use crate::record::{NodeRecord, PeerSync, RecordBody};
 use mdr_net::NodeId;
-use mdr_sim::InvariantMonitor;
+use mdr_routing::lfi;
 
 /// One kill/restart recovery measured from the merged trace: the span
 /// from a process's `start` record to its next `converged` record, in
@@ -37,8 +37,11 @@ pub struct Recovery {
 pub struct TraceAudit {
     /// Records replayed.
     pub records: u64,
+    /// Snapshot rows (destinations, peers) naming a router outside the
+    /// network: skipped, so a garbled record never panics the audit.
+    pub skipped_rows: u64,
     /// The LFI audit counters (one audit per global-state change).
-    pub monitor: InvariantMonitor,
+    pub monitor: lfi::Tally,
     /// Per-(re)start recovery spans, in merge order.
     pub recoveries: Vec<Recovery>,
     /// `(node, incarnation)` lives cut short by a kill before reaching
@@ -53,12 +56,7 @@ pub struct TraceAudit {
 impl TraceAudit {
     /// Largest recovery span, if any completed.
     pub fn max_recovery_s(&self) -> Option<f64> {
-        self.recoveries.iter().map(|r| r.recovery_s).fold(None, |acc, x| {
-            Some(match acc {
-                Some(a) if a >= x => a,
-                _ => x,
-            })
-        })
+        self.recoveries.iter().map(|r| r.recovery_s).reduce(f64::max)
     }
 }
 
@@ -84,35 +82,23 @@ pub fn merge_lines<S: AsRef<str>>(files: &[S]) -> (Vec<NodeRecord>, u64) {
     (records, malformed)
 }
 
-#[derive(Debug, Clone, Default)]
-struct NodeState {
-    dests: Vec<SnapDest>,
-    peers: Vec<PeerSync>,
-}
-
-impl NodeState {
-    fn successors(&self, j: NodeId) -> &[NodeId] {
-        self.dests.iter().find(|d| d.dest == j).map(|d| d.successors.as_slice()).unwrap_or(&[])
-    }
-
-    fn fd(&self, j: NodeId) -> f64 {
-        // A node whose snapshot for `j` has not yet appeared in merge
-        // order has *unknown* feasible distance, not infinite: its real
-        // state may be causally concurrent with this cut. Unknown FD
-        // cannot witness an ordering violation, so report -inf (always
-        // passes `FD^k < FD^i`). A node that *does* route through it
-        // will still be caught once that snapshot lands.
-        self.dests.iter().find(|d| d.dest == j).map(|d| d.fd).unwrap_or(f64::NEG_INFINITY)
-    }
-}
-
 /// Replay a merged record sequence (from [`merge_lines`]) for an
 /// `n`-router network: rebuild each node's safety state from its
 /// `snapshot` records, audit the global view after every state change,
 /// and measure `start → converged` recovery spans.
 pub fn audit_trace(n: usize, records: &[NodeRecord]) -> TraceAudit {
     let mut audit = TraceAudit::default();
-    let mut state: Vec<NodeState> = (0..n).map(|_| NodeState::default()).collect();
+    let mut auditor = lfi::Auditor::new(n);
+    // Each node's last snapshot: `S^i_j` and `FD^i_j` at `i * n + j`,
+    // and its live adjacencies. A node whose snapshot for `j` has not
+    // yet appeared in merge order has *unknown* feasible distance, not
+    // infinite: its real state may be causally concurrent with this
+    // cut. Unknown FD cannot witness an ordering violation, so it reads
+    // -inf (always passes `FD^k < FD^i`). A node that *does* route
+    // through it will still be caught once that snapshot lands.
+    let mut succ: Vec<Vec<NodeId>> = vec![Vec::new(); n * n];
+    let mut fd = vec![f64::NEG_INFINITY; n * n];
+    let mut peers: Vec<Vec<PeerSync>> = vec![Vec::new(); n];
     // The live incarnation per node, with its start stamp while the
     // recovery clock is still running.
     let mut pending: Vec<Option<(u32, u64)>> = vec![None; n];
@@ -128,23 +114,23 @@ pub fn audit_trace(n: usize, records: &[NodeRecord]) -> TraceAudit {
         if i >= n {
             continue;
         }
-        let mut changed = false;
-        match &rec.body {
+        let (dests, new_peers) = match &rec.body {
             RecordBody::Start { .. } => {
                 // A (re)started process lost all routing state; a life
-                // it replaced that never converged was cut short.
+                // it replaced that never converged was cut short. Edges
+                // into it now point at a dead incarnation: touch their
+                // tails.
                 if let Some((inc, _)) = pending[i].take() {
                     audit.interrupted.push((rec.node, inc));
                 }
-                state[i] = NodeState::default();
                 pending[i] = Some((rec.incarnation, rec.hlc.l));
                 cur_inc[i] = rec.incarnation;
-                changed = true;
+                for x in (0..n).filter(|&x| peers[x].iter().any(|p| p.peer == rec.node)) {
+                    auditor.touch(NodeId(x as u32));
+                }
+                (&[][..], &[][..])
             }
-            RecordBody::Snapshot { dests, peers } => {
-                state[i] = NodeState { dests: dests.clone(), peers: peers.clone() };
-                changed = true;
-            }
+            RecordBody::Snapshot { dests, peers } => (&dests[..], &peers[..]),
             RecordBody::Converged => {
                 if let Some((inc, start_l)) = pending[i] {
                     if inc == rec.incarnation {
@@ -156,31 +142,39 @@ pub fn audit_trace(n: usize, records: &[NodeRecord]) -> TraceAudit {
                         });
                     }
                 }
+                continue;
             }
-            _ => {}
+            _ => continue,
+        };
+        // The record replaces node i's state; per destination, the
+        // first row wins.
+        for j in 0..n {
+            succ[i * n + j].clear();
+            fd[i * n + j] = f64::NEG_INFINITY;
         }
-        if changed {
-            let now = rec.hlc.l as f64 / 1e6;
-            audit.monitor.audit_view_if(
-                n,
-                now,
-                |i, j| state[i.index()].successors(j),
-                |i, j| state[i.index()].fd(j),
-                // A successor edge i → k is FD-comparable only if i's
-                // snapshot was built against k's *current* incarnation;
-                // across a restart the edge points at a dead life — a
-                // blackhole being withdrawn, not an ordering breach.
-                // (Cycle detection above this predicate is
-                // unconditional.)
-                |i, k| {
-                    state[i.index()]
-                        .peers
-                        .iter()
-                        .any(|p| p.peer == k && p.inc == cur_inc[k.index()])
-                },
-            );
+        for d in dests.iter().rev() {
+            if d.dest.index() >= n || d.successors.iter().any(|k| k.index() >= n) {
+                audit.skipped_rows += 1;
+                continue;
+            }
+            succ[i * n + d.dest.index()].clone_from(&d.successors);
+            fd[i * n + d.dest.index()] = d.fd;
         }
+        peers[i] = new_peers.iter().filter(|p| p.peer.index() < n).copied().collect();
+        audit.skipped_rows += (new_peers.len() - peers[i].len()) as u64;
+        auditor.touch(rec.node);
+        auditor.audit(
+            rec.hlc.l as f64 / 1e6,
+            |i, j| &succ[i.index() * n + j.index()],
+            |i, j| fd[i.index() * n + j.index()],
+            // A successor edge i → k is FD-comparable only if i's
+            // snapshot was built against k's *current* incarnation;
+            // across a restart the edge points at a dead life — a
+            // blackhole being withdrawn, not an ordering breach.
+            |i, k| peers[i.index()].iter().any(|p| p.peer == k && p.inc == cur_inc[k.index()]),
+        );
     }
+    audit.monitor = auditor.tally;
     for (i, p) in pending.iter().enumerate() {
         if let Some((inc, _)) = p {
             audit.unconverged.push((NodeId(i as u32), *inc));
@@ -192,6 +186,7 @@ pub fn audit_trace(n: usize, records: &[NodeRecord]) -> TraceAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::SnapDest;
     use mdr_proto::HlcStamp;
 
     fn rec(l: u64, node: u32, inc: u32, body: RecordBody) -> NodeRecord {
@@ -303,6 +298,32 @@ mod tests {
         ];
         let audit = audit_trace(3, &records);
         assert_eq!(audit.monitor.violations, 0, "{:?}", audit.monitor.first_violation);
+    }
+
+    #[test]
+    fn a_snapshot_naming_routers_outside_the_network_is_skipped_not_fatal() {
+        // n = 3, but the snapshot names successor 7, destination 9 and
+        // peer 5: those rows are counted and skipped, the rest audited.
+        let garbled = RecordBody::Snapshot {
+            dests: vec![
+                SnapDest { dest: NodeId(2), fd: 2.0, dist: 2.0, successors: vec![NodeId(7)] },
+                SnapDest { dest: NodeId(9), fd: 1.0, dist: 1.0, successors: vec![] },
+                SnapDest { dest: NodeId(1), fd: 1.0, dist: 1.0, successors: vec![NodeId(1)] },
+            ],
+            peers: vec![PeerSync { peer: NodeId(5), inc: 1 }, PeerSync { peer: NodeId(1), inc: 1 }],
+        };
+        let records = vec![rec(100, 0, 1, garbled), rec(200, 0, 1, RecordBody::Converged)];
+        let audit = audit_trace(3, &records);
+        assert_eq!(audit.skipped_rows, 3);
+        assert_eq!(audit.monitor.checks, 1);
+        assert_eq!(audit.monitor.violations, 0, "{:?}", audit.monitor.first_violation);
+        // A cycle among the rows that survive is still caught.
+        let records = vec![
+            rec(100, 0, 1, snap(2, 1.0, &[1])),
+            rec(200, 1, 1, snap_at(2, 1.0, &[0], &[(0, 1), (7, 1)])),
+        ];
+        let audit = audit_trace(3, &records);
+        assert_eq!((audit.skipped_rows, audit.monitor.violations), (1, 1));
     }
 
     #[test]

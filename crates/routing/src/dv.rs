@@ -340,14 +340,9 @@ impl DvRouter {
 /// Check loop-freedom of a set of DV routers for every destination
 /// (used by tests after every delivery).
 pub fn dv_loop_free(routers: &[DvRouter]) -> bool {
-    let n = routers.len();
-    for j in 0..n as u32 {
-        let j = NodeId(j);
-        if lfi::find_cycle(n, |i| routers[i.index()].successors(j)).is_some() {
-            return false;
-        }
-    }
-    true
+    // No edge is FD-comparable, so only a cycle can fail the check.
+    let succ = |i: NodeId, j| routers[i.index()].successors(j);
+    lfi::check(routers.len(), succ, |_, _| 0.0, |_, _| false).is_ok()
 }
 
 #[cfg(test)]

@@ -74,12 +74,10 @@ impl Harness<MpdaRouter> {
     /// Check both LFI safety properties right now; panics with a
     /// diagnostic on violation.
     pub fn assert_loop_free(&self) {
-        if let Err((j, cycle)) = lfi::check_loop_freedom(&self.routers) {
-            panic!("successor graph for destination {j} has a cycle: {cycle:?}");
-        }
-        if let Err((i, k, j)) = lfi::check_fd_ordering(&self.routers) {
-            panic!("FD ordering violated: router {i} uses successor {k} for {j} but FD^k >= FD^i");
-        }
+        let r = &self.routers;
+        let succ = |i: NodeId, j| r[i.index()].successors(j);
+        let fd = |i: NodeId, j| r[i.index()].feasible_distance(j);
+        lfi::check(r.len(), succ, fd, |_, _| true).unwrap_or_else(|v| panic!("{v}"));
     }
 }
 

@@ -92,9 +92,9 @@ pub struct RouteChange {
 }
 
 /// Safety-relevant state of one router at one instant: everything the
-/// LFI view checkers ([`crate::lfi::check_loop_freedom_view`] /
-/// [`crate::lfi::check_fd_ordering_view`]) need to replay a history
-/// without the live routers, nothing more.
+/// LFI check ([`crate::lfi::check`]) and auditor
+/// ([`crate::lfi::Auditor`]) need to replay a history without the live
+/// routers, nothing more.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterSnapshot {
     /// The router this snapshot describes.
@@ -115,21 +115,6 @@ pub struct DestState {
     pub dist: LinkCost,
     /// Successor set `S^i_j`, ascending by neighbor address.
     pub successors: Vec<NodeId>,
-}
-
-impl RouterSnapshot {
-    /// The successor set toward `j` (empty when `j` is the router
-    /// itself or unknown).
-    pub fn successors(&self, j: NodeId) -> &[NodeId] {
-        self.dests.iter().find(|d| d.dest == j).map(|d| d.successors.as_slice()).unwrap_or(&[])
-    }
-
-    /// The feasible distance toward `j` (infinite when `j` is the
-    /// router itself or unknown — the checkers treat both correctly:
-    /// a router is never a successor toward itself).
-    pub fn fd(&self, j: NodeId) -> LinkCost {
-        self.dests.iter().find(|d| d.dest == j).map(|d| d.fd).unwrap_or(INFINITE_COST)
-    }
 }
 
 /// The feasible-distance / successor update rule the router runs.
@@ -838,8 +823,13 @@ mod tests {
         );
         assert!(broken[0].successors(n(2)).contains(&n(1)));
         assert!(broken[1].successors(n(2)).contains(&n(0)));
-        assert!(crate::lfi::check_loop_freedom(&broken).is_err());
-        assert!(crate::lfi::check_fd_ordering(&broken).is_err());
+        let (succ, fd) = (
+            |i: NodeId, j| broken[i.index()].successors(j),
+            |i: NodeId, j| broken[i.index()].feasible_distance(j),
+        );
+        let v = crate::lfi::check(3, succ, fd, |_, _| true);
+        assert!(matches!(v, Err(crate::lfi::Violation::Cycle { .. })), "{v:?}");
+        assert!(crate::lfi::check_fd_ordering_with(3, |i| &broken[i.index()]).is_err());
     }
 
     #[test]
@@ -860,15 +850,11 @@ mod tests {
     fn snapshots_feed_the_view_checkers() {
         let r = converge(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
         let snaps: Vec<RouterSnapshot> = r.iter().map(|x| x.snapshot()).collect();
-        assert!(
-            crate::lfi::check_loop_freedom_view(3, |i, j| snaps[i.index()].successors(j)).is_ok()
-        );
-        assert!(crate::lfi::check_fd_ordering_view(
-            3,
-            |i, j| snaps[i.index()].successors(j),
-            |i, j| snaps[i.index()].fd(j),
-        )
-        .is_ok());
+        // Dense rows, as a merged-trace replay rebuilds them.
+        let row = |i: NodeId, j: NodeId| snaps[i.index()].dests.iter().find(|d| d.dest == j);
+        let succ = |i, j| row(i, j).map_or(&[][..], |d| &d.successors[..]);
+        let fd = |i, j| row(i, j).map_or(INFINITE_COST, |d| d.fd);
+        assert_eq!(crate::lfi::check(3, succ, fd, |_, _| true), Ok(()));
         // The snapshot agrees with the live router everywhere.
         for (router, snap) in r.iter().zip(&snaps) {
             assert_eq!(snap.node, router.id());
@@ -884,9 +870,8 @@ mod tests {
     fn snapshot_defaults_for_unknown_destinations() {
         let s = MpdaRouter::new(n(0), 4).snapshot();
         assert_eq!(s.dests.len(), 3);
-        assert!(s.successors(n(0)).is_empty(), "self is not in the snapshot");
-        assert_eq!(s.fd(n(0)), INFINITE_COST);
-        assert_eq!(s.fd(n(3)), INFINITE_COST);
+        assert!(s.dests.iter().all(|d| d.dest != n(0)), "self is not in the snapshot");
+        assert!(s.dests.iter().all(|d| d.fd == INFINITE_COST && d.successors.is_empty()));
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Edge cases for the LFI checkers (`lfi::check_loop_freedom` /
-//! `lfi::check_fd_ordering` and their closure-generic `_with`
-//! variants): tied feasible distances, zero-cost links, unreachable
-//! destinations, and single-node graphs.
+//! Edge cases for the full LFI check (`lfi::check`): tied feasible
+//! distances, zero-cost links, unreachable destinations, and
+//! single-node graphs.
 
 use mdr_net::{NodeId, INFINITE_COST};
 use mdr_routing::lfi;
 use mdr_routing::{MpdaRouter, RouterEvent, UpdateRule};
 
 /// Bring `edges` up on `n` routers under `rule` and drain all traffic
-/// to quiescence with a fixed delivery order (the checkers' verdicts on
+/// to quiescence with a fixed delivery order (the check's verdicts on
 /// the converged state do not depend on which order was used).
 fn converge(n: usize, edges: &[(u32, u32, f64)], rule: UpdateRule) -> Vec<MpdaRouter> {
     let mut routers: Vec<MpdaRouter> =
@@ -41,21 +40,19 @@ fn converge(n: usize, edges: &[(u32, u32, f64)], rule: UpdateRule) -> Vec<MpdaRo
     routers
 }
 
-/// Both checkers, both call forms, must agree.
-fn assert_all_checks_pass(routers: &[MpdaRouter]) {
-    assert_eq!(lfi::check_loop_freedom(routers), Ok(()));
-    assert_eq!(lfi::check_fd_ordering(routers), Ok(()));
-    assert_eq!(lfi::check_loop_freedom_with(routers.len(), |i| &routers[i.index()]), Ok(()));
-    assert_eq!(lfi::check_fd_ordering_with(routers.len(), |i| &routers[i.index()]), Ok(()));
+/// The full check over `routers`, every edge live.
+fn check(routers: &[MpdaRouter]) -> Result<(), lfi::Violation> {
+    let succ = |i: NodeId, j| routers[i.index()].successors(j);
+    lfi::check(routers.len(), succ, |i, j| routers[i.index()].feasible_distance(j), |_, _| true)
 }
 
 #[test]
 fn tied_feasible_distances_pass_under_lfi_rule() {
     // Equal-cost triangle: every pair of non-adjacent paths ties. The
     // strict `D^k_j < FD^i_j` rule must resolve ties by exclusion (only
-    // the destination itself is a successor), and both checkers accept.
+    // the destination itself is a successor), and the check accepts.
     let routers = converge(3, &[(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], UpdateRule::Lfi);
-    assert_all_checks_pass(&routers);
+    assert_eq!(check(&routers), Ok(()));
     for r in &routers {
         for j in 0..3u32 {
             let j = NodeId(j);
@@ -70,22 +67,17 @@ fn tied_feasible_distances_pass_under_lfi_rule() {
 #[test]
 fn tied_feasible_distances_fail_under_non_strict_rule() {
     // The deliberately unsound `D^k_j <= FD^i_j` rule admits tied
-    // neighbors, creating mutual successor edges: both checkers must
-    // reject, and the plain and `_with` forms must report identically.
+    // neighbors, creating mutual successor edges: the check must report
+    // the cycle, and the FD half on its own the tied edge.
     let routers =
         converge(3, &[(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], UpdateRule::NonStrictSuccessors);
-    let plain = lfi::check_loop_freedom(&routers);
-    let with = lfi::check_loop_freedom_with(routers.len(), |i| &routers[i.index()]);
-    assert!(plain.is_err(), "tied FDs under <= must form a successor cycle");
-    assert_eq!(plain, with);
-    let (j, cycle) = plain.unwrap_err();
-    assert!(cycle.len() >= 2, "cycle for dest {j} too short: {cycle:?}");
+    let Err(lfi::Violation::Cycle { dest, cycle }) = check(&routers) else {
+        panic!("tied FDs under <= must form a successor cycle");
+    };
+    assert!(cycle.len() >= 2, "cycle for dest {dest} too short: {cycle:?}");
 
-    let plain = lfi::check_fd_ordering(&routers);
-    let with = lfi::check_fd_ordering_with(routers.len(), |i| &routers[i.index()]);
-    assert!(plain.is_err(), "a tied successor edge violates strict FD ordering");
-    assert_eq!(plain, with);
-    let (i, k, j) = plain.unwrap_err();
+    let fd_half = lfi::check_fd_ordering_with(routers.len(), |i| &routers[i.index()]);
+    let (i, k, j) = fd_half.expect_err("a tied successor edge violates strict FD ordering");
     assert_eq!(
         routers[i.index()].feasible_distance(j).total_cmp(&routers[k.index()].feasible_distance(j)),
         std::cmp::Ordering::Equal,
@@ -99,7 +91,7 @@ fn zero_cost_links_keep_both_invariants() {
     // the strict LFI test must refuse it as a successor — distances stay
     // exact but the successor graph stays strictly descending.
     let routers = converge(3, &[(0, 1, 0.0), (1, 2, 1.0)], UpdateRule::Lfi);
-    assert_all_checks_pass(&routers);
+    assert_eq!(check(&routers), Ok(()));
     assert_eq!(routers[0].distance(NodeId(2)), 1.0);
     assert_eq!(routers[1].distance(NodeId(2)), 1.0);
     // 1's route to 2 is direct; 0 reaches 2 through 1 only if the
@@ -112,9 +104,9 @@ fn zero_cost_links_keep_both_invariants() {
 #[test]
 fn unreachable_destinations_are_invariant_neutral() {
     // Two disconnected components: unreachable destinations carry
-    // INFINITE_COST, empty successor sets, and trip neither checker.
+    // INFINITE_COST, empty successor sets, and trip neither half of the check.
     let routers = converge(4, &[(0, 1, 1.0), (2, 3, 1.0)], UpdateRule::Lfi);
-    assert_all_checks_pass(&routers);
+    assert_eq!(check(&routers), Ok(()));
     for (i, j) in [(0u32, 2u32), (0, 3), (1, 2), (2, 0), (3, 1)] {
         let r = &routers[i as usize];
         assert_eq!(r.distance(NodeId(j)), INFINITE_COST, "{i} must not reach {j}");
@@ -127,9 +119,9 @@ fn unreachable_destinations_are_invariant_neutral() {
 #[test]
 fn single_node_graph_is_trivially_loop_free() {
     let routers = converge(1, &[], UpdateRule::Lfi);
-    assert_all_checks_pass(&routers);
+    assert_eq!(check(&routers), Ok(()));
     assert_eq!(routers[0].distance(NodeId(0)), 0.0);
-    // The degenerate closure forms with n = 0 must also hold (vacuous).
-    assert_eq!(lfi::check_loop_freedom_with(0, |_| unreachable!()), Ok(()));
-    assert_eq!(lfi::check_fd_ordering_with(0, |_| unreachable!()), Ok(()));
+    // The degenerate view with n = 0 must also hold (vacuous).
+    let never = |_: NodeId, _: NodeId| -> &[NodeId] { unreachable!() };
+    assert_eq!(lfi::check(0, never, |_, _| unreachable!(), |_, _| unreachable!()), Ok(()));
 }

@@ -433,7 +433,7 @@ mod tests {
         // Delete-bearing LSU, and stop forwarding toward 2.
         assert_eq!(a.router().distance(n(2)), INFINITE_COST);
         assert!(out.sends.iter().any(|s| s.to == n(0)));
-        assert!(a.snapshot().successors(n(2)).is_empty());
+        assert!(a.router().successors(n(2)).is_empty());
         assert_eq!(allocs.iter().map(|&(j, _)| j).collect::<Vec<_>>(), [n(2)]);
         assert!(a.params(n(2)).is_empty());
     }

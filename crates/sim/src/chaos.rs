@@ -904,7 +904,7 @@ pub struct RobustnessCounters {
     /// Corrupted frames rejected by the codec (retransmitted).
     pub lsus_corrupted_rejected: u64,
     /// Corrupted frames that still decoded — delivered as-is; the CRC32
-    /// makes this astronomically rare, and the invariant monitor would
+    /// makes this astronomically rare, and the LFI auditor would
     /// flag any damage.
     pub lsus_corrupted_delivered: u64,
     /// LSUs addressed to or sent by a router incarnation that had
@@ -918,7 +918,7 @@ pub struct RobustnessCounters {
 }
 
 /// Robustness extension of [`crate::SimReport`], present when a
-/// [`FaultPlan`] or the invariant monitor was enabled.
+/// [`FaultPlan`] or the LFI audit was enabled.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessReport {
     /// Every injected perturbation with its recovery time.

@@ -14,7 +14,6 @@ use crate::chaos::{ControlChaos, FaultEvent, FaultRecord, RobustnessCounters, Ro
 use crate::estimator::{EstimatorKind, LinkEstimator};
 use crate::events::{Ev, EventQueue, MsgSlab, Packet};
 use crate::fluid::FluidWork;
-use crate::monitor::InvariantMonitor;
 use crate::scenario::{Scenario, ScenarioEvent};
 use crate::stats::{DelaySeries, FlowStats, LinkStats};
 use crate::telemetry::{
@@ -24,6 +23,7 @@ use mdr_flow::Mode;
 use mdr_net::{LinkDelayModel, LinkId, Mm1, NodeId, Topology, TrafficMatrix};
 use mdr_opt::RoutingVars;
 use mdr_proto::LsuMessage;
+use mdr_routing::lfi::Auditor;
 use mdr_routing::{MpdaRouter, RouterEvent, RouterOutput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -256,7 +256,7 @@ struct RobustRt {
     /// Damage counters.
     counters: RobustnessCounters,
     /// LFI auditor; `None` unless [`SimConfig::audit_invariants`].
-    monitor: Option<InvariantMonitor>,
+    auditor: Option<Auditor>,
     /// Audits are held while an atomic multi-link transition (a scripted
     /// partition cut/heal) is half-applied: the interleaved states never
     /// physically exist, so judging them would flag phantom violations.
@@ -379,7 +379,7 @@ impl Simulator {
             .collect();
 
         // Chaos runtime: fault timeline, impairment RNG, invariant
-        // monitor. Built before the boot LSUs go out so even boot-time
+        // auditor. Built before the boot LSUs go out so even boot-time
         // control traffic rides the impaired channel.
         let robust = if cfg.fault_plan.is_some() || cfg.audit_invariants {
             let plan = cfg.fault_plan.clone().unwrap_or_default();
@@ -411,7 +411,7 @@ impl Simulator {
                 records: Vec::new(),
                 pending: Vec::new(),
                 counters: RobustnessCounters::default(),
-                monitor: cfg.audit_invariants.then(InvariantMonitor::new),
+                auditor: cfg.audit_invariants.then(|| Auditor::new(n)),
                 audit_hold: false,
             }))
         } else {
@@ -621,7 +621,7 @@ impl Simulator {
                             Ok(m) => {
                                 // The CRC32 passed a damaged frame — it
                                 // decodes, so deliver what the wire says
-                                // (the invariant monitor will judge the
+                                // (the LFI auditor will judge the
                                 // consequences).
                                 rb.counters.lsus_corrupted_delivered += 1;
                                 deliver = m;
@@ -713,30 +713,21 @@ impl Simulator {
         }
     }
 
-    /// Run the invariant monitor (when enabled) over the live routers.
+    /// Run the LFI auditor (when enabled) over the live routers.
     ///
     /// The FD-ordering half is gated on directed-link liveness: when a
     /// physical link fails, the endpoint notified first reacts (and may
-    /// legitimately raise its FD — it cannot coordinate with a neighbor
-    /// it just lost) while the other endpoint still lists it as a
-    /// successor over the now-dead wire. That edge carries no traffic —
-    /// the cut drained it — so it cannot close a loop; the upstream
-    /// router's own LinkDown withdraws it at this same instant. This is
-    /// the in-engine analogue of the dead-incarnation exemption the
-    /// soak-trace replay applies (`lfi::check_fd_ordering_view_if`).
-    /// Cycle detection stays unconditional.
+    /// legitimately raise its FD) while the other endpoint still lists
+    /// it as a successor over the now-dead wire. That edge carries no
+    /// traffic, so it cannot close a loop; the upstream router's own
+    /// LinkDown withdraws it at this same instant. Cycle detection
+    /// stays unconditional.
     fn audit(&mut self) {
         let now = self.time;
-        let nodes = &self.nodes;
-        let topo = &self.topo;
-        let links = &self.links;
-        if let Some(rb) = self.robust.as_deref_mut() {
-            if rb.audit_hold {
-                return;
-            }
-            if let Some(mon) = rb.monitor.as_mut() {
-                mon.audit_view_if(
-                    nodes.len(),
+        let (nodes, topo, links) = (&self.nodes, &self.topo, &self.links);
+        if let Some(rb) = self.robust.as_deref_mut().filter(|rb| !rb.audit_hold) {
+            if let Some(aud) = rb.auditor.as_mut() {
+                aud.audit(
                     now,
                     |i, j| nodes[i.index()].agent.router().successors(j),
                     |i, j| nodes[i.index()].agent.router().feasible_distance(j),
@@ -757,6 +748,9 @@ impl Simulator {
         ls.up = false;
         ls.busy = false;
         ls.epoch += 1;
+        if let Some(aud) = self.robust.as_deref_mut().and_then(|rb| rb.auditor.as_mut()) {
+            aud.touch(self.topo.link(lid).from);
+        }
         let mut drained = 0u64;
         for (p, _) in ls.queue.drain(..) {
             self.flow_stats[p.flow as usize].dropped_no_route += 1;
@@ -855,6 +849,9 @@ impl Simulator {
             }
         }
         self.nodes[x.index()].agent.reset();
+        if let Some(aud) = self.robust.as_deref_mut().and_then(|rb| rb.auditor.as_mut()) {
+            aud.touch(x);
+        }
         self.audit();
     }
 
@@ -1018,6 +1015,9 @@ impl Simulator {
     /// Carry out an agent's output: transmit LSUs, publish what moved,
     /// audit if routes changed.
     fn apply_agent_output(&mut self, i: NodeId, out: RouterOutput, allocs: Allocs) {
+        if let Some(aud) = self.robust.as_deref_mut().and_then(|rb| rb.auditor.as_mut()) {
+            aud.touch(i);
+        }
         for s in out.sends {
             self.send_control(i, s.to, s.msg);
         }
@@ -1339,9 +1339,9 @@ impl Simulator {
             let mut rep = RobustnessReport {
                 faults: rb.records,
                 counters: rb.counters,
-                invariant_checks: rb.monitor.as_ref().map_or(0, |m| m.checks),
-                invariant_violations: rb.monitor.as_ref().map_or(0, |m| m.violations),
-                first_violation: rb.monitor.and_then(|m| m.first_violation),
+                invariant_checks: rb.auditor.as_ref().map_or(0, |a| a.tally.checks),
+                invariant_violations: rb.auditor.as_ref().map_or(0, |a| a.tally.violations),
+                first_violation: rb.auditor.and_then(|a| a.tally.first_violation),
                 ..Default::default()
             };
             rep.finalize();

@@ -78,6 +78,7 @@ use mdr_flow::{Allocator, SuccessorCost, Update};
 use mdr_net::{LinkDelayModel, LinkId, Mm1, NodeId, Topology, TrafficMatrix, INFINITE_COST};
 use mdr_opt::dag::{row_starts, Dag, Reach};
 use mdr_proto::LsuMessage;
+use mdr_routing::lfi::Auditor;
 use mdr_routing::{MpdaRouter, RouteChange, RouterEvent, RouterOutput, Spf};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -253,6 +254,8 @@ pub struct FluidSimulator {
     events_processed: u64,
     scenario: Vec<(f64, ScenarioEvent)>,
     obs: Option<Box<dyn SimObserver>>,
+    /// LFI auditor; `None` unless [`SimConfig::audit_invariants`].
+    auditor: Option<Auditor>,
     quiescent_seen: bool,
     /// Run each quiescent epoch by [`Self::on_epoch_reference`] and build
     /// every DAG whole: the reference of the differential test.
@@ -268,8 +271,9 @@ impl FluidSimulator {
     ///
     /// # Panics
     /// Fluid mode has no packet-level fault machinery: `cfg.fault_plan`
-    /// and `cfg.audit_invariants` must be unset (scenario-scripted link
-    /// failures *are* supported).
+    /// must be unset (scenario-scripted link failures *are* supported).
+    /// [`SimMode::FluidQuiescent`] keeps no protocol state to audit, so
+    /// it refuses `cfg.audit_invariants`.
     pub fn new(
         topo: &Topology,
         traffic: &TrafficMatrix,
@@ -279,12 +283,17 @@ impl FluidSimulator {
         assert!(cfg.t_short > 0.0 && cfg.t_long > 0.0, "update periods must be positive");
         assert!(cfg.mean_packet_bits > 0.0);
         assert!(
-            cfg.fault_plan.is_none() && !cfg.audit_invariants,
-            "fluid mode does not support chaos plans or invariant audits; \
+            cfg.fault_plan.is_none(),
+            "fluid mode does not support chaos plans; \
              use packet mode (SimMode::Packet) for fault-injection studies"
         );
         let n = topo.node_count();
         let quiescent_cp = cfg.sim_mode == SimMode::FluidQuiescent;
+        assert!(
+            !(quiescent_cp && cfg.audit_invariants),
+            "FluidQuiescent keeps no protocol state to audit: its tables are converged, \
+             so loop-free, by construction each epoch"
+        );
         let epoch_driven = Self::epoch_driven(&cfg);
         let models: Vec<Mm1> = topo
             .links()
@@ -417,6 +426,7 @@ impl FluidSimulator {
             events_processed: 0,
             scenario: scenario.events(),
             obs,
+            auditor: cfg.audit_invariants.then(|| Auditor::new(n)),
             quiescent_seen: false,
             #[cfg(test)]
             old_epoch: false,
@@ -848,9 +858,12 @@ impl FluidSimulator {
     /// can hold it, one per kept DAG.
     fn set_link_up(&mut self, lid: LinkId, up: bool) {
         self.link_up[lid.index()] = up;
-        let x = self.topo.link(lid).from.index();
+        let x = self.topo.link(lid).from;
+        if let Some(aud) = self.auditor.as_mut() {
+            aud.touch(x);
+        }
         for js in 0..self.active_dests.len() {
-            self.patch_row(js, x);
+            self.patch_row(js, x.index());
         }
     }
 
@@ -922,7 +935,9 @@ impl FluidSimulator {
     }
 
     /// Carry out an agent's output: transmit LSUs, publish what moved,
-    /// and mark the fluid solution dirty when routes changed.
+    /// and mark the fluid solution dirty and audit the routers when
+    /// routes changed (an edge over a down link is exempt from the FD
+    /// half, as in the packet engine).
     fn apply_agent_output(&mut self, i: NodeId, out: RouterOutput, allocs: Allocs) {
         for s in out.sends {
             self.send_control(i, s.to, s.msg);
@@ -930,6 +945,18 @@ impl FluidSimulator {
         if out.routes_changed {
             self.note_step(i, out.changed, allocs);
             self.mark_all_dirty();
+        }
+        let (nodes, topo, link_up) = (&self.nodes, &self.topo, &self.link_up);
+        if let Some(aud) = self.auditor.as_mut() {
+            aud.touch(i);
+            if out.routes_changed {
+                aud.audit(
+                    self.time,
+                    |i, j| nodes[i.index()].agent.router().successors(j),
+                    |i, j| nodes[i.index()].agent.router().feasible_distance(j),
+                    |i, k| topo.link_between(i, k).is_some_and(|l| link_up[l.index()]),
+                );
+            }
         }
     }
 
@@ -1009,15 +1036,20 @@ impl FluidSimulator {
                         event: crate::FaultEvent::FailLink { a, b },
                     });
                 }
+                // Both directions die before either router reacts, as in
+                // the packet engine.
+                let mut notify = Vec::new();
                 for (x, y) in [(a, b), (b, a)] {
                     if let Some(lid) = self.topo.link_between(x, y) {
-                        if !self.link_up[lid.index()] {
-                            continue;
+                        if self.link_up[lid.index()] {
+                            self.set_link_up(lid, false);
+                            notify.push((x, y));
                         }
-                        self.set_link_up(lid, false);
-                        if !self.nodes.is_empty() {
-                            self.route_event(x, RouterEvent::LinkDown { to: y });
-                        }
+                    }
+                }
+                if !self.nodes.is_empty() {
+                    for (x, y) in notify {
+                        self.route_event(x, RouterEvent::LinkDown { to: y });
                     }
                 }
                 self.mark_all_dirty();
@@ -1294,7 +1326,12 @@ impl FluidSimulator {
             dropped,
             duration: self.cfg.duration,
             events_processed: self.events_processed,
-            robustness: None,
+            robustness: self.auditor.take().map(|a| crate::RobustnessReport {
+                invariant_checks: a.tally.checks,
+                invariant_violations: a.tally.violations,
+                first_violation: a.tally.first_violation,
+                ..Default::default()
+            }),
             telemetry: self.obs.take().map(|o| o.finish()),
             fluid: Some(self.work),
         }

@@ -33,7 +33,6 @@ pub mod engine;
 pub mod estimator;
 pub mod events;
 pub mod fluid;
-pub mod monitor;
 pub mod par;
 pub mod scenario;
 pub mod stats;
@@ -49,7 +48,6 @@ pub use chaos::{
 pub use engine::{PacketDist, SimConfig, SimMode, SimReport, Simulator};
 pub use estimator::{EstimatorKind, LinkEstimator};
 pub use fluid::{FluidSimulator, FluidWork};
-pub use monitor::InvariantMonitor;
 pub use scenario::{Scenario, ScenarioEvent};
 pub use stats::{FlowStats, LinkStats};
 pub use telemetry::{

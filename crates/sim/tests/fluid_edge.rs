@@ -318,3 +318,51 @@ fn kept_dags_survive_interleaved_faults_rates_ticks_and_floods() {
     assert_all_finite(&fixed);
     assert!(fixed.flows[0].dropped_no_route > 0, "fixed routes lose the failed link's traffic");
 }
+
+/// `audit_invariants` in `SimMode::Fluid`, MP and SP on BA-60 through
+/// four link failures and restores: the LFI auditor runs after every
+/// routing-table change, finds nothing, and perturbs nothing — every
+/// other report field equals the audit-off run's.
+#[test]
+fn fluid_mode_audits_lfi_without_perturbing_the_run() {
+    let t = mdr_net::gen::barabasi_albert(60, 2, 5);
+    let ends: Vec<NodeId> = t.nodes().step_by(6).collect();
+    let flows = mdr_net::gen::gravity_flows(&ends, 2, 4.0e7, 5);
+    let traffic = TrafficMatrix::from_flows(&t, &flows).unwrap();
+    let physical: Vec<_> = t.links().iter().filter(|l| l.from < l.to).collect();
+    let mut scenario = Scenario::new();
+    for (k, l) in physical.iter().step_by(physical.len() / 4).take(4).enumerate() {
+        let at = 1.0 + 0.7 * k as f64;
+        scenario = scenario
+            .at(at, ScenarioEvent::FailLink { a: l.from, b: l.to })
+            .at(at + 0.4, ScenarioEvent::RestoreLink { a: l.to, b: l.from });
+    }
+    for mode in [mdr_flow::Mode::Multipath, mdr_flow::Mode::SinglePath] {
+        let cfg = SimConfig {
+            warmup: 0.5,
+            duration: 4.0,
+            t_short: 0.1,
+            t_long: 0.5,
+            mode,
+            ..fluid_cfg()
+        };
+        let run = |cfg| FluidSimulator::new(&t, &traffic, &scenario, cfg).run();
+        let base = run(cfg.clone());
+        assert!(base.robustness.is_none());
+        let mut audited = run(SimConfig { audit_invariants: true, ..cfg });
+        let rob = audited.robustness.take().expect("an audited run reports robustness");
+        assert!(rob.invariant_checks > 0, "{mode:?}");
+        assert_eq!(rob.invariant_violations, 0, "{mode:?}: {:?}", rob.first_violation);
+        assert_eq!(audited, base, "{mode:?}: the audit moved the run");
+    }
+}
+
+/// The quiescent control plane keeps no protocol state to audit.
+#[test]
+#[should_panic(expected = "FluidQuiescent keeps no protocol state")]
+fn the_quiescent_control_plane_refuses_the_audit() {
+    let t = line3();
+    let cfg =
+        SimConfig { sim_mode: SimMode::FluidQuiescent, audit_invariants: true, ..fluid_cfg() };
+    run_fluid(&t, &[Flow::new(NodeId(0), NodeId(2), 1e6)], cfg);
+}

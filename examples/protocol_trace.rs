@@ -44,7 +44,11 @@ impl Net {
             let out = self.routers[to.index()].handle(RouterEvent::Lsu { from, msg });
             self.enqueue(to, out.sends);
             // Safety property, checked after *every* delivery.
-            assert!(lfi::check_loop_freedom(&self.routers).is_ok(), "Theorem 3 violated");
+            let r = &self.routers;
+            let succ = |i: NodeId, j| r[i.index()].successors(j);
+            let v =
+                lfi::check(r.len(), succ, |i, j| r[i.index()].feasible_distance(j), |_, _| true);
+            assert!(v.is_ok(), "Theorem 3 violated: {v:?}");
         }
         let states: Vec<String> = self
             .routers
