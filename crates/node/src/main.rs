@@ -72,8 +72,9 @@ impl Flags {
 }
 
 /// Assemble the structured impairment profile from `--profile`,
-/// `--partition` and `--profile-seed`, when any were given.
-fn parse_profile(flags: &Flags) -> Result<Option<mdr_sim::chaos::NetProfile>, String> {
+/// `--partition` and `--profile-seed`, when any were given, for a
+/// network of `n` routers.
+fn parse_profile(flags: &Flags, n: usize) -> Result<Option<mdr_sim::chaos::NetProfile>, String> {
     use mdr_sim::chaos::{NetProfile, PartitionSpec};
     let spec = flags.get("profile");
     let parts = flags.get("partition");
@@ -86,10 +87,8 @@ fn parse_profile(flags: &Flags) -> Result<Option<mdr_sim::chaos::NetProfile>, St
         None => NetProfile { seed, ..NetProfile::default() },
     };
     if let Some(p) = parts {
-        for clause in p.split(';').filter(|c| !c.trim().is_empty()) {
-            let spec = PartitionSpec::parse(clause).map_err(|e| format!("--partition: {e}"))?;
-            profile.partitions.push(spec);
-        }
+        let specs = PartitionSpec::parse_schedule(p, n).map_err(|e| format!("--partition: {e}"))?;
+        profile.partitions.extend(specs);
     }
     Ok(Some(profile))
 }
@@ -116,7 +115,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         .unwrap_or_else(|| format!("node{node}.inc{inc}.jsonl"));
 
     let mut net = mdr_node::shell::udp::NetOptions::lossy(loss, seed);
-    net.profile = parse_profile(flags)?;
+    net.profile = parse_profile(flags, topo.node_count())?;
     let t0: f64 = flags.num("t0", f64::NAN)?;
     net.t0 = t0.is_finite().then_some(t0);
 
@@ -141,7 +140,7 @@ fn cmd_launch(flags: &Flags) -> Result<(), String> {
     std::fs::create_dir_all(&dir).map_err(|e| format!("launch: create {}: {e}", dir.display()))?;
 
     // Validate the profile spec here, before the children choke on it.
-    parse_profile(flags)?;
+    parse_profile(flags, topo.node_count())?;
     let net = SpawnNet {
         loss,
         seed: 0,
@@ -289,6 +288,24 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("mdr-node: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(args: &[&str]) -> Flags {
+        Flags::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn run_refuses_partitions_its_router_would_panic_on() {
+        assert!(parse_profile(&flags(&["--partition", "8:12:0|1"]), 5).unwrap().is_some());
+        for bad in ["12:8:0", "8:12:0|5", "8:12:0;12:8:1"] {
+            let err = parse_profile(&flags(&["--partition", bad]), 5).unwrap_err();
+            assert!(err.starts_with("--partition: "), "{bad}: {err}");
         }
     }
 }

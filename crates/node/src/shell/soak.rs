@@ -259,12 +259,9 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     }
     let partitions: Vec<PartitionSpec> = match &cfg.partition {
         None => Vec::new(),
-        Some(spec) => spec
-            .split(';')
-            .filter(|c| !c.trim().is_empty())
-            .map(PartitionSpec::parse)
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("partition: {e}"))?,
+        Some(spec) => {
+            PartitionSpec::parse_schedule(spec, n).map_err(|e| format!("partition: {e}"))?
+        }
     };
     for p in &partitions {
         if p.heal_at >= cfg.duration_s - 2.0 {
@@ -426,6 +423,20 @@ mod tests {
         assert_eq!(n_conv, 2);
         assert!((worst.unwrap() - 1.5).abs() < 1e-9);
         assert_eq!(heal_recovery(3, &records, 10.0), (0, None));
+    }
+
+    /// A schedule the children would panic on is refused before any
+    /// process starts or any file is written.
+    #[test]
+    fn soak_refuses_unrunnable_partitions_up_front() {
+        let dir = std::env::temp_dir().join("mdr-soak-refused-partition");
+        for bad in ["12:8:0", "8:12:0|5"] {
+            let cfg =
+                SoakConfig { partition: Some(bad.into()), ..SoakConfig::partition(dir.clone()) };
+            let err = run_soak(&cfg).unwrap_err();
+            assert!(err.starts_with("partition: "), "{bad}: {err}");
+        }
+        assert!(!dir.exists());
     }
 
     #[test]

@@ -1,30 +1,28 @@
 //! The discrete-event simulation engine.
 //!
-//! See the crate docs for the model. The engine owns one control-plane
-//! [`Agent`] (MPDA router + IH/AH allocator + reported-cost hysteresis)
-//! and one [`LinkEstimator`] per adjacent link per router, a FIFO packet
-//! queue per directed link, and a deterministic event queue. Control
-//! messages (LSUs) traverse the same links as data (serialization +
-//! propagation delay) but do not occupy the data queues — the paper's
-//! evaluation makes the same simplification, and at these scales LSU
-//! traffic is negligible against 10 Mb/s links.
+//! See the crate docs for the model. The engine keeps the packet data
+//! plane — one [`LinkEstimator`] per adjacent link per router, a FIFO
+//! packet queue per directed link, the traffic sources — under the
+//! control plane both simulators share (`host.rs`: one [`crate::Agent`]
+//! per router, link liveness, the fault layer, the LFI auditor, the
+//! deterministic event queue). Control messages (LSUs) traverse the same
+//! links as data (serialization + propagation delay) but do not occupy
+//! the data queues — the paper's evaluation makes the same
+//! simplification, and at these scales LSU traffic is negligible against
+//! 10 Mb/s links.
 
-use crate::agent::{Agent, Allocs};
-use crate::chaos::{ControlChaos, FaultEvent, FaultRecord, RobustnessCounters, RobustnessReport};
+use crate::chaos::{FaultEvent, RobustnessReport};
 use crate::estimator::{EstimatorKind, LinkEstimator};
-use crate::events::{Ev, EventQueue, MsgSlab, Packet};
+use crate::events::{Ev, Packet};
 use crate::fluid::FluidWork;
+use crate::host::{self, DataPlane, Host};
 use crate::scenario::{Scenario, ScenarioEvent};
 use crate::stats::{DelaySeries, FlowStats, LinkStats};
-use crate::telemetry::{
-    publish_step, DropReason, ObserverMode, SimEvent, SimObserver, TelemetryReport,
-};
+use crate::telemetry::{DropReason, ObserverMode, SimEvent, TelemetryReport};
 use mdr_flow::Mode;
-use mdr_net::{LinkDelayModel, LinkId, Mm1, NodeId, Topology, TrafficMatrix};
+use mdr_net::{LinkId, Mm1, NodeId, Topology, TrafficMatrix};
 use mdr_opt::RoutingVars;
-use mdr_proto::LsuMessage;
-use mdr_routing::lfi::Auditor;
-use mdr_routing::{MpdaRouter, RouterEvent, RouterOutput};
+use mdr_routing::MpdaRouter;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -118,12 +116,16 @@ pub struct SimConfig {
     pub fixed_routing: Option<RoutingVars>,
     /// Optional seeded chaos plan: stochastic link failures, router
     /// crash/restarts, and control-channel impairments (see
-    /// [`crate::FaultPlan`]). `None` — the default — leaves every
+    /// [`crate::FaultPlan`]). Runs the same way under
+    /// [`SimMode::Packet`] and [`SimMode::Fluid`], through the one
+    /// control-plane host; [`SimMode::FluidQuiescent`] refuses it (it
+    /// runs no protocol to perturb). `None` — the default — leaves every
     /// existing run bit-for-bit identical.
     pub fault_plan: Option<crate::FaultPlan>,
     /// Audit the LFI safety invariants (successor-graph acyclicity and
     /// FD ordering) after every routing-table change, tallying results
-    /// in [`SimReport::robustness`].
+    /// in [`SimReport::robustness`]. Packet and [`SimMode::Fluid`];
+    /// [`SimMode::FluidQuiescent`] refuses it.
     pub audit_invariants: bool,
     /// Telemetry observer specification (declarative, so the config
     /// stays `Clone`; [`Simulator::new`] instantiates it). The default
@@ -183,7 +185,8 @@ pub struct SimReport {
     pub events_processed: u64,
     /// Chaos and invariant-audit measurements; `Some` exactly when
     /// [`SimConfig::fault_plan`] or [`SimConfig::audit_invariants`] was
-    /// set.
+    /// set, from either engine (the packet-drop counters stay zero in
+    /// fluid runs; see [`crate::RobustnessCounters`]).
     pub robustness: Option<RobustnessReport>,
     /// What the telemetry observer measured; `Some` exactly when
     /// [`SimConfig::observer`] was not [`ObserverMode::Off`]. Everything
@@ -211,72 +214,22 @@ struct FlowSt {
     epoch: u32,
 }
 
+/// Per-directed-link data-plane state; whether the link is in service
+/// is the host's [`Host::up`].
 struct LinkSt {
-    /// Effective state: the wire is intact *and* neither endpoint is
-    /// crashed. Everything outside the fault machinery reads only this.
-    up: bool,
-    /// Physical wire state; differs from `up` only around router
-    /// crashes, so a restart knows which adjacencies to revive.
-    wire_up: bool,
     busy: bool,
-    epoch: u32,
     queue: VecDeque<(Packet, f64)>,
-}
-
-/// Live chaos state. Boxed and optional: ordinary runs pay one pointer
-/// check on the hot paths and nothing else.
-struct RobustRt {
-    /// Pre-generated fault timeline (see [`crate::FaultPlan::schedule`]).
-    schedule: Vec<(f64, FaultEvent)>,
-    /// Control-channel impairments; `None` leaves the wire reliable.
-    control: Option<ControlChaos>,
-    /// Adversarial network profile (bursty/asymmetric loss, grey
-    /// failure, partitions); `None` leaves the channel to `control`.
-    profile: Option<crate::NetProfile>,
-    /// Per directed link (by `LinkId`): the profile's private loss/delay
-    /// stream. Empty when `profile` is `None`.
-    dir_states: Vec<crate::DirState>,
-    /// Impairment RNG — separate from the traffic RNG so chaos does not
-    /// perturb the traffic sample path.
-    rng: SmallRng,
-    /// Per directed link: latest scheduled control arrival; arrivals are
-    /// clamped past it so per-link FIFO order survives jitter (§4.1).
-    last_ctl: Vec<f64>,
-    /// Per router: incarnation number, bumped at each crash. Control
-    /// messages carry the incarnations of both ends; a mismatch at
-    /// delivery means a crash happened in between and the message is
-    /// from a previous life.
-    inc: Vec<u32>,
-    /// Per router: currently crashed?
-    crashed: Vec<bool>,
-    /// One record per injected fault.
-    records: Vec<FaultRecord>,
-    /// Indices into `records` whose recovery has not completed yet.
-    pending: Vec<usize>,
-    /// Damage counters.
-    counters: RobustnessCounters,
-    /// LFI auditor; `None` unless [`SimConfig::audit_invariants`].
-    auditor: Option<Auditor>,
-    /// Audits are held while an atomic multi-link transition (a scripted
-    /// partition cut/heal) is half-applied: the interleaved states never
-    /// physically exist, so judging them would flag phantom violations.
-    /// One audit runs on the fully-applied state instead.
-    audit_hold: bool,
 }
 
 /// Sentinel in [`NodeSt::slot_of`] for "not a neighbor".
 const NO_SLOT: u16 = u16::MAX;
 
-/// Per-router state. Neighbor-keyed data lives in dense parallel `Vec`s
-/// indexed by *neighbor slot* (position in the sorted adjacency list) —
-/// the hot paths touch these every packet, and the `BTreeMap`s this
-/// replaces dominated the forwarding profile.
+/// Per-router data-plane state. Neighbor-keyed data lives in dense
+/// parallel `Vec`s indexed by *neighbor slot* (position in the sorted
+/// adjacency list, the agent's slot order) — the hot paths touch these
+/// every packet, and the `BTreeMap`s this replaces dominated the
+/// forwarding profile.
 struct NodeSt {
-    /// The control plane. Its neighbor list is in ascending address
-    /// order (the order `Topology::out_links` yields, which the old
-    /// sorted-map iteration matched — keeping RNG/event streams
-    /// identical) and defines the slots below.
-    agent: Agent,
     /// Outgoing link per neighbor slot.
     out_link: Vec<LinkId>,
     /// Marginal-cost estimator per neighbor slot.
@@ -294,34 +247,64 @@ impl NodeSt {
     }
 }
 
-/// The simulator. Construct with [`Simulator::new`], then [`Simulator::run`].
-pub struct Simulator {
-    topo: Topology,
-    cfg: SimConfig,
-    models: Vec<Mm1>,
-    time: f64,
-    queue: EventQueue,
-    msgs: MsgSlab,
-    rng: SmallRng,
+/// What the host's hooks reach in the packet data plane: per-router
+/// estimators, per-link queues, and the per-flow drop counts a failing
+/// link adds to.
+struct PacketPlane {
     nodes: Vec<NodeSt>,
     links: Vec<LinkSt>,
+    flow_stats: Vec<FlowStats>,
+    models: Vec<Mm1>,
+    estimator: EstimatorKind,
+}
+
+impl DataPlane for PacketPlane {
+    fn cost(&self, i: NodeId, s: usize) -> f64 {
+        self.nodes[i.index()].est[s].cost()
+    }
+
+    fn close_windows(&mut self, i: NodeId, now: f64) {
+        for est in &mut self.nodes[i.index()].est {
+            est.close_window(now);
+        }
+    }
+
+    /// Stop serialization and drain the queue, counting the drops.
+    fn link_down(&mut self, _host: &Host, lid: LinkId) -> u64 {
+        let ls = &mut self.links[lid.index()];
+        ls.busy = false;
+        let mut drained = 0u64;
+        for (p, _) in ls.queue.drain(..) {
+            self.flow_stats[p.flow as usize].dropped_no_route += 1;
+            drained += 1;
+        }
+        drained
+    }
+
+    /// A fresh estimator for the link.
+    fn link_up(&mut self, host: &Host, lid: LinkId) {
+        let l = host.topo.link(lid);
+        let node = &mut self.nodes[l.from.index()];
+        if let Some(s) = node.slot(l.to) {
+            node.est[s] = LinkEstimator::new(self.estimator, self.models[lid.index()], host.time);
+        }
+    }
+}
+
+/// The simulator. Construct with [`Simulator::new`], then [`Simulator::run`].
+pub struct Simulator {
+    /// The control plane, the clock, the event queue and the observer.
+    host: Host,
+    plane: PacketPlane,
+    cfg: SimConfig,
+    rng: SmallRng,
     flows: Vec<FlowSt>,
     scenario: Vec<(f64, ScenarioEvent)>,
-    robust: Option<Box<RobustRt>>,
-    /// Telemetry observer; `None` keeps the hot paths at one pointer
-    /// check, like `robust`.
-    obs: Option<Box<dyn SimObserver>>,
-    /// Last observed control-plane quiescence state (edge detector for
-    /// `ControlQuiescent` events; telemetry-only).
-    quiescent: bool,
     // measurement
     warmup_end: f64,
     end_time: f64,
-    flow_stats: Vec<FlowStats>,
     link_stats: Vec<LinkStats>,
     series: DelaySeries,
-    ctl_msgs: u64,
-    ctl_bytes: u64,
 }
 
 impl Simulator {
@@ -341,96 +324,25 @@ impl Simulator {
             .iter()
             .map(|l| Mm1::new(l.capacity, l.prop_delay, cfg.mean_packet_bits))
             .collect();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let queue = EventQueue::with_capacity(
-            traffic.flows().len() + 2 * n + topo.link_count() + scenario.events().len() + 16,
-        );
 
-        // Routers, allocators, and dense neighbor-slot tables (sorted by
-        // neighbor address, like the adjacency lists).
-        let mut nodes: Vec<NodeSt> = (0..n)
-            .map(|i| {
-                let node = NodeId(i as u32);
-                let mut nbrs = Vec::new();
+        // Estimators and dense neighbor-slot tables (sorted by neighbor
+        // address, like the adjacency lists and the agents' slots).
+        let nodes: Vec<NodeSt> = topo
+            .nodes()
+            .map(|node| {
                 let mut out_link = Vec::new();
                 let mut est = Vec::new();
                 let mut slot_of = vec![NO_SLOT; n];
                 for (lid, l) in topo.out_links(node) {
-                    slot_of[l.to.index()] = nbrs.len() as u16;
-                    nbrs.push(l.to);
+                    slot_of[l.to.index()] = out_link.len() as u16;
                     out_link.push(lid);
                     est.push(LinkEstimator::new(cfg.estimator, models[lid.index()], 0.0));
                 }
-                let agent =
-                    Agent::new(node, n, cfg.mode, cfg.ah_gain, nbrs, cfg.cost_change_threshold);
-                NodeSt { agent, out_link, est, slot_of }
+                NodeSt { out_link, est, slot_of }
             })
             .collect();
-        let links: Vec<LinkSt> = topo
-            .links()
-            .iter()
-            .map(|_| LinkSt {
-                up: true,
-                wire_up: true,
-                busy: false,
-                epoch: 0,
-                queue: VecDeque::new(),
-            })
-            .collect();
-
-        // Chaos runtime: fault timeline, impairment RNG, invariant
-        // auditor. Built before the boot LSUs go out so even boot-time
-        // control traffic rides the impaired channel.
-        let robust = if cfg.fault_plan.is_some() || cfg.audit_invariants {
-            let plan = cfg.fault_plan.clone().unwrap_or_default();
-            plan.validate();
-            let schedule = if cfg.fault_plan.is_some() {
-                plan.schedule(topo, cfg.warmup + cfg.duration)
-            } else {
-                Vec::new()
-            };
-            let dir_states = match &plan.profile {
-                Some(pr) => topo
-                    .links()
-                    .iter()
-                    .map(|l| crate::DirState::new(pr.seed, l.from, l.to))
-                    .collect(),
-                None => Vec::new(),
-            };
-            Some(Box::new(RobustRt {
-                schedule,
-                control: plan.control,
-                profile: plan.profile,
-                dir_states,
-                rng: SmallRng::seed_from_u64(
-                    plan.seed ^ cfg.seed.rotate_left(17) ^ 0x2545_f491_4f6c_dd1d,
-                ),
-                last_ctl: vec![0.0; topo.link_count()],
-                inc: vec![0; n],
-                crashed: vec![false; n],
-                records: Vec::new(),
-                pending: Vec::new(),
-                counters: RobustnessCounters::default(),
-                auditor: cfg.audit_invariants.then(|| Auditor::new(n)),
-                audit_hold: false,
-            }))
-        } else {
-            None
-        };
-
-        // Bring every adjacent link up at its idle marginal cost and
-        // schedule the resulting LSUs (in LinkId order, as before).
-        let mut boot_sends: Vec<(NodeId, NodeId, LsuMessage)> = Vec::new();
-        for (lid, l) in topo.links().iter().enumerate() {
-            let idle = models[lid].marginal_delay(0.0);
-            let NodeSt { agent, est, .. } = &mut nodes[l.from.index()];
-            let boot = RouterEvent::LinkUp { to: l.to, cost: idle };
-            let (out, _) = agent.handle(boot, |s| Some(est[s].cost()));
-            for s in out.sends {
-                boot_sends.push((l.from, s.to, s.msg));
-            }
-        }
-
+        let links: Vec<LinkSt> =
+            topo.links().iter().map(|_| LinkSt { busy: false, queue: VecDeque::new() }).collect();
         let flows: Vec<FlowSt> = traffic
             .flows()
             .iter()
@@ -438,60 +350,38 @@ impl Simulator {
             .collect();
         let nflows = flows.len();
 
-        let obs = cfg.observer.build();
-        let mut sim = Simulator {
-            topo: topo.clone(),
-            models,
-            time: 0.0,
-            queue,
-            msgs: MsgSlab::new(),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15),
+        let capacity = nflows + 2 * n + topo.link_count() + scenario.events().len() + 16;
+        let mut host = Host::new(topo, &cfg, &models, host::agents(topo, &cfg, None), capacity);
+        let mut plane = PacketPlane {
             nodes,
             links,
+            flow_stats: vec![FlowStats::default(); nflows],
+            models,
+            estimator: cfg.estimator,
+        };
+        host.start(&mut plane, cfg.seed, cfg.fixed_routing.is_none());
+        let mut sim = Simulator {
+            host,
+            plane,
+            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x9e3779b97f4a7c15),
             flows,
             scenario: scenario.events(),
-            robust,
-            obs,
-            quiescent: false,
             warmup_end: cfg.warmup,
             end_time: cfg.warmup + cfg.duration,
-            flow_stats: vec![FlowStats::default(); nflows],
             link_stats: vec![LinkStats::default(); topo.link_count()],
             series: DelaySeries::new(nflows, cfg.series_bucket),
-            ctl_msgs: 0,
-            ctl_bytes: 0,
             cfg,
         };
-        // Dispatch boot LSUs with real wire delays.
-        for (from, to, msg) in boot_sends {
-            sim.send_control(from, to, msg);
-        }
-        // Ticks, phased randomly per router (none under fixed routing:
-        // the allocation must not adapt).
-        if sim.cfg.fixed_routing.is_none() {
-            for i in 0..n {
-                let ps = rng.gen::<f64>() * sim.cfg.t_short;
-                let pl = rng.gen::<f64>() * sim.cfg.t_long;
-                sim.queue.push(ps, Ev::ShortTermTick { node: NodeId(i as u32) });
-                sim.queue.push(pl, Ev::LongTermTick { node: NodeId(i as u32) });
-            }
-        }
         // First packet of every flow.
         for f in 0..nflows {
             let t0 = sim.next_interarrival(f);
-            sim.queue.push(t0, Ev::Generate { flow: f });
+            sim.host.queue.push(t0, Ev::Generate { flow: f });
         }
         // Scripted events.
         for (idx, (t, _)) in sim.scenario.iter().enumerate() {
-            sim.queue.push(*t, Ev::Scenario { index: idx });
+            sim.host.queue.push(*t, Ev::Scenario { index: idx });
         }
-        // The pre-generated fault timeline.
-        if let Some(rb) = sim.robust.as_deref() {
-            for (idx, (t, _)) in rb.schedule.iter().enumerate() {
-                sim.queue.push(*t, Ev::Fault { index: idx });
-            }
-        }
-        let _ = rng;
+        sim.host.schedule_faults();
         sim
     }
 
@@ -502,7 +392,7 @@ impl Simulator {
         }
         let lambda = rate / self.cfg.mean_packet_bits; // packets/s
         let u: f64 = self.rng.gen::<f64>().max(1e-12);
-        self.time + (-u.ln()) / lambda
+        self.host.time + (-u.ln()) / lambda
     }
 
     fn sample_packet_bits(&mut self) -> f64 {
@@ -525,540 +415,32 @@ impl Simulator {
         }
     }
 
-    /// Schedule delivery of an LSU over the wire.
-    ///
-    /// Without chaos: one serialization plus propagation delay, exactly
-    /// as before. With [`ControlChaos`] enabled the LSU rides a
-    /// link layer doing ARQ over a lossy channel — each dropped or
-    /// corruption-rejected attempt charges one RTO plus a
-    /// re-serialization (raw LSU loss would deadlock MPDA's ACTIVE
-    /// state; §4.1 assumes a reliable link protocol, and this models
-    /// it), duplicates are counted and suppressed, jitter is added, and
-    /// per-link FIFO order is preserved by an arrival clamp.
-    fn send_control(&mut self, from: NodeId, to: NodeId, msg: LsuMessage) {
-        let lid = match self.nodes[from.index()].slot(to) {
-            Some(s) => self.nodes[from.index()].out_link[s],
-            None => return,
-        };
-        if !self.links[lid.index()].up {
-            return; // lost on a dead wire
-        }
-        let l = self.topo.link(lid);
-        if let Some(rb) = self.robust.as_deref_mut() {
-            let tag = ((rb.inc[from.index()] as u64) << 32) | rb.inc[to.index()] as u64;
-            // The per-direction profile (bursty/asymmetric loss, grey
-            // failure, extra delay) rides the same ARQ accounting as
-            // `ControlChaos`; both apply when both are configured.
-            let dir = rb.profile.as_ref().map(|p| p.dir(from, to));
-            let grey = rb.profile.as_ref().and_then(|p| p.grey);
-            if rb.control.is_some() || dir.is_some() {
-                let cc = rb.control.unwrap_or(ControlChaos {
-                    drop_prob: 0.0,
-                    dup_prob: 0.0,
-                    corrupt_prob: 0.0,
-                    jitter_max: 0.0,
-                    // Profile-only runs still charge a retransmission
-                    // timeout per lost attempt (ControlChaos default).
-                    rto: 0.02,
-                });
-                // CRC32-framed on the chaos channel (frames must be
-                // corruptible, so the real codec gets real bytes).
-                let bits = (mdr_proto::framed_len(&msg) * 8) as f64;
-                let ser = bits / l.capacity;
-                let mut delay = l.prop_delay + ser;
-                let mut deliver = msg;
-                let mut attempts = 1u64;
-                // ARQ: sample attempts until one survives the channel.
-                // The cap bounds worst-case delay; the capped attempt
-                // goes through clean.
-                while attempts < 64 {
-                    let profile_lost = match dir {
-                        Some(d) => d.loss.lose(&mut rb.dir_states[lid.index()]),
-                        None => false,
-                    };
-                    // All sim control traffic is LSU data, so a grey
-                    // failure bites every message here; the hello-level
-                    // distinction only exists in the live shell.
-                    let grey_lost = !profile_lost
-                        && grey.is_some_and(|g| rb.dir_states[lid.index()].chance(g.data_drop));
-                    if profile_lost || grey_lost {
-                        if grey_lost {
-                            rb.counters.lsus_grey_dropped += 1;
-                        } else {
-                            rb.counters.lsus_dropped += 1;
-                        }
-                        delay += cc.rto + ser;
-                        attempts += 1;
-                        continue;
-                    }
-                    if rb.rng.gen::<f64>() < cc.drop_prob {
-                        rb.counters.lsus_dropped += 1;
-                        delay += cc.rto + ser;
-                        attempts += 1;
-                        continue;
-                    }
-                    let grey_corrupt =
-                        grey.is_some_and(|g| rb.dir_states[lid.index()].chance(g.data_corrupt));
-                    if grey_corrupt
-                        || (cc.corrupt_prob > 0.0 && rb.rng.gen::<f64>() < cc.corrupt_prob)
-                    {
-                        let mut frame = mdr_proto::frame(&deliver).to_vec();
-                        for _ in 0..rb.rng.gen_range(1..4) {
-                            let i = rb.rng.gen_range(0..frame.len());
-                            frame[i] ^= 1u8 << rb.rng.gen_range(0..8u32);
-                        }
-                        if rb.rng.gen::<f64>() < 0.2 {
-                            let cut = rb.rng.gen_range(0..frame.len());
-                            frame.truncate(cut);
-                        }
-                        match mdr_proto::unframe(&frame) {
-                            Err(_) => {
-                                rb.counters.lsus_corrupted_rejected += 1;
-                                delay += cc.rto + ser;
-                                attempts += 1;
-                                continue;
-                            }
-                            Ok(m) => {
-                                // The CRC32 passed a damaged frame — it
-                                // decodes, so deliver what the wire says
-                                // (the LFI auditor will judge the
-                                // consequences).
-                                rb.counters.lsus_corrupted_delivered += 1;
-                                deliver = m;
-                            }
-                        }
-                    }
-                    if rb.rng.gen::<f64>() < cc.dup_prob {
-                        rb.counters.lsus_duplicated += 1; // link-layer dedup
-                    }
-                    break;
-                }
-                if let Some(d) = dir {
-                    delay += d.extra_delay(&mut rb.dir_states[lid.index()]);
-                }
-                let mut at = self.time + delay;
-                if cc.jitter_max > 0.0 {
-                    at += rb.rng.gen::<f64>() * cc.jitter_max;
-                }
-                let last = &mut rb.last_ctl[lid.index()];
-                if at <= *last {
-                    at = *last + 1e-9; // FIFO clamp per directed link
-                }
-                *last = at;
-                self.ctl_msgs += 1;
-                self.ctl_bytes += attempts * (bits / 8.0) as u64;
-                let id = self.msgs.insert_tagged(deliver, tag);
-                self.queue.push(at, Ev::Control { node: to, from, msg: id });
-                let now = self.time;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.on_event(&SimEvent::LsuSent {
-                        time: now,
-                        from,
-                        to,
-                        bytes: attempts * (bits / 8.0) as u64,
-                        attempts,
-                    });
-                }
-            } else {
-                // Fault plan without control chaos: reliable wire, but
-                // still incarnation-tagged so crash semantics hold.
-                let bits = (mdr_proto::encoded_len(&msg) * 8) as f64;
-                let at = self.time + l.prop_delay + bits / l.capacity;
-                self.ctl_msgs += 1;
-                self.ctl_bytes += (bits / 8.0) as u64;
-                let id = self.msgs.insert_tagged(msg, tag);
-                self.queue.push(at, Ev::Control { node: to, from, msg: id });
-                let now = self.time;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.on_event(&SimEvent::LsuSent {
-                        time: now,
-                        from,
-                        to,
-                        bytes: (bits / 8.0) as u64,
-                        attempts: 1,
-                    });
-                }
-            }
-            return;
-        }
-        let bits = (mdr_proto::encoded_len(&msg) * 8) as f64;
-        let at = self.time + l.prop_delay + bits / l.capacity;
-        self.ctl_msgs += 1;
-        self.ctl_bytes += (bits / 8.0) as u64;
-        let msg = self.msgs.insert(msg);
-        self.queue.push(at, Ev::Control { node: to, from, msg });
-        let now = self.time;
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.on_event(&SimEvent::LsuSent {
-                time: now,
-                from,
-                to,
-                bytes: (bits / 8.0) as u64,
-                attempts: 1,
-            });
-        }
-    }
-
-    /// True unless `x` is currently crashed.
-    #[inline]
-    fn alive(&self, x: NodeId) -> bool {
-        self.robust.as_deref().is_none_or(|rb| !rb.crashed[x.index()])
-    }
-
-    /// Bump a robustness counter (no-op without chaos).
-    #[inline]
-    fn rcount(&mut self, f: impl FnOnce(&mut RobustnessCounters)) {
-        if let Some(rb) = self.robust.as_deref_mut() {
-            f(&mut rb.counters);
-        }
-    }
-
-    /// Run the LFI auditor (when enabled) over the live routers.
-    ///
-    /// The FD-ordering half is gated on directed-link liveness: when a
-    /// physical link fails, the endpoint notified first reacts (and may
-    /// legitimately raise its FD) while the other endpoint still lists
-    /// it as a successor over the now-dead wire. That edge carries no
-    /// traffic, so it cannot close a loop; the upstream router's own
-    /// LinkDown withdraws it at this same instant. Cycle detection
-    /// stays unconditional.
-    fn audit(&mut self) {
-        let now = self.time;
-        let (nodes, topo, links) = (&self.nodes, &self.topo, &self.links);
-        if let Some(rb) = self.robust.as_deref_mut().filter(|rb| !rb.audit_hold) {
-            if let Some(aud) = rb.auditor.as_mut() {
-                aud.audit(
-                    now,
-                    |i, j| nodes[i.index()].agent.router().successors(j),
-                    |i, j| nodes[i.index()].agent.router().feasible_distance(j),
-                    |i, k| topo.link_between(i, k).is_some_and(|l| links[l.index()].up),
-                );
-            }
-        }
-    }
-
-    /// Take directed link `lid` out of service: stop serialization,
-    /// drain its queue (counting the drops), and bump the epoch so
-    /// stale departure events are recognized. No-op when already down.
-    fn deactivate_link(&mut self, lid: LinkId) {
-        let ls = &mut self.links[lid.index()];
-        if !ls.up {
-            return;
-        }
-        ls.up = false;
-        ls.busy = false;
-        ls.epoch += 1;
-        if let Some(aud) = self.robust.as_deref_mut().and_then(|rb| rb.auditor.as_mut()) {
-            aud.touch(self.topo.link(lid).from);
-        }
-        let mut drained = 0u64;
-        for (p, _) in ls.queue.drain(..) {
-            self.flow_stats[p.flow as usize].dropped_no_route += 1;
-            drained += 1;
-        }
-        if drained > 0 {
-            if let Some(rb) = self.robust.as_deref_mut() {
-                rb.counters.packets_dropped_on_fault += drained;
-            }
-        }
-    }
-
-    /// Router `x` reacts to losing its link to `y` (skipped while `x`
-    /// is crashed — a dead router reacts to nothing).
-    fn notify_link_down(&mut self, x: NodeId, y: NodeId) {
-        if !self.alive(x) {
-            return;
-        }
-        self.route_event(x, RouterEvent::LinkDown { to: y });
-    }
-
-    /// Put directed link `x → y` back in service at the idle marginal
-    /// cost, with a fresh estimator, and tell `x`.
-    fn activate_link(&mut self, lid: LinkId, x: NodeId, y: NodeId) {
-        self.links[lid.index()].up = true;
-        let idle = self.models[lid.index()].marginal_delay(0.0);
-        if let Some(s) = self.nodes[x.index()].slot(y) {
-            self.nodes[x.index()].est[s] =
-                LinkEstimator::new(self.cfg.estimator, self.models[lid.index()], self.time);
-        }
-        self.route_event(x, RouterEvent::LinkUp { to: y, cost: idle });
-    }
-
-    /// Fail the physical link `a — b`: both directed links leave
-    /// service and each endpoint that was using its direction reacts.
-    /// The wire dies atomically — both directions are taken out of
-    /// service *before* either router reacts, so the audit that runs
-    /// inside the first reaction already sees the other direction dead
-    /// (its not-yet-notified upstream edge is exempt, correctly: the
-    /// drained wire can't carry a loop).
-    fn fail_physical(&mut self, a: NodeId, b: NodeId) {
-        let mut notify = [None, None];
-        for (slot, (x, y)) in [(a, b), (b, a)].into_iter().enumerate() {
-            if let Some(lid) = self.topo.link_between(x, y) {
-                self.links[lid.index()].wire_up = false;
-                if self.links[lid.index()].up {
-                    notify[slot] = Some((x, y));
-                }
-                self.deactivate_link(lid);
-            }
-        }
-        for (x, y) in notify.into_iter().flatten() {
-            self.notify_link_down(x, y);
-        }
-    }
-
-    /// Repair the physical link `a — b`; directions come back only when
-    /// both endpoints are alive (a crashed endpoint revives its
-    /// adjacencies at restart instead).
-    fn restore_physical(&mut self, a: NodeId, b: NodeId) {
-        for (x, y) in [(a, b), (b, a)] {
-            if let Some(lid) = self.topo.link_between(x, y) {
-                self.links[lid.index()].wire_up = true;
-                if !self.links[lid.index()].up && self.alive(x) && self.alive(y) {
-                    self.activate_link(lid, x, y);
-                }
-            }
-        }
-    }
-
-    /// Crash router `x`: take every adjacent directed link out of
-    /// service, let alive neighbors react, and wipe the router's
-    /// protocol state — MPDA tables, allocator, pending ACKs, all of it.
-    fn crash_router(&mut self, x: NodeId) {
-        {
-            // Crash events are only scheduled by a fault plan, which is
-            // what installs `robust`; if it is absent the event is
-            // stale — drop it rather than panic mid-run.
-            let Some(rb) = self.robust.as_deref_mut() else { return };
-            rb.crashed[x.index()] = true;
-            // New incarnation: anything still in flight to or from the
-            // old life is stale at delivery.
-            rb.inc[x.index()] = rb.inc[x.index()].wrapping_add(1);
-        }
-        let nbrs = self.nodes[x.index()].agent.nbrs().to_vec();
-        for &y in &nbrs {
-            if let Some(lid) = self.topo.link_between(x, y) {
-                self.deactivate_link(lid);
-            }
-            if let Some(lid) = self.topo.link_between(y, x) {
-                let was_up = self.links[lid.index()].up;
-                self.deactivate_link(lid);
-                if was_up {
-                    self.notify_link_down(y, x);
-                }
-            }
-        }
-        self.nodes[x.index()].agent.reset();
-        if let Some(aud) = self.robust.as_deref_mut().and_then(|rb| rb.auditor.as_mut()) {
-            aud.touch(x);
-        }
-        self.audit();
-    }
-
-    /// Restart router `x` with empty state: adjacencies whose wire is
-    /// intact and whose far end is alive come back up, and the LinkUp
-    /// exchange re-synchronizes the tables from the neighbors.
-    fn restart_router(&mut self, x: NodeId) {
-        let Some(rb) = self.robust.as_deref_mut() else { return };
-        rb.crashed[x.index()] = false;
-        let nbrs = self.nodes[x.index()].agent.nbrs().to_vec();
-        for &y in &nbrs {
-            if !self.alive(y) {
-                continue;
-            }
-            if let Some(lid) = self.topo.link_between(x, y) {
-                if self.links[lid.index()].wire_up && !self.links[lid.index()].up {
-                    self.activate_link(lid, x, y);
-                }
-            }
-            if let Some(lid) = self.topo.link_between(y, x) {
-                if self.links[lid.index()].wire_up && !self.links[lid.index()].up {
-                    self.activate_link(lid, y, x);
-                }
-            }
-        }
-        self.audit();
-    }
-
-    /// Inject scheduled fault `index` and open its recovery clock.
-    fn on_fault(&mut self, index: usize) {
-        let ev = {
-            let Some(rb) = self.robust.as_deref_mut() else { return };
-            let (t, ev) = rb.schedule[index];
-            rb.records.push(FaultRecord { time: t, event: ev, recovery_s: None });
-            rb.pending.push(rb.records.len() - 1);
-            ev
-        };
-        let now = self.time;
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.on_event(&SimEvent::Fault { time: now, event: ev });
-        }
-        match ev {
-            FaultEvent::FailLink { a, b } => self.fail_physical(a, b),
-            FaultEvent::RestoreLink { a, b } => self.restore_physical(a, b),
-            FaultEvent::CrashRouter { node } => self.crash_router(node),
-            FaultEvent::RestartRouter { node } => self.restart_router(node),
-            FaultEvent::PartitionCut { index } => self.apply_partition(index as usize, true),
-            FaultEvent::PartitionHeal { index } => self.apply_partition(index as usize, false),
-        }
-    }
-
-    /// Cut (or heal) every physical link crossing partition `index`'s
-    /// boundary, atomically — all boundary links transition at this one
-    /// instant, which is the partition semantics the scripted schedule
-    /// promises (no straggler link briefly bridging the cut).
-    fn apply_partition(&mut self, index: usize, cut: bool) {
-        let pairs: Vec<(NodeId, NodeId)> = {
-            let Some(rb) = self.robust.as_deref() else { return };
-            let Some(pr) = rb.profile.as_ref() else { return };
-            let Some(spec) = pr.partitions.get(index) else { return };
-            self.topo
-                .links()
-                .iter()
-                .filter(|l| l.from < l.to && spec.severs(l.from, l.to))
-                .map(|l| (l.from, l.to))
-                .collect()
-        };
-        // The schedule promises every boundary link transitions at one
-        // instant; the per-link interleavings below are applied
-        // sequentially but never physically exist, so the LFI audit is
-        // held until the whole cut (or heal) is in place. Router
-        // reactions still run per link — only the judging waits.
-        if let Some(rb) = self.robust.as_deref_mut() {
-            rb.audit_hold = true;
-        }
-        for (a, b) in pairs {
-            if cut {
-                self.fail_physical(a, b);
-            } else {
-                self.restore_physical(a, b);
-            }
-        }
-        if let Some(rb) = self.robust.as_deref_mut() {
-            rb.audit_hold = false;
-        }
-        self.audit();
-    }
-
-    /// Should a control message tagged `tag` be delivered from `from`
-    /// to `node`? No when the receiver is down or either incarnation
-    /// changed since transmission (a crash happened in between).
-    fn control_deliverable(&mut self, node: NodeId, from: NodeId, tag: u64) -> bool {
-        let rb = match self.robust.as_deref_mut() {
-            Some(rb) => rb,
-            None => return true,
-        };
-        let want = ((rb.inc[from.index()] as u64) << 32) | rb.inc[node.index()] as u64;
-        if rb.crashed[node.index()] || tag != want {
-            rb.counters.lsus_dropped_stale += 1;
-            return false;
-        }
-        true
-    }
-
-    /// Close the recovery clock of every pending fault once the control
-    /// plane is quiescent again: no LSU in flight, every router PASSIVE.
-    fn check_recovery(&mut self) {
-        let now = self.time;
-        let msgs_empty = self.msgs.is_empty();
-        let want_obs = self.obs.is_some();
-        let nodes = &self.nodes;
-        if let Some(rb) = self.robust.as_deref_mut() {
-            if rb.pending.is_empty() || !msgs_empty {
-                return;
-            }
-            if nodes.iter().all(|nd| nd.agent.is_passive()) {
-                let mut closed: Vec<f64> = Vec::new();
-                for &i in &rb.pending {
-                    rb.records[i].recovery_s = Some(now - rb.records[i].time);
-                    if want_obs {
-                        closed.push(rb.records[i].time);
-                    }
-                }
-                rb.pending.clear();
-                if let Some(o) = self.obs.as_deref_mut() {
-                    for ft in closed {
-                        o.on_event(&SimEvent::Recovery {
-                            time: now,
-                            fault_time: ft,
-                            recovery_s: now - ft,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Telemetry-only edge detector: publish a `ControlQuiescent` event
-    /// each time the control plane transitions into quiescence (no LSU
-    /// in flight, every router PASSIVE). Pure observation — reads state,
-    /// perturbs nothing.
-    fn observe_quiescence(&mut self) {
-        let now = self.time;
-        let q = self.msgs.is_empty() && self.nodes.iter().all(|nd| nd.agent.is_passive());
-        if q && !self.quiescent {
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.on_event(&SimEvent::ControlQuiescent { time: now });
-            }
-        }
-        self.quiescent = q;
-    }
-
-    /// Feed `ev` to router `i`'s agent at the freshest link-cost
-    /// estimates and carry out what it returns.
-    fn route_event(&mut self, i: NodeId, ev: RouterEvent) {
-        let NodeSt { agent, est, .. } = &mut self.nodes[i.index()];
-        let (out, allocs) = agent.handle(ev, |s| Some(est[s].cost()));
-        self.apply_agent_output(i, out, allocs);
-    }
-
-    /// Carry out an agent's output: transmit LSUs, publish what moved,
-    /// audit if routes changed.
-    fn apply_agent_output(&mut self, i: NodeId, out: RouterOutput, allocs: Allocs) {
-        if let Some(aud) = self.robust.as_deref_mut().and_then(|rb| rb.auditor.as_mut()) {
-            aud.touch(i);
-        }
-        for s in out.sends {
-            self.send_control(i, s.to, s.msg);
-        }
-        if out.routes_changed {
-            if let Some(o) = self.obs.as_deref_mut() {
-                publish_step(o, self.time, i, out.changed, &allocs);
-            }
-            // Loop-free at every instant: audit right where the tables
-            // just changed.
-            self.audit();
-        }
-    }
-
     /// Forward a packet sitting at `node` (its source or an intermediate
     /// hop).
     fn forward(&mut self, node: NodeId, mut pkt: Packet) {
-        if let Some(rb) = self.robust.as_deref_mut() {
-            if rb.crashed[node.index()] {
-                // A crashed router can neither deliver nor forward.
-                rb.counters.packets_blackholed += 1;
-                self.flow_stats[pkt.flow as usize].dropped_no_route += 1;
-                self.observe_drop(node, &pkt, DropReason::Crashed);
-                return;
-            }
+        if !self.host.alive(node) {
+            // A crashed router can neither deliver nor forward.
+            self.host.count(|c| c.packets_blackholed += 1);
+            self.plane.flow_stats[pkt.flow as usize].dropped_no_route += 1;
+            self.observe_drop(node, &pkt, DropReason::Crashed);
+            return;
         }
+        let now = self.host.time;
         if pkt.dst == node {
-            let delay = self.time - pkt.created;
+            let delay = now - pkt.created;
             let f = pkt.flow as usize;
-            self.series.record(f, self.time, delay);
+            self.series.record(f, now, delay);
             if pkt.created >= self.warmup_end {
-                self.flow_stats[f].deliver(delay);
+                self.plane.flow_stats[f].deliver(delay);
             }
-            let now = self.time;
-            if let Some(o) = self.obs.as_deref_mut() {
+            if let Some(o) = self.host.obs.as_deref_mut() {
                 o.on_event(&SimEvent::PacketDelivered { time: now, flow: pkt.flow, node, delay });
             }
             return;
         }
         if pkt.ttl == 0 {
-            self.flow_stats[pkt.flow as usize].dropped_ttl += 1;
-            self.rcount(|c| c.packets_looped += 1);
+            self.plane.flow_stats[pkt.flow as usize].dropped_ttl += 1;
+            self.host.count(|c| c.packets_looped += 1);
             self.observe_drop(node, &pkt, DropReason::Ttl);
             return;
         }
@@ -1068,7 +450,7 @@ impl Simulator {
         let chosen = {
             let pairs = match &self.cfg.fixed_routing {
                 Some(vars) => vars.get(node, pkt.dst),
-                None => self.nodes[node.index()].agent.params(pkt.dst).pairs(),
+                None => self.host.agents[node.index()].params(pkt.dst).pairs(),
             };
             let total: f64 = pairs.iter().map(|&(_, w)| w).sum();
             if pairs.is_empty() || total <= 0.0 {
@@ -1086,29 +468,18 @@ impl Simulator {
                 Some(chosen)
             }
         };
-        let chosen = match chosen {
-            Some(k) => k,
-            None => {
-                // Empty successor set: a blackhole opened here.
-                self.flow_stats[pkt.flow as usize].dropped_no_route += 1;
-                self.rcount(|c| c.packets_blackholed += 1);
-                self.observe_drop(node, &pkt, DropReason::NoRoute);
-                return;
-            }
-        };
-        let lid = self.nodes[node.index()]
-            .slot(chosen)
-            .map(|s| self.nodes[node.index()].out_link[s])
-            .filter(|l| self.links[l.index()].up);
-        let lid = match lid {
-            Some(l) => l,
-            None => {
-                // Chosen next hop sits behind a dead link.
-                self.flow_stats[pkt.flow as usize].dropped_no_route += 1;
-                self.rcount(|c| c.packets_blackholed += 1);
-                self.observe_drop(node, &pkt, DropReason::NoRoute);
-                return;
-            }
+        // An empty successor set, or a chosen next hop behind a dead
+        // link: a blackhole opened here.
+        let nd = &self.plane.nodes[node.index()];
+        let lid = chosen
+            .and_then(|k| nd.slot(k))
+            .map(|s| nd.out_link[s])
+            .filter(|l| self.host.up[l.index()]);
+        let Some(lid) = lid else {
+            self.plane.flow_stats[pkt.flow as usize].dropped_no_route += 1;
+            self.host.count(|c| c.packets_blackholed += 1);
+            self.observe_drop(node, &pkt, DropReason::NoRoute);
+            return;
         };
         self.enqueue_packet(lid, pkt);
     }
@@ -1116,55 +487,52 @@ impl Simulator {
     /// Publish a `PacketDropped` (telemetry-only).
     #[inline]
     fn observe_drop(&mut self, node: NodeId, pkt: &Packet, reason: DropReason) {
-        let now = self.time;
-        if let Some(o) = self.obs.as_deref_mut() {
+        let now = self.host.time;
+        if let Some(o) = self.host.obs.as_deref_mut() {
             o.on_event(&SimEvent::PacketDropped { time: now, flow: pkt.flow, node, reason });
         }
     }
 
     fn enqueue_packet(&mut self, lid: LinkId, pkt: Packet) {
-        let bits = pkt.bits;
-        let ls = &mut self.links[lid.index()];
-        ls.queue.push_back((pkt, self.time));
+        let (bits, now) = (pkt.bits, self.host.time);
+        let ls = &mut self.plane.links[lid.index()];
+        ls.queue.push_back((pkt, now));
         let qlen = ls.queue.len();
         if qlen > self.link_stats[lid.index()].max_queue {
             self.link_stats[lid.index()].max_queue = qlen;
         }
         if !ls.busy {
             ls.busy = true;
-            let c = self.topo.link(lid).capacity;
-            self.queue.push(self.time + bits / c, Ev::LinkDeparture { link: lid });
+            let c = self.host.topo.link(lid).capacity;
+            self.host.queue.push(now + bits / c, Ev::LinkDeparture { link: lid });
         }
     }
 
     fn on_link_departure(&mut self, lid: LinkId) {
-        let ls = &mut self.links[lid.index()];
-        if !ls.up || !ls.busy {
+        let ls = &mut self.plane.links[lid.index()];
+        if !self.host.up[lid.index()] || !ls.busy {
             return; // stale event from before a failure
         }
-        let (pkt, enq_t) = match ls.queue.pop_front() {
-            Some(x) => x,
-            None => {
-                ls.busy = false;
-                return;
-            }
+        let Some((pkt, enq_t)) = ls.queue.pop_front() else {
+            ls.busy = false;
+            return;
         };
         let next_bits = ls.queue.front().map(|(p, _)| p.bits);
-        let link = *self.topo.link(lid);
-        let qdelay = self.time - enq_t;
+        let now = self.host.time;
+        let link = *self.host.topo.link(lid);
+        let qdelay = now - enq_t;
         // Stats + estimator at the transmitting router.
-        if self.time >= self.warmup_end {
+        if now >= self.warmup_end {
             let st = &mut self.link_stats[lid.index()];
             st.bits += pkt.bits;
             st.packets += 1;
             st.delay_sum += qdelay;
         }
-        let from = &mut self.nodes[link.from.index()];
+        let from = &mut self.plane.nodes[link.from.index()];
         if let Some(s) = from.slot(link.to) {
             from.est[s].on_packet(pkt.bits, qdelay);
         }
-        let now = self.time;
-        if let Some(o) = self.obs.as_deref_mut() {
+        if let Some(o) = self.host.obs.as_deref_mut() {
             o.on_event(&SimEvent::PacketHop {
                 time: now,
                 flow: pkt.flow,
@@ -1178,89 +546,34 @@ impl Simulator {
         // Next serialization.
         match next_bits {
             Some(b) => {
-                self.queue.push(self.time + b / link.capacity, Ev::LinkDeparture { link: lid })
+                self.host.queue.push(now + b / link.capacity, Ev::LinkDeparture { link: lid })
             }
-            None => self.links[lid.index()].busy = false,
+            None => self.plane.links[lid.index()].busy = false,
         }
         // Propagation, then arrival at the far router.
-        self.queue
-            .push(self.time + link.prop_delay, Ev::NodeArrival { node: link.to, packet: pkt });
-    }
-
-    fn on_short_tick(&mut self, i: NodeId) {
-        let now = self.time;
-        if !self.alive(i) {
-            // Crashed routers keep their timer slot but do nothing.
-            self.queue.push(now + self.cfg.t_short, Ev::ShortTermTick { node: i });
-            return;
-        }
-        for s in 0..self.nodes[i.index()].est.len() {
-            let cost = self.nodes[i.index()].est[s].close_window(now);
-            if self.obs.is_some() {
-                let lid = self.nodes[i.index()].out_link[s];
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.on_event(&SimEvent::LinkCostSample { time: now, node: i, link: lid, cost });
-                }
-            }
-        }
-        let NodeSt { agent, est, .. } = &mut self.nodes[i.index()];
-        let allocs = agent.short_tick(|s| Some(est[s].cost()));
-        if let Some(o) = self.obs.as_deref_mut() {
-            publish_step(o, now, i, Vec::new(), &allocs);
-        }
-        self.queue.push(now + self.cfg.t_short, Ev::ShortTermTick { node: i });
-    }
-
-    fn on_long_tick(&mut self, i: NodeId) {
-        if !self.alive(i) {
-            self.queue.push(self.time + self.cfg.t_long, Ev::LongTermTick { node: i });
-            return;
-        }
-        for s in 0..self.nodes[i.index()].out_link.len() {
-            let NodeSt { agent, est, out_link, .. } = &mut self.nodes[i.index()];
-            if !self.links[out_link[s].index()].up {
-                continue;
-            }
-            let costs = |s: usize| Some(est[s].cost());
-            if let Some((out, allocs)) = agent.report_cost(s, est[s].cost(), costs) {
-                self.apply_agent_output(i, out, allocs);
-            }
-        }
-        self.queue.push(self.time + self.cfg.t_long, Ev::LongTermTick { node: i });
+        self.host.queue.push(now + link.prop_delay, Ev::NodeArrival { node: link.to, packet: pkt });
     }
 
     fn on_scenario(&mut self, idx: usize) {
         let (_, ev) = self.scenario[idx].clone();
-        let now = self.time;
         match ev {
             ScenarioEvent::SetFlowRate { flow, rate } => {
                 self.flows[flow].rate = rate;
                 self.flows[flow].epoch += 1;
                 let t = self.next_interarrival(flow);
                 if t.is_finite() {
-                    self.queue.push(t, Ev::Generate { flow });
+                    self.host.queue.push(t, Ev::Generate { flow });
                 }
-                if let Some(o) = self.obs.as_deref_mut() {
+                let now = self.host.time;
+                if let Some(o) = self.host.obs.as_deref_mut() {
                     o.on_event(&SimEvent::TrafficChange { time: now, flow: flow as u32, rate });
                 }
             }
             ScenarioEvent::FailLink { a, b } => {
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.on_event(&SimEvent::Fault {
-                        time: now,
-                        event: FaultEvent::FailLink { a, b },
-                    });
-                }
-                self.fail_physical(a, b);
+                self.host.perturb(&mut self.plane, FaultEvent::FailLink { a, b })
             }
             ScenarioEvent::RestoreLink { a, b } => {
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.on_event(&SimEvent::Fault {
-                        time: now,
-                        event: FaultEvent::RestoreLink { a, b },
-                    });
-                }
-                self.restore_physical(a, b);
+                self.host.perturb(&mut self.plane, FaultEvent::RestoreLink { a, b })
             }
         }
     }
@@ -1270,14 +583,12 @@ impl Simulator {
     /// The accumulated statistics are *moved* into the report (no
     /// clones); a second call would return empty measurements.
     pub fn run(&mut self) -> SimReport {
-        // Keep a small tail margin so packets in flight at end_time can
-        // drain into the stats? No: measurement closes at end_time.
         let mut events_processed = 0u64;
-        while let Some((t, ev)) = self.queue.pop() {
+        while let Some((t, ev)) = self.host.queue.pop() {
             if t > self.end_time {
                 break;
             }
-            self.time = t;
+            self.host.time = t;
             events_processed += 1;
             match ev {
                 Ev::Generate { flow } => {
@@ -1286,7 +597,7 @@ impl Simulator {
                         let pkt = Packet {
                             flow: flow as u32,
                             dst: self.flows[flow].dst,
-                            created: self.time,
+                            created: t,
                             bits,
                             ttl: self.cfg.ttl,
                         };
@@ -1294,72 +605,35 @@ impl Simulator {
                         self.forward(src, pkt);
                         let nt = self.next_interarrival(flow);
                         if nt.is_finite() {
-                            self.queue.push(nt, Ev::Generate { flow });
+                            self.host.queue.push(nt, Ev::Generate { flow });
                         }
                     }
                 }
                 Ev::LinkDeparture { link } => self.on_link_departure(link),
                 Ev::NodeArrival { node, packet } => self.forward(node, packet),
-                Ev::Control { node, from, msg } => {
-                    let (msg, tag) = self.msgs.take_tagged(msg);
-                    if self.control_deliverable(node, from, tag) {
-                        let now = self.time;
-                        let entries = msg.entries.len() as u64;
-                        let ack = msg.ack;
-                        if let Some(o) = self.obs.as_deref_mut() {
-                            o.on_event(&SimEvent::LsuReceived {
-                                time: now,
-                                node,
-                                from,
-                                entries,
-                                ack,
-                            });
-                        }
-                        self.route_event(node, RouterEvent::Lsu { from, msg });
-                    }
-                }
-                Ev::ShortTermTick { node } => self.on_short_tick(node),
-                Ev::LongTermTick { node } => self.on_long_tick(node),
                 Ev::Scenario { index } => self.on_scenario(index),
-                Ev::Fault { index } => self.on_fault(index),
                 Ev::Sample => {}
+                ev => self.host.handle(&mut self.plane, ev),
             }
-            if self.robust.is_some() {
-                self.check_recovery();
-            }
-            if self.obs.is_some() {
-                self.observe_quiescence();
-            }
+            self.host.after_event();
         }
-        let mean_delays_ms: Vec<f64> =
-            self.flow_stats.iter().map(|f| f.mean_delay() * 1000.0).collect();
-        let delivered = self.flow_stats.iter().map(|f| f.delivered).sum();
-        let dropped = self.flow_stats.iter().map(|f| f.dropped_no_route + f.dropped_ttl).sum();
-        let robustness = self.robust.take().map(|rb| {
-            let mut rep = RobustnessReport {
-                faults: rb.records,
-                counters: rb.counters,
-                invariant_checks: rb.auditor.as_ref().map_or(0, |a| a.tally.checks),
-                invariant_violations: rb.auditor.as_ref().map_or(0, |a| a.tally.violations),
-                first_violation: rb.auditor.and_then(|a| a.tally.first_violation),
-                ..Default::default()
-            };
-            rep.finalize();
-            rep
-        });
+        let flow_stats = std::mem::take(&mut self.plane.flow_stats);
+        let mean_delays_ms: Vec<f64> = flow_stats.iter().map(|f| f.mean_delay() * 1000.0).collect();
+        let delivered = flow_stats.iter().map(|f| f.delivered).sum();
+        let dropped = flow_stats.iter().map(|f| f.dropped_no_route + f.dropped_ttl).sum();
         SimReport {
-            flows: std::mem::take(&mut self.flow_stats),
+            flows: flow_stats,
             links: std::mem::take(&mut self.link_stats),
             series: std::mem::take(&mut self.series),
             mean_delays_ms,
-            control_messages: self.ctl_msgs,
-            control_bytes: self.ctl_bytes,
+            control_messages: self.host.ctl_msgs,
+            control_bytes: self.host.ctl_bytes,
             delivered,
             dropped,
             duration: self.cfg.duration,
             events_processed,
-            robustness,
-            telemetry: self.obs.take().map(|o| o.finish()),
+            robustness: self.host.robustness(),
+            telemetry: self.host.obs.take().map(|o| o.finish()),
             fluid: None,
         }
     }
@@ -1367,18 +641,11 @@ impl Simulator {
     /// Extract the current routing variables (for analytic cross-checks
     /// against the same traffic).
     pub fn routing_vars(&self) -> RoutingVars {
-        let n = self.topo.node_count();
+        let n = self.host.topo.node_count();
         let mut vars = RoutingVars::new(n);
-        for i in 0..n as u32 {
-            let i = NodeId(i);
-            for j in 0..n as u32 {
-                let j = NodeId(j);
-                if i == j {
-                    continue;
-                }
-                let pairs: Vec<(NodeId, f64)> =
-                    self.nodes[i.index()].agent.params(j).pairs().to_vec();
-                vars.set(i, j, pairs);
+        for (i, agent) in self.host.topo.nodes().zip(&self.host.agents) {
+            for j in self.host.topo.nodes().filter(|&j| j != i) {
+                vars.set(i, j, agent.params(j).pairs().to_vec());
             }
         }
         vars
@@ -1386,12 +653,12 @@ impl Simulator {
 
     /// Access a router (tests & diagnostics).
     pub fn router(&self, i: NodeId) -> &MpdaRouter {
-        self.nodes[i.index()].agent.router()
+        self.host.agents[i.index()].router()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> f64 {
-        self.time
+        self.host.time
     }
 }
 

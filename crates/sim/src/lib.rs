@@ -33,6 +33,7 @@ pub mod engine;
 pub mod estimator;
 pub mod events;
 pub mod fluid;
+mod host;
 pub mod par;
 pub mod scenario;
 pub mod stats;

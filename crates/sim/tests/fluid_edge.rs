@@ -3,7 +3,10 @@
 //! forms where the equilibrium is computable by hand.
 
 use mdr_net::{Flow, LinkDelayModel, Mm1, NodeId, Topology, TopologyBuilder, TrafficMatrix};
-use mdr_sim::{FluidSimulator, Scenario, ScenarioEvent, SimConfig, SimMode, SimReport};
+use mdr_sim::{
+    FaultEvent, FaultPlan, FaultProcess, FluidSimulator, NetProfile, ObserverMode, PartitionSpec,
+    Scenario, ScenarioEvent, SimConfig, SimMode, SimReport, Simulator,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -365,4 +368,105 @@ fn the_quiescent_control_plane_refuses_the_audit() {
     let cfg =
         SimConfig { sim_mode: SimMode::FluidQuiescent, audit_invariants: true, ..fluid_cfg() };
     run_fluid(&t, &[Flow::new(NodeId(0), NodeId(2), 1e6)], cfg);
+}
+
+/// Nor any protocol state for a fault plan to perturb.
+#[test]
+#[should_panic(expected = "FluidQuiescent keeps no protocol state")]
+fn the_quiescent_control_plane_refuses_a_fault_plan() {
+    let t = line3();
+    let cfg = SimConfig {
+        sim_mode: SimMode::FluidQuiescent,
+        fault_plan: Some(FaultPlan::default()),
+        ..fluid_cfg()
+    };
+    run_fluid(&t, &[Flow::new(NodeId(0), NodeId(2), 1e6)], cfg);
+}
+
+/// Loop-free at every instant through failures, in the fluid engine too:
+/// `SimMode::Fluid` on BA-60 with random link failures and repairs plus
+/// one scripted partition, audited after every routing-table change.
+/// The audit finds nothing, faults recover, and the run is a function
+/// of its inputs — the same on a rerun and with an observer attached.
+#[test]
+fn fluid_mode_runs_link_faults_and_a_partition_loop_free() {
+    let t = mdr_net::gen::barabasi_albert(60, 2, 5);
+    let ends: Vec<NodeId> = t.nodes().step_by(6).collect();
+    let flows = mdr_net::gen::gravity_flows(&ends, 2, 4.0e7, 5);
+    let traffic = TrafficMatrix::from_flows(&t, &flows).unwrap();
+    let partition = PartitionSpec { at: 2.0, heal_at: 2.6, side: (50..60).map(NodeId).collect() };
+    let plan = FaultPlan {
+        seed: 17,
+        start: 1.0,
+        link_faults: Some(FaultProcess { mtbf: 60.0, mttr: 0.4 }),
+        profile: Some(NetProfile { partitions: vec![partition], ..NetProfile::default() }),
+        ..FaultPlan::default()
+    };
+    let cfg = SimConfig {
+        warmup: 0.5,
+        duration: 4.0,
+        t_short: 0.1,
+        t_long: 0.5,
+        fault_plan: Some(plan),
+        audit_invariants: true,
+        ..fluid_cfg()
+    };
+    let run = |cfg: SimConfig| FluidSimulator::new(&t, &traffic, &Scenario::new(), cfg).run();
+    let r = run(cfg.clone());
+    assert_all_finite(&r);
+    let rob = r.robustness.clone().expect("a fault plan reports robustness");
+    assert!(rob.invariant_checks > 0);
+    assert_eq!(rob.invariant_violations, 0, "{:?}", rob.first_violation);
+    assert!(rob.recovered >= 1, "no fault recovered: {:?}", rob.faults);
+    let kinds = |f: fn(&FaultEvent) -> bool| rob.faults.iter().filter(|r| f(&r.event)).count();
+    assert!(kinds(|e| matches!(e, FaultEvent::FailLink { .. })) > 0, "{:?}", rob.faults);
+    assert_eq!(kinds(|e| matches!(e, FaultEvent::PartitionCut { .. })), 1);
+    assert_eq!(kinds(|e| matches!(e, FaultEvent::PartitionHeal { .. })), 1);
+    assert_eq!(run(cfg.clone()), r, "the same run twice differs");
+    let observed = run(SimConfig { observer: ObserverMode::Null, ..cfg });
+    assert!(observed.telemetry.is_some());
+    assert_eq!(SimReport { telemetry: None, ..observed }, r, "the observer moved the run");
+}
+
+/// The fault layer is one: under the same fault plan on NET1 — link
+/// failures, router crashes, control-channel chaos — the packet engine
+/// and `SimMode::Fluid` inject the same faults at the same instants,
+/// and both audits come back clean.
+#[test]
+fn both_engines_inject_one_fault_plan_the_same_way() {
+    let t = mdr_net::topo::net1();
+    let traffic = TrafficMatrix::from_flows(&t, &mdr_net::topo::net1_flows(4e5)).unwrap();
+    let plan = FaultPlan {
+        seed: 9,
+        start: 3.0,
+        link_faults: Some(FaultProcess { mtbf: 8.0, mttr: 1.0 }),
+        router_faults: Some(FaultProcess { mtbf: 20.0, mttr: 1.5 }),
+        control: Some(mdr_sim::ControlChaos::default()),
+        profile: None,
+    };
+    let cfg = SimConfig {
+        warmup: 5.0,
+        duration: 15.0,
+        fault_plan: Some(plan),
+        audit_invariants: true,
+        ..Default::default()
+    };
+    let packet = Simulator::new(&t, &traffic, &Scenario::new(), cfg.clone()).run();
+    let fluid = FluidSimulator::new(
+        &t,
+        &traffic,
+        &Scenario::new(),
+        SimConfig { sim_mode: SimMode::Fluid, ..cfg },
+    )
+    .run();
+    let faults = |r: &SimReport| {
+        let rob = r.robustness.as_ref().expect("robustness report");
+        assert!(rob.invariant_checks > 0);
+        assert_eq!(rob.invariant_violations, 0, "{:?}", rob.first_violation);
+        rob.faults.iter().map(|f| (f.time, f.event)).collect::<Vec<_>>()
+    };
+    let (p, f) = (faults(&packet), faults(&fluid));
+    assert!(p.iter().any(|(_, e)| matches!(e, FaultEvent::CrashRouter { .. })), "{p:?}");
+    assert!(p.iter().any(|(_, e)| matches!(e, FaultEvent::FailLink { .. })), "{p:?}");
+    assert_eq!(p, f);
 }
