@@ -5,6 +5,7 @@
 use crate::heuristics::{incremental_adjustment_gained, initial_assignment, SuccessorCost};
 use crate::params::DestParams;
 use mdr_net::NodeId;
+use serde::Serialize;
 
 /// Forwarding discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +32,8 @@ pub enum Update {
 
 /// Which heuristic an [`Allocator::update`] actually ran — published by
 /// the telemetry layer as `AllocShift` events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[serde(rename_all = "snake_case")]
 pub enum AllocHeuristic {
     /// SP mode: all traffic to the best successor.
     BestPath,
@@ -39,17 +41,6 @@ pub enum AllocHeuristic {
     Initial,
     /// AH — incremental adjustment (Fig. 7).
     Incremental,
-}
-
-impl AllocHeuristic {
-    /// Stable snake-case label used by serialized encodings.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AllocHeuristic::BestPath => "best_path",
-            AllocHeuristic::Initial => "initial",
-            AllocHeuristic::Incremental => "incremental",
-        }
-    }
 }
 
 /// What an [`Allocator::update`] (or [`Allocator::refresh`]) did: which

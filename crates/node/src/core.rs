@@ -682,11 +682,11 @@ mod tests {
         assert_eq!(a.driver().router().distance(NodeId(1)), 0.01);
         assert_eq!(b.driver().router().distance(NodeId(0)), 0.01);
         assert!(a.is_converged() && b.is_converged());
-        let kinds: Vec<&str> = records.iter().map(|r| r.body.kind()).collect();
-        assert!(kinds.contains(&"peer_up"));
-        assert!(kinds.contains(&"route_change"));
-        assert!(kinds.contains(&"snapshot"));
-        assert!(kinds.contains(&"converged"));
+        let has = |f: fn(&RB) -> bool| records.iter().any(|r| f(&r.body));
+        assert!(has(|b| matches!(b, RB::PeerUp { .. })));
+        assert!(has(|b| matches!(b, RB::RouteChange { .. })));
+        assert!(has(|b| matches!(b, RB::Snapshot { .. })));
+        assert!(has(|b| matches!(b, RB::Converged)));
         assert_eq!(a.corrupt_datagrams(), 0);
     }
 
@@ -696,8 +696,8 @@ mod tests {
         let (now, _) = pump(&mut a, &mut b, 0.0);
         // Silence from b: step a's clock past the dead interval.
         let out = a.on_tick(now + a.next_deadline().max(now) + 2.0);
-        let kinds: Vec<&str> = out.records.iter().map(|r| r.body.kind()).collect();
-        assert!(kinds.contains(&"peer_down"), "{kinds:?}");
+        let bodies: Vec<&RB> = out.records.iter().map(|r| &r.body).collect();
+        assert!(bodies.iter().any(|b| matches!(b, RB::PeerDown { .. })), "{bodies:?}");
         assert_eq!(a.driver().router().distance(NodeId(1)), INFINITE_COST);
         assert!(a.driver().router().successors(NodeId(1)).is_empty());
         assert!(!a.is_converged(), "an isolated node is partitioned, not converged");
@@ -715,7 +715,7 @@ mod tests {
         assert!(b2.is_quarantined());
         let (_, records) = pump(&mut a, &mut b2, now);
         let restarts: Vec<&NodeRecord> =
-            records.iter().filter(|r| r.body.kind() == "peer_restart").collect();
+            records.iter().filter(|r| matches!(r.body, RB::PeerRestart { .. })).collect();
         assert_eq!(restarts.len(), 1, "a saw exactly one restart");
         assert!(matches!(restarts[0].body, RB::PeerRestart { old: 1, new: 2, .. }));
         // The quarantine lifted on proof-of-purge (no dead-interval
@@ -723,7 +723,7 @@ mod tests {
         // record; only then did b2 resume routing and converge.
         assert!(!b2.is_quarantined());
         let resynced: Vec<&NodeRecord> =
-            records.iter().filter(|r| r.body.kind() == "resynced").collect();
+            records.iter().filter(|r| matches!(r.body, RB::Resynced { .. })).collect();
         assert_eq!(resynced.len(), 1, "exactly one quarantine lift");
         assert!(matches!(resynced[0].body, RB::Resynced { waited } if waited < 0.5));
         // Fully re-synced at the new incarnation.

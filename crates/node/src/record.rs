@@ -15,7 +15,6 @@
 use crate::reliable::DownReason;
 use mdr_net::NodeId;
 use mdr_proto::HlcStamp;
-use mdr_sim::telemetry::node_seq;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// One live adjacency inside a [`RecordBody::Snapshot`]: which
@@ -23,7 +22,7 @@ use serde::{Deserialize, Error, Serialize, Value};
 /// merged-trace audit uses this to tell a *fresh* successor edge (both
 /// ends agree on the epoch) from a *stale* one pointing at a peer that
 /// has since crashed and been reborn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PeerSync {
     /// The neighbor.
     pub peer: NodeId,
@@ -36,7 +35,8 @@ pub struct PeerSync {
 pub use mdr_routing::DestState as SnapDest;
 
 /// What happened.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum RecordBody {
     /// The process started (or restarted) and joined the control plane.
     Start {
@@ -131,26 +131,6 @@ pub enum RecordBody {
     },
 }
 
-impl RecordBody {
-    /// Stable snake-case label (the `kind` tag on the wire).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RecordBody::Start { .. } => "start",
-            RecordBody::PeerUp { .. } => "peer_up",
-            RecordBody::PeerRestart { .. } => "peer_restart",
-            RecordBody::PeerDown { .. } => "peer_down",
-            RecordBody::ChannelLoss { .. } => "channel_loss",
-            RecordBody::RouteChange { .. } => "route_change",
-            RecordBody::Snapshot { .. } => "snapshot",
-            RecordBody::Resynced { .. } => "resynced",
-            RecordBody::Alloc { .. } => "alloc",
-            RecordBody::LinkCost { .. } => "link_cost",
-            RecordBody::Converged => "converged",
-            RecordBody::Stop { .. } => "stop",
-        }
-    }
-}
-
 /// One telemetry record: HLC stamp, emitting node + incarnation, body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
@@ -173,184 +153,36 @@ impl NodeRecord {
     }
 }
 
-// The vendored serde derive covers only unit-variant enums, so the
-// record serializes by hand as a flat `kind`-tagged map (same scheme as
-// `mdr_sim::telemetry::SimEvent`).
+/// The per-line envelope: who emitted the record, and when.
+#[derive(Serialize, Deserialize)]
+struct Envelope {
+    hlc_l: u64,
+    hlc_c: u32,
+    node: NodeId,
+    inc: u32,
+}
+
+// The one hand-written JSON map: the derived `kind`-tagged body with
+// the envelope spliced in right after its tag, both parsed from the
+// same map.
 impl Serialize for NodeRecord {
     fn serialize_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("kind".into(), Value::Str(self.body.kind().into())),
-            ("hlc_l".into(), Value::U64(self.hlc.l)),
-            ("hlc_c".into(), Value::U64(self.hlc.c as u64)),
-            ("node".into(), Value::U64(self.node.0 as u64)),
-            ("inc".into(), Value::U64(self.incarnation as u64)),
-        ];
-        match &self.body {
-            RecordBody::Start { n, neighbors } => {
-                m.push(("n".into(), Value::U64(*n)));
-                m.push(("neighbors".into(), node_seq(neighbors)));
-            }
-            RecordBody::PeerUp { peer, peer_inc } => {
-                m.push(("peer".into(), Value::U64(peer.0 as u64)));
-                m.push(("peer_inc".into(), Value::U64(*peer_inc as u64)));
-            }
-            RecordBody::PeerRestart { peer, old, new } => {
-                m.push(("peer".into(), Value::U64(peer.0 as u64)));
-                m.push(("old".into(), Value::U64(*old as u64)));
-                m.push(("new".into(), Value::U64(*new as u64)));
-            }
-            RecordBody::PeerDown { peer, reason } => {
-                m.push(("peer".into(), Value::U64(peer.0 as u64)));
-                m.push(("reason".into(), Value::Str(reason.as_str().into())));
-            }
-            RecordBody::ChannelLoss { peer, in_flight, backlog, reorder } => {
-                m.push(("peer".into(), Value::U64(peer.0 as u64)));
-                m.push(("in_flight".into(), Value::U64(*in_flight)));
-                m.push(("backlog".into(), Value::U64(*backlog)));
-                m.push(("reorder".into(), Value::U64(*reorder)));
-            }
-            RecordBody::RouteChange { dest, old, new } => {
-                m.push(("dest".into(), Value::U64(dest.0 as u64)));
-                m.push(("old".into(), node_seq(old)));
-                m.push(("new".into(), node_seq(new)));
-            }
-            RecordBody::Snapshot { dests, peers } => {
-                let seq = dests
-                    .iter()
-                    .map(|d| {
-                        Value::Map(vec![
-                            ("dest".into(), Value::U64(d.dest.0 as u64)),
-                            ("fd".into(), Value::F64(d.fd)),
-                            ("dist".into(), Value::F64(d.dist)),
-                            ("succ".into(), node_seq(&d.successors)),
-                        ])
-                    })
-                    .collect();
-                m.push(("dests".into(), Value::Seq(seq)));
-                let seq = peers
-                    .iter()
-                    .map(|p| {
-                        Value::Map(vec![
-                            ("peer".into(), Value::U64(p.peer.0 as u64)),
-                            ("inc".into(), Value::U64(p.inc as u64)),
-                        ])
-                    })
-                    .collect();
-                m.push(("peers".into(), Value::Seq(seq)));
-            }
-            RecordBody::Resynced { waited } => {
-                m.push(("waited".into(), Value::F64(*waited)));
-            }
-            RecordBody::Alloc { dest, shift } => {
-                m.push(("dest".into(), Value::U64(dest.0 as u64)));
-                m.push(("shift".into(), Value::F64(*shift)));
-            }
-            RecordBody::LinkCost { peer, cost } => {
-                m.push(("peer".into(), Value::U64(peer.0 as u64)));
-                m.push(("cost".into(), Value::F64(*cost)));
-            }
-            RecordBody::Converged => {}
-            RecordBody::Stop { corrupt } => {
-                m.push(("corrupt".into(), Value::U64(*corrupt)));
-            }
-        }
+        let (hlc_l, hlc_c, node, inc) = (self.hlc.l, self.hlc.c, self.node, self.incarnation);
+        let envelope = Envelope { hlc_l, hlc_c, node, inc }.serialize_value();
+        let (Value::Map(mut m), Value::Map(envelope)) = (self.body.serialize_value(), envelope)
+        else {
+            unreachable!("derived named-field and tagged types serialize to maps")
+        };
+        m.splice(1..1, envelope);
         Value::Map(m)
     }
 }
 
-const TY: &str = "NodeRecord";
-
-fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
-    T::deserialize_value(v.get_field(name).ok_or_else(|| Error::missing_field(name, TY))?)
-}
-
-fn node_field(v: &Value, name: &str) -> Result<NodeId, Error> {
-    Ok(NodeId(field::<u32>(v, name)?))
-}
-
-fn nodes_field(v: &Value, name: &str) -> Result<Vec<NodeId>, Error> {
-    Ok(field::<Vec<u32>>(v, name)?.into_iter().map(NodeId).collect())
-}
-
 impl Deserialize for NodeRecord {
     fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        let kind: String = field(v, "kind")?;
-        let body = match kind.as_str() {
-            "start" => {
-                RecordBody::Start { n: field(v, "n")?, neighbors: nodes_field(v, "neighbors")? }
-            }
-            "peer_up" => {
-                RecordBody::PeerUp { peer: node_field(v, "peer")?, peer_inc: field(v, "peer_inc")? }
-            }
-            "peer_restart" => RecordBody::PeerRestart {
-                peer: node_field(v, "peer")?,
-                old: field(v, "old")?,
-                new: field(v, "new")?,
-            },
-            "peer_down" => {
-                let reason: String = field(v, "reason")?;
-                let reason = match reason.as_str() {
-                    "dead_interval" => DownReason::DeadInterval,
-                    "retry_exhausted" => DownReason::RetryExhausted,
-                    "restarted" => DownReason::Restarted,
-                    "session_reset" => DownReason::SessionReset,
-                    "reorder_overflow" => DownReason::ReorderOverflow,
-                    other => return Err(Error::custom(format!("unknown down reason `{other}`"))),
-                };
-                RecordBody::PeerDown { peer: node_field(v, "peer")?, reason }
-            }
-            "channel_loss" => RecordBody::ChannelLoss {
-                peer: node_field(v, "peer")?,
-                in_flight: field(v, "in_flight")?,
-                backlog: field(v, "backlog")?,
-                reorder: field(v, "reorder")?,
-            },
-            "route_change" => RecordBody::RouteChange {
-                dest: node_field(v, "dest")?,
-                old: nodes_field(v, "old")?,
-                new: nodes_field(v, "new")?,
-            },
-            "snapshot" => {
-                let seq = v
-                    .get_field("dests")
-                    .and_then(Value::as_seq)
-                    .ok_or_else(|| Error::missing_field("dests", TY))?;
-                let mut dests = Vec::with_capacity(seq.len());
-                for d in seq {
-                    dests.push(SnapDest {
-                        dest: node_field(d, "dest")?,
-                        fd: field(d, "fd")?,
-                        dist: field(d, "dist")?,
-                        successors: nodes_field(d, "succ")?,
-                    });
-                }
-                let seq = v
-                    .get_field("peers")
-                    .and_then(Value::as_seq)
-                    .ok_or_else(|| Error::missing_field("peers", TY))?;
-                let mut peers = Vec::with_capacity(seq.len());
-                for p in seq {
-                    peers.push(PeerSync { peer: node_field(p, "peer")?, inc: field(p, "inc")? });
-                }
-                RecordBody::Snapshot { dests, peers }
-            }
-            "resynced" => RecordBody::Resynced { waited: field(v, "waited")? },
-            "alloc" => {
-                RecordBody::Alloc { dest: node_field(v, "dest")?, shift: field(v, "shift")? }
-            }
-            "link_cost" => {
-                RecordBody::LinkCost { peer: node_field(v, "peer")?, cost: field(v, "cost")? }
-            }
-            "converged" => RecordBody::Converged,
-            "stop" => RecordBody::Stop { corrupt: field(v, "corrupt")? },
-            other => return Err(Error::custom(format!("unknown record kind `{other}`"))),
-        };
-        Ok(NodeRecord {
-            hlc: HlcStamp { l: field(v, "hlc_l")?, c: field(v, "hlc_c")? },
-            node: node_field(v, "node")?,
-            incarnation: field(v, "inc")?,
-            body,
-        })
+        let body = RecordBody::deserialize_value(v)?;
+        let Envelope { hlc_l, hlc_c, node, inc } = Envelope::deserialize_value(v)?;
+        Ok(NodeRecord { hlc: HlcStamp { l: hlc_l, c: hlc_c }, node, incarnation: inc, body })
     }
 }
 

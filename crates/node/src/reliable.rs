@@ -90,6 +90,7 @@
 //! drives the very same steps — there is exactly one state machine.
 
 use mdr_proto::{LsuMessage, NodeBody};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Timer and budget knobs for one adjacency.
@@ -198,7 +199,8 @@ impl RttEstimator {
 }
 
 /// Why an adjacency went down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum DownReason {
     /// Nothing heard for the dead interval.
     DeadInterval,
@@ -215,19 +217,6 @@ pub enum DownReason {
     /// gap at the head of the stream is not healing, so the channel
     /// forces a full re-sync instead of buffering without bound.
     ReorderOverflow,
-}
-
-impl DownReason {
-    /// Stable snake-case label for telemetry.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DownReason::DeadInterval => "dead_interval",
-            DownReason::RetryExhausted => "retry_exhausted",
-            DownReason::Restarted => "restarted",
-            DownReason::SessionReset => "session_reset",
-            DownReason::ReorderOverflow => "reorder_overflow",
-        }
-    }
 }
 
 /// What the channel tells the node.

@@ -20,6 +20,7 @@ use crate::core::LsCore;
 use crate::table::TopoTable;
 use mdr_net::{LinkCost, NodeId, INFINITE_COST};
 use mdr_proto::{LsuEntry, LsuMessage};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An input to the router state machine: receipt of an LSU or detection
@@ -105,7 +106,7 @@ pub struct RouterSnapshot {
 }
 
 /// One destination's successor set and feasible distance.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DestState {
     /// Destination router.
     pub dest: NodeId,
@@ -114,6 +115,7 @@ pub struct DestState {
     /// Current distance `D^i_j`.
     pub dist: LinkCost,
     /// Successor set `S^i_j`, ascending by neighbor address.
+    #[serde(rename = "succ")]
     pub successors: Vec<NodeId>,
 }
 

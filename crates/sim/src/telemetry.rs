@@ -28,12 +28,13 @@ use crate::chaos::FaultEvent;
 use mdr_flow::{AllocHeuristic, AllocOutcome};
 use mdr_net::{LinkId, NodeId};
 use mdr_routing::RouteChange;
-use serde::{Serialize, Value};
+use serde::Serialize;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 
 /// Why a packet was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[serde(rename_all = "snake_case")]
 pub enum DropReason {
     /// Empty successor set or the chosen next hop sat behind a dead
     /// link (the "blackhole" cases).
@@ -44,21 +45,11 @@ pub enum DropReason {
     Crashed,
 }
 
-impl DropReason {
-    /// Stable lower-case label used by the serialized encodings.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DropReason::NoRoute => "no_route",
-            DropReason::Ttl => "ttl",
-            DropReason::Crashed => "crashed",
-        }
-    }
-}
-
 /// One structured simulation occurrence, stamped with the simulated
 /// time it happened at. Data-plane variants (`Packet*`) fire per
 /// packet; everything else is control-plane rate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum SimEvent {
     /// A packet finished serialization on a directed link.
     PacketHop {
@@ -154,6 +145,7 @@ pub enum SimEvent {
     },
     /// A `T_s` measurement window closed with a fresh marginal-delay
     /// estimate for one adjacent link.
+    #[serde(rename = "link_cost")]
     LinkCostSample {
         /// Simulated time (s).
         time: f64,
@@ -246,86 +238,6 @@ impl SimEvent {
                 | SimEvent::PacketDelivered { .. }
                 | SimEvent::PacketDropped { .. }
         )
-    }
-}
-
-/// A node list as a JSON array of addresses — the one encoding both the
-/// simulator's events and `mdr-node`'s records use.
-pub fn node_seq(nodes: &[NodeId]) -> Value {
-    Value::Seq(nodes.iter().map(|n| Value::U64(n.0 as u64)).collect())
-}
-
-// The vendored serde derive covers only unit-variant enums, so events
-// serialize by hand as `kind`-tagged maps (same scheme as
-// [`FaultEvent`]).
-impl Serialize for SimEvent {
-    fn serialize_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = Vec::new();
-        let kind = self.kind();
-        m.push(("kind".into(), Value::Str(kind.into())));
-        m.push(("time".into(), Value::F64(self.time())));
-        match self {
-            SimEvent::PacketHop { flow, link, from, to, bits, queue_delay, .. } => {
-                m.push(("flow".into(), Value::U64(*flow as u64)));
-                m.push(("link".into(), Value::U64(link.0 as u64)));
-                m.push(("from".into(), Value::U64(from.0 as u64)));
-                m.push(("to".into(), Value::U64(to.0 as u64)));
-                m.push(("bits".into(), Value::F64(*bits)));
-                m.push(("queue_delay".into(), Value::F64(*queue_delay)));
-            }
-            SimEvent::PacketDelivered { flow, node, delay, .. } => {
-                m.push(("flow".into(), Value::U64(*flow as u64)));
-                m.push(("node".into(), Value::U64(node.0 as u64)));
-                m.push(("delay".into(), Value::F64(*delay)));
-            }
-            SimEvent::PacketDropped { flow, node, reason, .. } => {
-                m.push(("flow".into(), Value::U64(*flow as u64)));
-                m.push(("node".into(), Value::U64(node.0 as u64)));
-                m.push(("reason".into(), Value::Str(reason.as_str().into())));
-            }
-            SimEvent::LsuSent { from, to, bytes, attempts, .. } => {
-                m.push(("from".into(), Value::U64(from.0 as u64)));
-                m.push(("to".into(), Value::U64(to.0 as u64)));
-                m.push(("bytes".into(), Value::U64(*bytes)));
-                m.push(("attempts".into(), Value::U64(*attempts)));
-            }
-            SimEvent::LsuReceived { node, from, entries, ack, .. } => {
-                m.push(("node".into(), Value::U64(node.0 as u64)));
-                m.push(("from".into(), Value::U64(from.0 as u64)));
-                m.push(("entries".into(), Value::U64(*entries)));
-                m.push(("ack".into(), Value::Bool(*ack)));
-            }
-            SimEvent::RouteChange { node, dest, old, new, .. } => {
-                m.push(("node".into(), Value::U64(node.0 as u64)));
-                m.push(("dest".into(), Value::U64(dest.0 as u64)));
-                m.push(("old".into(), node_seq(old)));
-                m.push(("new".into(), node_seq(new)));
-            }
-            SimEvent::AllocShift { node, dest, heuristic, shift, .. } => {
-                m.push(("node".into(), Value::U64(node.0 as u64)));
-                m.push(("dest".into(), Value::U64(dest.0 as u64)));
-                m.push(("heuristic".into(), Value::Str(heuristic.as_str().into())));
-                m.push(("shift".into(), Value::F64(*shift)));
-            }
-            SimEvent::LinkCostSample { node, link, cost, .. } => {
-                m.push(("node".into(), Value::U64(node.0 as u64)));
-                m.push(("link".into(), Value::U64(link.0 as u64)));
-                m.push(("cost".into(), Value::F64(*cost)));
-            }
-            SimEvent::TrafficChange { flow, rate, .. } => {
-                m.push(("flow".into(), Value::U64(*flow as u64)));
-                m.push(("rate".into(), Value::F64(*rate)));
-            }
-            SimEvent::Fault { event, .. } => {
-                m.push(("event".into(), event.serialize_value()));
-            }
-            SimEvent::Recovery { fault_time, recovery_s, .. } => {
-                m.push(("fault_time".into(), Value::F64(*fault_time)));
-                m.push(("recovery_s".into(), Value::F64(*recovery_s)));
-            }
-            SimEvent::ControlQuiescent { .. } => {}
-        }
-        Value::Map(m)
     }
 }
 
@@ -998,6 +910,7 @@ impl SimObserver for JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
