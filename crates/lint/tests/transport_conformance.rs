@@ -130,3 +130,35 @@ fn suite_scenarios_resolve_for_replay_headers() {
         );
     }
 }
+
+#[test]
+fn replay_rejects_actions_the_checker_never_takes() {
+    // A hand-edited trace must not "conform" by running actions that no
+    // exploration could take: a node that does not exist, a spent send
+    // budget, a frame that was never sent. Each is a replay error at its
+    // own step, never a panic and never a silent run.
+    use mdr_lint::transport::{FBody, Frame, TAction};
+    let find = |name: &str| suite().into_iter().find(|s| s.name == name).expect("scenario");
+    let expect_error = |scenario: &str, actions: &[TAction], step: usize| {
+        let err = replay(&find(scenario), ChannelMutant::None, actions)
+            .expect_err("an action outside the candidates must not replay");
+        assert!(err.starts_with("replay-error:"), "{scenario}: {err}");
+        assert!(err.contains(&format!("step {step} ")), "{scenario}: wrong step: {err}");
+    };
+    expect_error("pair-crash-restart", &[TAction::CrashRestart(7)], 1);
+    expect_error("pair-crash-restart", &[TAction::HelloFire(0, 5)], 1);
+    // pair-session-reset lets node 0 queue two payloads toward node 1.
+    let send = TAction::SendLsu(0, 1);
+    expect_error("pair-session-reset", &[send.clone(), send.clone(), send], 3);
+    let ghost = Frame {
+        src: 0,
+        dst: 1,
+        inc: 1,
+        for_inc: 0,
+        for_session: 0,
+        session: 1,
+        gen: 1,
+        body: FBody::Hello,
+    };
+    expect_error("pair-session-reset", &[TAction::Deliver(ghost)], 1);
+}
