@@ -1,6 +1,7 @@
 //! `mdr-lint` — the workspace's static verification layer.
 //!
-//! Two engines, both run by the `mdr-lint` binary and gated in CI:
+//! Three engines, all gated in CI. The `mdr-lint` binary runs the
+//! determinism scan; the `mdr-verify` binary runs both model checkers.
 //!
 //! 1. **Determinism scan** ([`rules`]): a token-level pass over every
 //!    workspace source file enforcing the bit-determinism and
@@ -18,10 +19,11 @@
 //!    enumeration of *all* interleavings of MPDA message deliveries,
 //!    losses, and link events on small topologies, asserting the
 //!    Loop-Free Invariant in every reachable state and printing a
-//!    minimal counterexample trace on violation.
+//!    minimal counterexample trace on violation. No reduction: every
+//!    enabled action is expanded at every state.
 //!
-//! 3. **Transport protocol model checking** ([`transport`], run by the
-//!    `mdr-verify` binary): bounded-exhaustive exploration of the
+//! 3. **Transport protocol model checking** ([`transport`]):
+//!    bounded-exhaustive exploration of the
 //!    *real* `mdr_node::PeerChannel` state machine — hello exchange,
 //!    sliding-window transfer, loss/duplication/reordering,
 //!    crash-restart with incarnation bump, same-incarnation session
@@ -33,8 +35,9 @@
 //!    the same transition relation.
 //!
 //! Both model checkers run on one shared engine ([`por`]) providing
-//! breadth-first dedup, minimal counterexamples, and partial-order
-//! reduction with per-world ample rules.
+//! breadth-first dedup and minimal counterexamples. Its partial-order
+//! reduction hook has one user, the transport checker's
+//! adjacency-component rule.
 //!
 //! Configuration lives in `lint.toml` at the workspace root
 //! ([`config`]); the allowlist is empty by default and stale entries

@@ -1,57 +1,38 @@
-//! `mdr-lint` CLI.
+//! `mdr-lint` CLI: the workspace determinism scan.
 //!
 //! ```text
-//! cargo run --release -p mdr-lint            # scan + model-check (CI gate)
-//! cargo run -p mdr-lint -- scan              # determinism scan only
-//! cargo run -p mdr-lint -- model-check       # LFI model checking only
-//! cargo run -p mdr-lint -- --depth 8 all     # override depth bounds
+//! cargo run --release -p mdr-lint                           # the CI gate
+//! cargo run -p mdr-lint -- --root DIR --config FILE         # another tree or config
 //! ```
 //!
-//! Exit codes: `0` clean, `1` violations found, `2` usage/config/IO
-//! error.
+//! Model checking lives in the `mdr-verify` binary.
+//!
+//! Exit codes: `0` clean, `1` findings, `2` usage/config/IO error.
 
 #![forbid(unsafe_code)]
 
 use mdr_lint::config::{self, LintConfig};
-use mdr_lint::model::{self, Verdict};
 use mdr_lint::rules;
-use mdr_routing::mpda::UpdateRule;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-enum Mode {
-    Scan,
-    ModelCheck,
-    All,
-}
-
 struct Args {
-    mode: Mode,
     root: PathBuf,
     config: Option<PathBuf>,
-    depth: usize,
 }
 
 fn usage() -> String {
-    "usage: mdr-lint [scan|model-check|all] [--root DIR] [--config FILE] [--depth N]".to_string()
+    "usage: mdr-lint [--root DIR] [--config FILE]".to_string()
 }
 
 fn parse_args() -> Result<Args, String> {
     // Default root: the workspace containing this crate, so both
     // `cargo run -p mdr-lint` and a CI checkout invocation work
     // without flags.
-    let mut args = Args {
-        mode: Mode::All,
-        root: Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
-        config: None,
-        depth: 0,
-    };
+    let mut args = Args { root: Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."), config: None };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "scan" => args.mode = Mode::Scan,
-            "model-check" => args.mode = Mode::ModelCheck,
-            "all" => args.mode = Mode::All,
             "--root" => {
                 args.root =
                     PathBuf::from(it.next().ok_or_else(|| "--root needs a value".to_string())?);
@@ -60,10 +41,6 @@ fn parse_args() -> Result<Args, String> {
                 args.config = Some(PathBuf::from(
                     it.next().ok_or_else(|| "--config needs a value".to_string())?,
                 ));
-            }
-            "--depth" => {
-                let v = it.next().ok_or_else(|| "--depth needs a value".to_string())?;
-                args.depth = v.parse().map_err(|_| format!("invalid --depth `{v}`"))?;
             }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
@@ -74,19 +51,15 @@ fn parse_args() -> Result<Args, String> {
 
 fn load_config(args: &Args) -> Result<LintConfig, String> {
     let path = args.config.clone().unwrap_or_else(|| args.root.join("lint.toml"));
-    let mut cfg = if path.is_file() {
+    if path.is_file() {
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        config::parse(&src).map_err(|e| e.to_string())?
+        config::parse(&src).map_err(|e| e.to_string())
     } else if args.config.is_some() {
-        return Err(format!("config file {} not found", path.display()));
+        Err(format!("config file {} not found", path.display()))
     } else {
-        LintConfig::default()
-    };
-    if args.depth > 0 {
-        cfg.model_depth = args.depth;
+        Ok(LintConfig::default())
     }
-    Ok(cfg)
 }
 
 /// Run the determinism scan; returns the number of findings.
@@ -106,39 +79,6 @@ fn run_scan(root: &Path, cfg: &LintConfig) -> Result<usize, String> {
     Ok(outcome.diags.len())
 }
 
-/// Run the model-checking suite; returns the number of violated or
-/// capped scenarios.
-fn run_model_check(cfg: &LintConfig) -> usize {
-    let suite = model::builtin_suite(cfg.model_depth);
-    let mut bad = 0usize;
-    for s in &suite {
-        match model::explore(s, UpdateRule::Lfi, cfg.model_max_states) {
-            Verdict::Holds(st) => {
-                println!(
-                    "mdr-lint model-check: `{}` holds — {} states, {} transitions, depth {} \
-                     (n={}, depth bound {}, lossy={})",
-                    s.name, st.states, st.transitions, st.deepest, s.n, s.depth, s.lossy
-                );
-            }
-            Verdict::Violated(cx, st) => {
-                bad += 1;
-                println!("mdr-lint model-check: `{}` VIOLATED after {} states:", s.name, st.states);
-                print!("{}", model::render_trace(s, &cx));
-                println!("  scenario traps: {}", s.what_it_traps);
-            }
-            Verdict::Capped(st) => {
-                bad += 1;
-                println!(
-                    "mdr-lint model-check: `{}` exceeded the {}-state cap at depth {} — \
-                     not exhaustively explorable; lower the depth bound or raise max_states",
-                    s.name, cfg.model_max_states, st.deepest
-                );
-            }
-        }
-    }
-    bad
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -154,22 +94,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut findings = 0usize;
-    if matches!(args.mode, Mode::Scan | Mode::All) {
-        match run_scan(&args.root, &cfg) {
-            Ok(n) => findings += n,
-            Err(e) => {
-                eprintln!("mdr-lint: {e}");
-                return ExitCode::from(2);
-            }
+    match run_scan(&args.root, &cfg) {
+        Ok(0) => ExitCode::SUCCESS,
+        Ok(_) => ExitCode::from(1),
+        Err(e) => {
+            eprintln!("mdr-lint: {e}");
+            ExitCode::from(2)
         }
-    }
-    if matches!(args.mode, Mode::ModelCheck | Mode::All) {
-        findings += run_model_check(&cfg);
-    }
-    if findings > 0 {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
     }
 }

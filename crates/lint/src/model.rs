@@ -22,8 +22,14 @@
 //! exploration is exhaustive over distinct protocol states, not merely
 //! over action sequences. Because the search is breadth-first, a
 //! reported counterexample trace is minimal in length.
+//!
+//! Every enabled action is expanded at every state: the checker takes
+//! no partial-order reduction. A scenario that holds without
+//! [`por::Stats::truncated`] is therefore a proof over its whole
+//! bounded state space with no unproven step; one that holds truncated
+//! (`diamond-flap`) is a proof over every run up to its depth bound.
 
-use crate::por::{self, CheckWorld, Outcome, Successor};
+use crate::por::{self, CheckWorld, Cx, Outcome, Successor};
 use mdr_net::NodeId;
 use mdr_proto::LsuMessage;
 use mdr_routing::lfi;
@@ -110,57 +116,6 @@ pub struct Scenario {
     pub lossy: bool,
 }
 
-/// Exploration statistics for one scenario.
-#[derive(Debug, Clone, Default)]
-pub struct Exploration {
-    /// Distinct states reached (after dedup).
-    pub states: usize,
-    /// Transitions taken (including ones leading to known states).
-    pub transitions: usize,
-    /// Deepest layer reached (= depth bound when the frontier was
-    /// nonempty there).
-    pub deepest: usize,
-    /// States where partial-order reduction expanded a strict subset of
-    /// the enabled actions (0 when POR is off or never fired).
-    pub ample_states: usize,
-    /// `true` if the depth bound cut off unexplored successors — i.e.
-    /// the run did *not* exhaust the scenario's reachable space.
-    pub truncated: bool,
-}
-
-impl Exploration {
-    fn from_stats(s: por::Stats) -> Self {
-        Exploration {
-            states: s.states,
-            transitions: s.transitions,
-            deepest: s.deepest,
-            ample_states: s.ample_states,
-            truncated: s.truncated,
-        }
-    }
-}
-
-/// A minimal counterexample.
-#[derive(Debug, Clone)]
-pub struct Counterexample {
-    /// The actions from the initial state to the violating state.
-    pub trace: Vec<Action>,
-    /// Human description of the violated condition.
-    pub violation: String,
-}
-
-/// Scenario outcome.
-#[derive(Debug)]
-pub enum Verdict {
-    /// Every reachable state up to the depth bound satisfies LFI.
-    Holds(Exploration),
-    /// A reachable state violates LFI; the trace is length-minimal.
-    Violated(Box<Counterexample>, Exploration),
-    /// The state cap was hit before the depth bound was exhausted — the
-    /// scenario is not exhaustively checkable at this depth/cap.
-    Capped(Exploration),
-}
-
 /// The LFI transition system, fed to the shared [`por`] engine.
 ///
 /// Holds a borrow of its scenario so clones (the engine branches by
@@ -230,37 +185,6 @@ impl LfiWorld<'_> {
         }
     }
 
-    /// Append the *property projection* of router `r`: the exact state
-    /// the LFI check reads — `feasible_distance(j)` and `successors(j)`
-    /// for every destination (see [`lfi::check`]). An action that leaves
-    /// every router's projection unchanged is invisible to the invariant.
-    fn lfi_projection(r: &MpdaRouter, n: usize, out: &mut Vec<u8>) {
-        for j in 0..n {
-            let j = NodeId(j as u32);
-            out.extend_from_slice(&r.feasible_distance(j).to_bits().to_le_bytes());
-            let succ = r.successors(j);
-            out.extend_from_slice(&(succ.len() as u32).to_le_bytes());
-            for k in succ {
-                out.extend_from_slice(&k.0.to_le_bytes());
-            }
-        }
-    }
-
-    /// Would delivering the head of `from → to` right now leave the
-    /// receiver's LFI projection unchanged? (It may still mutate
-    /// neighbor tables, pending-ack bookkeeping, and emit acks — none
-    /// of which the invariant reads.)
-    fn head_is_invisible(&self, from: u32, to: u32, m: &LsuMessage) -> bool {
-        let n = self.routers.len();
-        let mut before = Vec::new();
-        Self::lfi_projection(&self.routers[to as usize], n, &mut before);
-        let mut trial = self.routers[to as usize].clone();
-        let _ = trial.handle(RouterEvent::Lsu { from: NodeId(from), msg: m.clone() });
-        let mut after = Vec::new();
-        Self::lfi_projection(&trial, n, &mut after);
-        before == after
-    }
-
     /// Append every enabled action to `out`.
     fn enabled(&self, out: &mut Vec<Action>) {
         for (&(a, b), q) in &self.chans {
@@ -304,60 +228,6 @@ impl LfiWorld<'_> {
             }
         }
     }
-
-    /// Invisible-head ample rule: once the environment schedule is
-    /// exhausted, pick the least channel whose head delivery is
-    /// invisible to the invariant ([`Self::head_is_invisible`]) and
-    /// expand only that channel's `Deliver` (and, when lossy, `Lose`).
-    ///
-    /// **Soundness status — empirically validated, not proven.** The
-    /// classically sound core of the argument: an invisible delivery
-    /// leaves every router's LFI projection unchanged, so the states it
-    /// commutes past are property-equivalent to their images in the
-    /// reduced graph, and a violating state reached through a deferred
-    /// interleaving is still reached (possibly reordered) through the
-    /// representative one. The residual gap is *stability*: an
-    /// invisible head can interact with later deliveries to the same
-    /// receiver through shared state the projection does not see —
-    /// the neighbor tables feeding every successor recomputation and
-    /// the pending-ack set that decides when an ACTIVE phase ends — so
-    /// a deferred interleaving can in principle pass through a
-    /// projection the reduced graph never visits. MPDA's structure
-    /// keeps that gap theoretical on this suite (successor sets are a
-    /// function of the *final* tables, ack pops commute as set
-    /// removals, and the phase ends at the last ack under every
-    /// permutation); the `por_equivalence` integration test pins
-    /// verdict identity against the unreduced exploration on all five
-    /// trap scenarios *and* on a deliberately broken update rule, so a
-    /// regression in the assumption fails CI rather than silently
-    /// weakening the checker. The transport checker's reduction
-    /// ([`crate::transport`]) does not inherit this caveat — its ample
-    /// rule rests on exact adjacency-component independence.
-    fn ample(&self, enabled: &[Action]) -> Option<Vec<usize>> {
-        if self.env_idx < self.s.env.len() {
-            return None;
-        }
-        for (&(a, b), q) in &self.chans {
-            let Some(m) = q.front() else { continue };
-            if !self.head_is_invisible(a, b, m) {
-                continue;
-            }
-            let idxs: Vec<usize> = enabled
-                .iter()
-                .enumerate()
-                .filter_map(|(i, act)| match act {
-                    Action::Deliver { from, to, .. } | Action::Lose { from, to }
-                        if *from == a && *to == b =>
-                    {
-                        Some(i)
-                    }
-                    _ => None,
-                })
-                .collect();
-            return Some(idxs);
-        }
-        None
-    }
 }
 
 impl CheckWorld for LfiWorld<'_> {
@@ -367,22 +237,19 @@ impl CheckWorld for LfiWorld<'_> {
         self.encode().into_boxed_slice()
     }
 
-    /// Enabled actions, cut to the invisible-head ample subset when
-    /// `por` is on, each applied to its own clone.
-    fn expand(&self, por: bool, out: &mut Vec<Successor<Self>>) -> bool {
+    /// Every enabled action, each applied to its own clone. The LFI
+    /// checker takes no reduction, so `por` is ignored and nothing is
+    /// ever pruned.
+    fn expand(&self, _por: bool, out: &mut Vec<Successor<Self>>) -> bool {
         let mut enabled = Vec::new();
         self.enabled(&mut enabled);
-        let ample = if por { self.ample(&enabled) } else { None };
-        let pruned = ample.as_ref().is_some_and(|subset| subset.len() < enabled.len());
-        let subset = ample.unwrap_or_else(|| (0..enabled.len()).collect());
-        for i in subset {
-            let action = enabled[i].clone();
+        for action in enabled {
             let mut next = self.clone();
             next.apply(&action);
             let key = next.key();
             out.push((action, Ok((next, key))));
         }
-        pruned
+        false
     }
 
     fn check(&self) -> Result<(), String> {
@@ -427,30 +294,14 @@ fn initial_world(s: &Scenario, rule: UpdateRule) -> LfiWorld<'_> {
     w
 }
 
-/// Exhaustively explore `s` with routers running `rule`, without
-/// partial-order reduction (every interleaving expanded).
-pub fn explore(s: &Scenario, rule: UpdateRule, max_states: usize) -> Verdict {
-    explore_with(s, rule, max_states, false)
-}
-
-/// Exhaustively explore `s` with routers running `rule`; when `por` is
-/// on, the inert-head ample rule prunes commuting interleavings (same
-/// verdict kind, far fewer states — the equivalence is pinned by the
-/// `por_equivalence` integration test).
-pub fn explore_with(s: &Scenario, rule: UpdateRule, max_states: usize, use_por: bool) -> Verdict {
-    let w0 = initial_world(s, rule);
-    match por::explore(w0, s.depth, max_states, use_por) {
-        Outcome::Holds(st) => Verdict::Holds(Exploration::from_stats(st)),
-        Outcome::Violated(cx, st) => Verdict::Violated(
-            Box::new(Counterexample { trace: cx.trace, violation: cx.violation }),
-            Exploration::from_stats(st),
-        ),
-        Outcome::Capped(st) => Verdict::Capped(Exploration::from_stats(st)),
-    }
+/// Exhaustively explore `s` with routers running `rule`: every
+/// interleaving is expanded.
+pub fn explore(s: &Scenario, rule: UpdateRule, max_states: usize) -> Outcome<Action> {
+    por::explore(initial_world(s, rule), s.depth, max_states, false)
 }
 
 /// Render a counterexample trace for humans.
-pub fn render_trace(s: &Scenario, cx: &Counterexample) -> String {
+pub fn render_trace(s: &Scenario, cx: &Cx<Action>) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "counterexample for scenario `{}` ({} steps):\n",
@@ -487,8 +338,7 @@ pub fn render_trace(s: &Scenario, cx: &Counterexample) -> String {
 /// The built-in scenario suite: small topologies chosen to trap the
 /// classic loop-forming situations (the paper's Fig. 2 bring-up race,
 /// cost surges, the high-cost-detour failure trap, flapping links).
-pub fn builtin_suite(depth_override: usize) -> Vec<Scenario> {
-    let d = |default: usize| if depth_override > 0 { depth_override } else { default };
+pub fn builtin_suite() -> Vec<Scenario> {
     vec![
         Scenario {
             name: "triangle-bringup",
@@ -505,7 +355,7 @@ pub fn builtin_suite(depth_override: usize) -> Vec<Scenario> {
             // The reachable space exhausts at depth 22 (27 936 states
             // unreduced) — this bound makes the exploration provably
             // complete, not merely bounded.
-            depth: d(24),
+            depth: 24,
             lossy: true,
         },
         Scenario {
@@ -522,7 +372,7 @@ pub fn builtin_suite(depth_override: usize) -> Vec<Scenario> {
             ],
             // The reachable space exhausts at depth 9 — this bound makes
             // the exploration provably complete, not merely bounded.
-            depth: d(10),
+            depth: 10,
             lossy: true,
         },
         Scenario {
@@ -536,7 +386,7 @@ pub fn builtin_suite(depth_override: usize) -> Vec<Scenario> {
             env: vec![EnvAction::WireDown(1, 3)],
             // The reachable space exhausts at depth 13 — this bound makes
             // the exploration provably complete, not merely bounded.
-            depth: d(14),
+            depth: 14,
             lossy: true,
         },
         Scenario {
@@ -549,9 +399,8 @@ pub fn builtin_suite(depth_override: usize) -> Vec<Scenario> {
             env: vec![EnvAction::WireDown(0, 1), EnvAction::WireUp(0, 1, 1.0)],
             // Does not exhaust at feasible depths (the flap keeps
             // regenerating traffic); 13 is the deepest bound the
-            // unreduced tier-1 run affords, and where the invisible-head
-            // reduction buys ~5x.
-            depth: d(13),
+            // unreduced run affords (45 386 states).
+            depth: 13,
             lossy: true,
         },
         Scenario {
@@ -564,33 +413,10 @@ pub fn builtin_suite(depth_override: usize) -> Vec<Scenario> {
             env: vec![EnvAction::CostChange { at: 0, to: 1, cost: 4.0 }],
             // The reachable space exhausts at depth 8 — this bound makes
             // the exploration provably complete, not merely bounded.
-            depth: d(9),
+            depth: 9,
             lossy: false,
         },
     ]
-}
-
-/// Scenarios beyond the tier-1 suite: tractable only with partial-order
-/// reduction, run by `mdr-verify` rather than the `mdr-lint` CI gate so
-/// the tier-1 job's wall clock is unchanged.
-pub fn extended_suite(depth_override: usize) -> Vec<Scenario> {
-    let d = |default: usize| if depth_override > 0 { depth_override } else { default };
-    vec![Scenario {
-        name: "ring6-cut",
-        what_it_traps: "a 6-node unit-cost ring losing one link, with losses: the two detour \
-                        halves reconverge through each other — with six routers the unreduced \
-                        interleaving space (~583k states, most of a minute) is outside the CI \
-                        budget, while the invisible-head reduction exhausts the scenario \
-                        (~78k states, a few seconds) at depth 27",
-        n: 6,
-        edges: vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 0, 1.0)],
-        start_converged: true,
-        env: vec![EnvAction::WireDown(0, 1)],
-        // Exhausts at depth 27 under reduction; 30 leaves margin so the
-        // run reports `exhausted` rather than a bounded prefix.
-        depth: d(30),
-        lossy: true,
-    }]
 }
 
 #[cfg(test)]
@@ -613,7 +439,7 @@ mod tests {
     #[test]
     fn sound_rule_holds_on_triangle() {
         match explore(&triangle(8, true), UpdateRule::Lfi, 1_000_000) {
-            Verdict::Holds(st) => {
+            Outcome::Holds(st) => {
                 assert!(st.states > 1, "must actually explore");
             }
             v => panic!("expected Holds, got {v:?}"),
@@ -640,7 +466,7 @@ mod tests {
             lossy: false,
         };
         match explore(&s, UpdateRule::NonStrictSuccessors, 2_000_000) {
-            Verdict::Violated(cx, _) => {
+            Outcome::Violated(cx, _) => {
                 assert!(!cx.trace.is_empty(), "cold start cannot be violated at depth 0");
                 assert!(
                     cx.violation.contains("cycle") || cx.violation.contains("FD ordering"),
@@ -657,7 +483,7 @@ mod tests {
     #[test]
     fn state_cap_reports_capped() {
         match explore(&triangle(64, true), UpdateRule::Lfi, 10) {
-            Verdict::Capped(st) => assert!(st.states > 10),
+            Outcome::Capped(st) => assert!(st.states > 10),
             v => panic!("expected Capped, got {v:?}"),
         }
     }
@@ -667,7 +493,7 @@ mod tests {
         // With the broken rule on a *converged* equal-cost triangle the
         // initial state itself violates LFI — the minimal trace is empty.
         match explore(&triangle(8, false), UpdateRule::NonStrictSuccessors, 1_000_000) {
-            Verdict::Violated(cx, _) => assert!(cx.trace.is_empty()),
+            Outcome::Violated(cx, _) => assert!(cx.trace.is_empty()),
             v => panic!("expected Violated, got {v:?}"),
         }
     }
@@ -681,7 +507,7 @@ mod tests {
         let mut s = triangle(6, true);
         s.env = vec![EnvAction::CostChange { at: 0, to: 1, cost: 5.0 }];
         match explore(&s, UpdateRule::Lfi, 2_000_000) {
-            Verdict::Holds(_) => {}
+            Outcome::Holds(_) => {}
             v => panic!("losses must not break safety: {v:?}"),
         }
     }

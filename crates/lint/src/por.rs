@@ -12,14 +12,16 @@
 //! parent pointers.
 //!
 //! Partial-order reduction is delegated to the world: when `por` is on,
-//! [`CheckWorld::expand`] returns successors for an ample subset of the
-//! enabled actions only. The engine itself imposes **no** cycle
-//! proviso — each world's ample rule must be sound on its own terms
-//! (both implementations in this crate argue soundness structurally:
-//! the selected actions commute with every deferred one *and* cannot be
-//! disabled by them, so any violating interleaving has an equivalent
-//! representative inside the reduced graph). Worlds that cannot make
-//! that argument for a state simply expand everything there.
+//! [`CheckWorld::expand`] may return successors for an ample subset of
+//! the enabled actions only. The engine itself imposes **no** cycle
+//! proviso — each world's ample rule must be sound on its own terms.
+//! The one rule in this crate, the transport checker's
+//! ([`crate::transport`]), argues soundness structurally: the selected
+//! actions commute with every deferred one *and* cannot be disabled by
+//! them, so any violating interleaving has an equivalent representative
+//! inside the reduced graph, and where that argument fails for a state
+//! it expands everything there. The LFI checker ([`crate::model`])
+//! takes no reduction at all.
 //!
 //! "Exhausted" means the frontier drained without ever skipping a
 //! successor: [`Stats::truncated`] stays `false` only if no state was

@@ -1,6 +1,7 @@
-//! `mdr-verify` CLI — exhaustive model checking of the transport
-//! adjacency state machine and the MPDA LFI invariant, plus checker
-//! self-validation against deliberately unsound mutants.
+//! `mdr-verify` CLI — the workspace's one model-checking entry point:
+//! exhaustive model checking of the transport adjacency state machine
+//! and of the MPDA LFI invariant, plus checker self-validation against
+//! deliberately unsound mutants.
 //!
 //! ```text
 //! cargo run --release -p mdr-lint --bin mdr-verify            # everything (CI gate)
@@ -8,6 +9,11 @@
 //! cargo run --release -p mdr-lint --bin mdr-verify -- lfi
 //! cargo run --release -p mdr-lint --bin mdr-verify -- --no-por all
 //! ```
+//!
+//! The transport suite runs under the adjacency-component reduction
+//! unless `--no-por` is given. The LFI suite always runs unreduced.
+//! `--max-states N` replaces every scenario's state cap (the LFI
+//! suite's default cap is 5 000 000).
 //!
 //! Output is line-oriented and stable so CI can `tee` it into the job
 //! summary: one `check … states … exhausted|bounded … states/s holds`
@@ -24,8 +30,8 @@
 
 #![forbid(unsafe_code)]
 
-use mdr_lint::model::{self, Verdict};
-use mdr_lint::por::Outcome;
+use mdr_lint::model;
+use mdr_lint::por::{Cx, Outcome};
 use mdr_lint::transport::{
     self, explore, mutant_cases, parse_replay, suite, to_replay, violation_class,
 };
@@ -88,6 +94,53 @@ struct Totals {
     failures: usize,
 }
 
+/// Print the `check` line of one sound scenario, fold it into `tot`,
+/// and say under it what went wrong; `render` prints a counterexample.
+fn report<A>(
+    layer: &str,
+    name: &str,
+    o: &Outcome<A>,
+    elapsed: Duration,
+    tot: &mut Totals,
+    render: impl Fn(&Cx<A>) -> String,
+) {
+    let st = o.stats();
+    tot.states += st.states;
+    tot.transitions += st.transitions;
+    let coverage = if st.truncated {
+        "bounded"
+    } else {
+        tot.exhausted += 1;
+        "exhausted"
+    };
+    let verdict = match o {
+        Outcome::Holds(_) => "holds",
+        Outcome::Violated(..) => "VIOLATED",
+        Outcome::Capped(_) => "CAPPED",
+    };
+    println!(
+        "check {layer:<9} {name:<28} {:>8} states {:>9} transitions depth {:>3} \
+         {coverage:<9} ample {:>6} {:>8}ms {:>8.0} states/s {verdict}",
+        st.states,
+        st.transitions,
+        st.deepest,
+        st.ample_states,
+        elapsed.as_millis(),
+        rate(st.states, elapsed),
+    );
+    match o {
+        Outcome::Holds(_) => {}
+        Outcome::Violated(cx, _) => {
+            tot.failures += 1;
+            print!("{}", render(cx));
+        }
+        Outcome::Capped(_) => {
+            tot.failures += 1;
+            println!("  !! state cap hit before the reachable space was drained");
+        }
+    }
+}
+
 /// Run the sound transport suite: every scenario must hold, and at
 /// least three must exhaust their reachable space (a proof, not a
 /// bounded smoke test).
@@ -98,48 +151,13 @@ fn run_transport_suite(args: &Args, tot: &mut Totals) {
         }
         let t = Instant::now();
         let o = explore(&s, ChannelMutant::None, args.use_por);
-        let st = o.stats();
-        tot.states += st.states;
-        tot.transitions += st.transitions;
-        let coverage = if st.truncated {
-            "bounded"
-        } else {
-            tot.exhausted += 1;
-            "exhausted"
-        };
-        let verdict = match &o {
-            Outcome::Holds(_) => "holds",
-            Outcome::Violated(..) => "VIOLATED",
-            Outcome::Capped(_) => "CAPPED",
-        };
-        let elapsed = t.elapsed();
-        println!(
-            "check transport {:<28} {:>8} states {:>9} transitions depth {:>3} \
-             {:<9} ample {:>6} {:>8}ms {:>8.0} states/s {}",
-            s.name,
-            st.states,
-            st.transitions,
-            st.deepest,
-            coverage,
-            st.ample_states,
-            elapsed.as_millis(),
-            rate(st.states, elapsed),
-            verdict
-        );
-        match o {
-            Outcome::Holds(_) => {}
-            Outcome::Violated(cx, _) => {
-                tot.failures += 1;
-                println!("  !! {}", cx.violation);
-                for a in &cx.trace {
-                    println!("     {a}");
-                }
+        report("transport", s.name, &o, t.elapsed(), tot, |cx| {
+            let mut out = format!("  !! {}\n", cx.violation);
+            for a in &cx.trace {
+                out.push_str(&format!("     {a}\n"));
             }
-            Outcome::Capped(_) => {
-                tot.failures += 1;
-                println!("  !! state cap hit before the reachable space was drained");
-            }
-        }
+            out
+        });
     }
 }
 
@@ -211,46 +229,14 @@ fn run_mutants(args: &Args, tot: &mut Totals) {
     }
 }
 
-/// Run the LFI trap suite (model.rs): every scenario must hold.
+/// Run the LFI trap suite ([`model`]), unreduced: every scenario
+/// must hold.
 fn run_lfi_suite(args: &Args, tot: &mut Totals) {
     let max = if args.max_states > 0 { args.max_states } else { 5_000_000 };
-    for s in model::builtin_suite(0) {
+    for s in model::builtin_suite() {
         let t = Instant::now();
-        let v = model::explore_with(&s, UpdateRule::Lfi, max, args.use_por);
-        let (word, ex) = match &v {
-            Verdict::Holds(ex) => ("holds", ex),
-            Verdict::Violated(_, ex) => ("VIOLATED", ex),
-            Verdict::Capped(ex) => ("CAPPED", ex),
-        };
-        tot.states += ex.states;
-        tot.transitions += ex.transitions;
-        let coverage = if ex.truncated {
-            "bounded"
-        } else {
-            tot.exhausted += 1;
-            "exhausted"
-        };
-        let elapsed = t.elapsed();
-        println!(
-            "check lfi       {:<28} {:>8} states {:>9} transitions depth {:>3} \
-             {:<9} ample {:>6} {:>8}ms {:>8.0} states/s {}",
-            s.name,
-            ex.states,
-            ex.transitions,
-            ex.deepest,
-            coverage,
-            ex.ample_states,
-            elapsed.as_millis(),
-            rate(ex.states, elapsed),
-            word
-        );
-        if let Verdict::Violated(cx, _) = &v {
-            tot.failures += 1;
-            print!("{}", model::render_trace(&s, cx));
-        }
-        if matches!(v, Verdict::Capped(_)) {
-            tot.failures += 1;
-        }
+        let o = model::explore(&s, UpdateRule::Lfi, max);
+        report("lfi", s.name, &o, t.elapsed(), tot, |cx| model::render_trace(&s, cx));
     }
 }
 

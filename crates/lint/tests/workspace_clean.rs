@@ -6,9 +6,8 @@
 //! test keeps `cargo test` sufficient to notice a regression locally.
 
 use mdr_lint::config::{self, LintConfig};
-use mdr_lint::model::{self, Scenario, Verdict};
+use mdr_lint::model;
 use mdr_lint::rules;
-use mdr_routing::mpda::UpdateRule;
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
@@ -80,7 +79,7 @@ fn workspace_scan_is_clean_with_shell_only_allowlist() {
 
 #[test]
 fn builtin_model_suite_covers_at_least_three_topologies() {
-    let suite = model::builtin_suite(0);
+    let suite = model::builtin_suite();
     assert!(suite.len() >= 3);
     // Distinct node counts 3..=5, and at least one cold-start and one
     // lossy scenario — the shapes the ISSUE calls for.
@@ -112,18 +111,4 @@ fn transport_suite_covers_required_shapes() {
     // Symmetry groups beyond the identity on both ends of the scale.
     assert!(suite.iter().any(|s| s.n == 2 && s.perms.len() == 2));
     assert!(suite.iter().any(|s| s.n == 6 && s.perms.len() == 12));
-}
-
-#[test]
-fn model_suite_smoke_holds_at_reduced_depth() {
-    // The full per-scenario depths run in release CI; under `cargo test`
-    // (debug) explore each scenario shallowly to keep the suite fast
-    // while still crossing every scenario's interesting first phase.
-    for s in model::builtin_suite(0) {
-        let shallow = Scenario { depth: s.depth.min(6), ..s };
-        match model::explore(&shallow, UpdateRule::Lfi, 2_000_000) {
-            Verdict::Holds(st) => assert!(st.states > 0),
-            v => panic!("`{}` failed the smoke exploration: {v:?}", shallow.name),
-        }
-    }
 }
