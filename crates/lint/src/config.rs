@@ -5,9 +5,11 @@
 //! `[table]` headers, `[[array-of-tables]]` headers, `key = "string"`
 //! and `key = ["a", "b"]` (single line). Anything else is
 //! a hard error: a config the parser cannot fully understand must not
-//! silently weaken the lint.
+//! silently weaken the lint. So is a missing file or a missing scope
+//! list: there is no built-in scope to fall back to.
 
 use std::fmt;
+use std::path::Path;
 
 /// One `[[allow]]` entry: suppress `rule` inside `path`.
 ///
@@ -34,32 +36,11 @@ pub struct LintConfig {
     /// protocol decode paths).
     pub no_panic_paths: Vec<String>,
     /// Crate-root files that must carry `#![forbid(unsafe_code)]`.
+    /// Optional: left out or empty, every `crates/*/src/lib.rs` and
+    /// `tests/lib.rs` is a root.
     pub unsafe_forbid_roots: Vec<String>,
     /// Rule suppressions.
     pub allows: Vec<AllowEntry>,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            deterministic_crates: [
-                "crates/core",
-                "crates/net",
-                "crates/proto",
-                "crates/routing",
-                "crates/flow",
-                "crates/opt",
-                "crates/sim",
-            ]
-            .map(str::to_string)
-            .to_vec(),
-            no_panic_paths: ["crates/sim/src/engine.rs", "crates/proto/src"]
-                .map(str::to_string)
-                .to_vec(),
-            unsafe_forbid_roots: Vec::new(),
-            allows: Vec::new(),
-        }
-    }
 }
 
 /// A config-file problem, with the offending line.
@@ -81,10 +62,26 @@ fn err(line: usize, msg: impl Into<String>) -> ConfigError {
     ConfigError { line, msg: msg.into() }
 }
 
-/// Parse the `lint.toml` text.
+/// Read and parse the config file at `path`.
+pub fn load(path: &Path) -> Result<LintConfig, String> {
+    if !path.is_file() {
+        return Err(format!("config file {} not found", path.display()));
+    }
+    let src = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    parse(&src).map_err(|e| e.to_string())
+}
+
+/// Parse the `lint.toml` text. `[scope]` must give
+/// `deterministic_crates` and `no_panic_paths`.
 pub fn parse(src: &str) -> Result<LintConfig, ConfigError> {
-    // A key that is given replaces its built-in default entirely.
-    let mut cfg = LintConfig { allows: Vec::new(), ..LintConfig::default() };
+    let (mut deterministic_crates, mut no_panic_paths) = (None, None);
+    let mut cfg = LintConfig {
+        deterministic_crates: Vec::new(),
+        no_panic_paths: Vec::new(),
+        unsafe_forbid_roots: Vec::new(),
+        allows: Vec::new(),
+    };
     #[derive(PartialEq)]
     enum Section {
         None,
@@ -125,8 +122,8 @@ pub fn parse(src: &str) -> Result<LintConfig, ConfigError> {
                     err(ln, "expected a single-line list of strings: [\"a\", \"b\"]")
                 })?;
                 match key {
-                    "deterministic_crates" => cfg.deterministic_crates = list,
-                    "no_panic_paths" => cfg.no_panic_paths = list,
+                    "deterministic_crates" => deterministic_crates = Some(list),
+                    "no_panic_paths" => no_panic_paths = Some(list),
                     "unsafe_forbid_roots" => cfg.unsafe_forbid_roots = list,
                     other => return Err(err(ln, format!("unknown [scope] key `{other}`"))),
                 }
@@ -158,6 +155,10 @@ pub fn parse(src: &str) -> Result<LintConfig, ConfigError> {
             ));
         }
     }
+    let missing = |key: &str| err(0, format!("[scope] must give `{key}`"));
+    cfg.deterministic_crates =
+        deterministic_crates.ok_or_else(|| missing("deterministic_crates"))?;
+    cfg.no_panic_paths = no_panic_paths.ok_or_else(|| missing("no_panic_paths"))?;
     Ok(cfg)
 }
 
@@ -219,9 +220,22 @@ reason = "audited"
     }
 
     #[test]
-    fn empty_config_keeps_defaults() {
-        let cfg = parse("").unwrap();
-        assert!(cfg.deterministic_crates.iter().any(|c| c == "crates/sim"));
-        assert!(cfg.allows.is_empty());
+    fn missing_scope_keys_are_hard_errors() {
+        let e = parse("").unwrap_err();
+        assert!(e.msg.contains("deterministic_crates"), "{e}");
+        let e = parse("[scope]\ndeterministic_crates = [\"crates/sim\"]\n").unwrap_err();
+        assert!(e.msg.contains("no_panic_paths"), "{e}");
+        let e = parse("[scope]\nno_panic_paths = []\n").unwrap_err();
+        assert!(e.msg.contains("deterministic_crates"), "{e}");
+        // Both lists given, even empty, is a complete scope.
+        let cfg = parse("[scope]\ndeterministic_crates = []\nno_panic_paths = []\n").unwrap();
+        assert!(cfg.deterministic_crates.is_empty() && cfg.unsafe_forbid_roots.is_empty());
+    }
+
+    #[test]
+    fn missing_config_file_is_an_error() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("no-such-dir/lint.toml");
+        let e = load(&path).unwrap_err();
+        assert!(e.contains("not found"), "{e}");
     }
 }

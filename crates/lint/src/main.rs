@@ -5,6 +5,9 @@
 //! cargo run -p mdr-lint -- --root DIR --config FILE         # another tree or config
 //! ```
 //!
+//! The config is `--config FILE`, or else `DIR/lint.toml`; a missing
+//! config is an error.
+//!
 //! Model checking lives in the `mdr-verify` binary.
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage/config/IO error.
@@ -50,16 +53,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn load_config(args: &Args) -> Result<LintConfig, String> {
-    let path = args.config.clone().unwrap_or_else(|| args.root.join("lint.toml"));
-    if path.is_file() {
-        let src = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        config::parse(&src).map_err(|e| e.to_string())
-    } else if args.config.is_some() {
-        Err(format!("config file {} not found", path.display()))
-    } else {
-        Ok(LintConfig::default())
-    }
+    config::load(&args.config.clone().unwrap_or_else(|| args.root.join("lint.toml")))
 }
 
 /// Run the determinism scan; returns the number of findings.

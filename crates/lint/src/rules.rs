@@ -492,8 +492,20 @@ fn test_exclusion_mask(code: &[(usize, &Token<'_>)]) -> Vec<bool> {
 mod tests {
     use super::*;
 
+    /// The scope these tests exercise: `crates/sim` is deterministic,
+    /// and the engine event loop and the proto decode paths must not
+    /// panic.
+    fn cfg() -> LintConfig {
+        LintConfig {
+            deterministic_crates: vec!["crates/sim".into()],
+            no_panic_paths: vec!["crates/sim/src/engine.rs".into(), "crates/proto/src".into()],
+            unsafe_forbid_roots: Vec::new(),
+            allows: Vec::new(),
+        }
+    }
+
     fn scan(rel: &str, src: &str) -> Vec<String> {
-        let cfg = LintConfig::default();
+        let cfg = cfg();
         let mut used = vec![false; cfg.allows.len()];
         scan_source(rel, src, &cfg, &mut used).into_iter().map(|d| d.code.to_string()).collect()
     }
@@ -553,7 +565,7 @@ mod tests {
 
     #[test]
     fn allowlisted_unsafe_needs_safety_comment() {
-        let mut cfg = LintConfig::default();
+        let mut cfg = cfg();
         cfg.allows.push(AllowEntry {
             rule: "unsafe-code".into(),
             path: "crates/sim/src/chaos.rs".into(),

@@ -44,8 +44,14 @@
 //! [`crate::por::Stats::truncated`]) is a proof over the entire
 //! reachable space of the scenario. An adjacency action — a delivery,
 //! a send, a timer firing — is first tried on the one channel it
-//! drives; only one that changes something pays for a copy of the
-//! world.
+//! drives; only one that changes something is committed to a copy of
+//! the world. That copy is cheap: a world holds each channel behind an
+//! `Rc` together with the channel's [`PeerChannel::encode_state`] bytes
+//! (`Chan`), so the copy shares every channel the action did not
+//! touch, and the state key copies each channel's bytes instead of
+//! encoding the channel again. The checker's own integers go into the
+//! key as LEB128 varints; every field stays self-delimiting, so the key
+//! is exact (no hashing, no compaction that could merge two states).
 //!
 //! # Partial-order reduction: adjacency-component independence
 //!
@@ -89,6 +95,7 @@ use mdr_node::{
 use mdr_proto::{LsuEntry, LsuMessage, NodeBody};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::rc::Rc;
 
 /// One transport scenario: a topology of adjacencies plus fault
 /// budgets. All knobs are budgets, not schedules — the checker
@@ -236,21 +243,19 @@ impl Frame {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.src);
         out.push(self.dst);
-        out.extend_from_slice(&self.inc.to_le_bytes());
-        out.extend_from_slice(&self.for_inc.to_le_bytes());
-        out.extend_from_slice(&self.for_session.to_le_bytes());
-        out.extend_from_slice(&self.session.to_le_bytes());
-        out.extend_from_slice(&self.gen.to_le_bytes());
+        for v in [self.inc, self.for_inc, self.for_session, self.session, self.gen] {
+            put_varint(out, v.into());
+        }
         match self.body {
             FBody::Hello => out.push(0),
             FBody::Data { seq, payload } => {
                 out.push(1);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&payload.to_le_bytes());
+                put_varint(out, seq);
+                put_varint(out, payload.into());
             }
             FBody::Ack { cum } => {
                 out.push(2);
-                out.extend_from_slice(&cum.to_le_bytes());
+                put_varint(out, cum);
             }
         }
     }
@@ -333,6 +338,45 @@ impl fmt::Display for TAction {
     }
 }
 
+/// A channel together with its [`PeerChannel::encode_state`] bytes.
+/// Worlds hold it behind an `Rc`, so a successor shares every channel
+/// its action did not touch, and [`TWorld::encode_under_into`] copies
+/// `enc` instead of encoding the channel again. The copy is valid under
+/// every node relabeling because payload LSUs pin their node ids
+/// ([`payload_lsu`]).
+struct Chan {
+    ch: PeerChannel,
+    enc: Box<[u8]>,
+}
+
+/// `ch`'s [`PeerChannel::encode_state`] bytes.
+fn encoding(ch: &PeerChannel) -> Box<[u8]> {
+    let mut enc = Vec::new();
+    ch.encode_state(&mut enc);
+    enc.into()
+}
+
+impl Chan {
+    /// A fresh channel of node incarnation `inc`: the initial world's
+    /// and a crash-restart's.
+    fn fresh(s: &TScenario, inc: u32, mutant: ChannelMutant) -> Rc<Chan> {
+        let ch = PeerChannel::with_mutant(s.cfg, inc, 0.0, mutant);
+        Rc::new(Chan { enc: encoding(&ch), ch })
+    }
+}
+
+/// Append `v` as an unsigned LEB128 varint: seven bits a byte, low
+/// group first, the high bit set on every byte but the last. Only the
+/// last byte is below `0x80`, so the encoding is prefix-free and a run
+/// of varints needs no lengths.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
 #[derive(Clone)]
 struct TNode {
     inc: u32,
@@ -341,7 +385,7 @@ struct TNode {
     /// in its current life.
     released: bool,
     crash_left: u32,
-    chans: BTreeMap<u8, PeerChannel>,
+    chans: BTreeMap<u8, Rc<Chan>>,
     /// Neighbors that still held an adjacency to this node's previous
     /// incarnation when it last crashed and have not observably torn
     /// it down since (any `PeerDown` / `PeerRestart` on their side
@@ -402,7 +446,7 @@ pub fn initial_world(s: &TScenario, mutant: ChannelMutant) -> TWorld<'_> {
     let mut stream_gen = BTreeMap::new();
     for &(a, b) in s.adjacencies {
         for (x, y) in [(a, b), (b, a)] {
-            nodes[x as usize].chans.insert(y, PeerChannel::with_mutant(s.cfg, 1, 0.0, mutant));
+            nodes[x as usize].chans.insert(y, Chan::fresh(s, 1, mutant));
             sends_left.insert((x, y), 0);
             dead_left.insert((x, y), 0);
             payload_next.insert((x, y), 1);
@@ -492,7 +536,7 @@ fn encode_triple_map<V>(
     in_key_order(items, is_identity(p), |(a, b, g), v| {
         out.push(a);
         out.push(b);
-        out.extend_from_slice(&g.to_le_bytes());
+        put_varint(out, g.into());
         enc(out, v);
     });
     out.push(0xfc);
@@ -513,8 +557,8 @@ struct ChannelStep {
     x: u8,
     /// The peer its channel faces.
     y: u8,
-    /// The channel after the step.
-    ch: PeerChannel,
+    /// The channel after the step, with its encoding.
+    chan: Chan,
     /// What the channel reported.
     events: Vec<ChannelEvent>,
     /// The emitted bodies, stamped as they go on the wire once the
@@ -522,7 +566,7 @@ struct ChannelStep {
     frames: Vec<Frame>,
     /// The budget the action spends, if any.
     spend: Option<Spend>,
-    /// The channel's `encode_state` bytes did not change.
+    /// The channel's encoding did not change.
     unchanged: bool,
 }
 
@@ -548,27 +592,27 @@ impl TWorld<'_> {
         let sorted = is_identity(p);
         let nodes = self.nodes.iter().enumerate().map(|(i, n)| (p[i], n));
         in_key_order(nodes, sorted, |_, n| {
-            out.extend_from_slice(&n.inc.to_le_bytes());
+            put_varint(out, n.inc.into());
             out.push(n.quarantined as u8);
             out.push(n.released as u8);
-            out.extend_from_slice(&n.crash_left.to_le_bytes());
+            put_varint(out, n.crash_left.into());
             let chans = n.chans.iter().map(|(&nb, c)| (p[nb as usize], c));
             in_key_order(chans, sorted, |nb, c| {
                 out.push(nb);
-                c.encode_state(out);
+                out.extend_from_slice(&c.enc);
             });
             let holders = n.stale_holders.iter().map(|&h| (p[h as usize], ()));
             in_key_order(holders, sorted, |h, ()| out.push(h));
             out.push(0xfe);
         });
-        out.extend_from_slice(&(self.wire.len() as u32).to_le_bytes());
+        put_varint(out, self.wire.len() as u64);
         in_key_order(self.wire.iter().map(|f| (f.relabel(p), ())), sorted, |f, ()| f.encode(out));
-        let enc_u32 = |out: &mut Vec<u8>, v: &u32| out.extend_from_slice(&v.to_le_bytes());
-        let enc_u64 = |out: &mut Vec<u8>, v: &u64| out.extend_from_slice(&v.to_le_bytes());
+        let enc_u32 = |out: &mut Vec<u8>, v: &u32| put_varint(out, (*v).into());
+        let enc_u64 = |out: &mut Vec<u8>, v: &u64| put_varint(out, *v);
         let enc_vec = |out: &mut Vec<u8>, v: &Vec<u32>| {
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
+            put_varint(out, v.len() as u64);
+            for &x in v {
+                put_varint(out, x.into());
             }
         };
         encode_pair_map(out, p, &self.sends_left, enc_u32);
@@ -669,7 +713,7 @@ impl TWorld<'_> {
                         return Err(format!("checker-bug: node {x} has no channel toward {y}"));
                     };
                     let hi = self.delivered_hi.entry(key).or_default();
-                    *hi = (*hi).max(ch.delivered());
+                    *hi = (*hi).max(ch.ch.delivered());
                 }
                 ChannelEvent::PeerUp { .. } | ChannelEvent::Discarded { .. } => {}
             }
@@ -678,15 +722,15 @@ impl TWorld<'_> {
     }
 
     /// The channel-local half of adjacency action `a`: run it on a
-    /// clone of the one channel it drives and stamp what that emits. The
-    /// world is not touched; [`Self::commit`] writes the result back.
-    /// `scratch` holds the channel's encodings before and after.
+    /// clone of the one channel it drives, encode the result and stamp
+    /// what it emits. The world is not touched; [`Self::commit`] writes
+    /// the result back. `scratch` holds the new channel's encoding.
     fn channel_step(&self, a: &TAction, scratch: &mut Vec<u8>) -> Result<ChannelStep, String> {
         let (x, y) = a.channel().ok_or_else(|| format!("checker-bug: `{a}` drives no channel"))?;
         let Some(old) = self.nodes[x as usize].chans.get(&y) else {
             return Err(format!("checker-bug: node {x} has no channel toward {y}"));
         };
-        let mut ch = old.clone();
+        let mut ch = old.ch.clone();
         let (out, events, spend) = match *a {
             TAction::Deliver(f) => {
                 let (out, events) =
@@ -710,16 +754,14 @@ impl TWorld<'_> {
             }
         };
         scratch.clear();
-        old.encode_state(scratch);
-        let mid = scratch.len();
         ch.encode_state(scratch);
-        let unchanged = scratch[..mid] == scratch[mid..];
+        let unchanged = scratch[..] == old.enc[..];
         // Ghost-channel check: a frame addressed to a different life or
         // stream epoch of the receiver must bounce off with zero state
         // change. The checker knows both sides, so it compares the
         // channel before and after the delivery.
         if let TAction::Deliver(f) = a {
-            let (node_inc, session) = (self.nodes[x as usize].inc, old.session());
+            let (node_inc, session) = (self.nodes[x as usize].inc, old.ch.session());
             let stale = (f.for_inc != 0 && f.for_inc != node_inc)
                 || (f.for_session != 0 && f.for_session != session);
             if stale && !unchanged {
@@ -740,14 +782,16 @@ impl TWorld<'_> {
             .count() as u32;
         let gen = self.stream_gen.get(&(x, y)).map_or(1, |g| g + resets);
         let frames = self.stamp(x, y, &ch, gen, out)?;
-        Ok(ChannelStep { x, y, ch, events, frames, spend, unchanged })
+        let chan = Chan { ch, enc: scratch.as_slice().into() };
+        Ok(ChannelStep { x, y, chan, events, frames, spend, unchanged })
     }
 
     /// Write the result of [`Self::channel_step`] back into the world:
-    /// spend the budget, write back the channel, fold in the events and
-    /// extend the wire.
+    /// spend the budget, write back the channel with the encoding the
+    /// step made, fold in the events and extend the wire.
     fn commit(&mut self, st: ChannelStep) -> Result<(), String> {
         let (x, y) = (st.x, st.y);
+        debug_assert!(st.chan.enc == encoding(&st.chan.ch), "stale encoding of {x}->{y}");
         match st.spend {
             Some(Spend::Send(p)) => {
                 if let Some(left) = self.sends_left.get_mut(&(x, y)) {
@@ -765,7 +809,7 @@ impl TWorld<'_> {
             }
             None => {}
         }
-        self.nodes[x as usize].chans.insert(y, st.ch);
+        self.nodes[x as usize].chans.insert(y, Rc::new(st.chan));
         self.process_events(x, y, st.events)?;
         self.wire.extend(st.frames);
         Ok(())
@@ -775,7 +819,7 @@ impl TWorld<'_> {
         let Some(policy) = self.s.policy else { return false };
         self.nodes[x].quarantined
             && quarantine_release_due(
-                self.nodes[x].chans.values().map(|c| c.peer_proven()),
+                self.nodes[x].chans.values().map(|c| c.ch.peer_proven()),
                 false,
                 policy,
             )
@@ -795,10 +839,10 @@ impl TWorld<'_> {
             let x = i as u8;
             for (&nb, ch) in &n.chans {
                 out.push(TAction::HelloFire(x, nb));
-                if ch.in_flight() > 0 {
+                if ch.ch.in_flight() > 0 {
                     out.push(TAction::RetxFire(x, nb));
                 }
-                if ch.is_up() && self.dead_left.get(&(x, nb)).copied().unwrap_or(0) > 0 {
+                if ch.ch.is_up() && self.dead_left.get(&(x, nb)).copied().unwrap_or(0) > 0 {
                     out.push(TAction::DeadExpiry(x, nb));
                 }
             }
@@ -829,7 +873,7 @@ impl TWorld<'_> {
                         self.nodes[y as usize]
                             .chans
                             .get(&x)
-                            .is_some_and(|c| c.is_up() && c.incarnation() == Some(old_inc))
+                            .is_some_and(|c| c.ch.is_up() && c.ch.incarnation() == Some(old_inc))
                     })
                     .collect();
                 let node = &mut self.nodes[x as usize];
@@ -840,8 +884,7 @@ impl TWorld<'_> {
                 node.stale_holders = holders;
                 let inc = node.inc;
                 for y in neighbors {
-                    node.chans
-                        .insert(y, PeerChannel::with_mutant(self.s.cfg, inc, 0.0, self.mutant));
+                    node.chans.insert(y, Chan::fresh(self.s, inc, self.mutant));
                     // The crash dropped all of x's transport state: its
                     // outgoing streams restart and its receive-side
                     // acceptance epochs do too.
@@ -985,7 +1028,7 @@ impl CheckWorld for TWorld<'_> {
         // order from that stream generation.
         for (i, n) in self.nodes.iter().enumerate() {
             for (&nb, ch) in &n.chans {
-                let claim = ch.acked();
+                let claim = ch.ch.acked();
                 if claim == 0 {
                     continue;
                 }
@@ -1505,6 +1548,88 @@ mod tests {
                 .unwrap_or_else(|| panic!("`{line}` must not parse"));
             assert!(err.contains("bad"), "`{line}`: {err}");
         }
+    }
+
+    /// Fail unless every channel's cached encoding equals a fresh
+    /// `encode_state` of the channel, and the world's key equals the
+    /// key of a copy whose channels are all encoded afresh.
+    fn assert_encodings_honest(w: &TWorld<'_>, name: &str) {
+        let mut fresh = w.clone();
+        for (x, n) in fresh.nodes.iter_mut().enumerate() {
+            for (y, c) in n.chans.iter_mut() {
+                let enc = encoding(&c.ch);
+                assert_eq!(c.enc, enc, "{name}: stale encoding of channel {x}->{y}");
+                *c = Rc::new(Chan { ch: c.ch.clone(), enc });
+            }
+        }
+        assert_eq!(w.key(), fresh.key(), "{name}: key differs from a fresh encoding's");
+    }
+
+    /// The cached channel encodings stay honest on every reachable
+    /// world of the two crash scenarios. The walk takes every candidate
+    /// through `apply` — no self-loop pruning, no reduction — and
+    /// bounds resets as `expand` does.
+    #[test]
+    fn cached_channel_encodings_match_fresh_ones_on_every_reachable_world() {
+        for name in ["pair-crash-restart", "triangle-restart-quarantine"] {
+            let s = suite().into_iter().find(|s| s.name == name).expect("scenario in the suite");
+            let cap = 1 + s.reset_budget;
+            let w0 = initial_world(&s, ChannelMutant::None);
+            let mut seen = std::collections::HashSet::from([w0.key()]);
+            let (mut frontier, mut cand) = (vec![w0], Vec::new());
+            while let Some(w) = frontier.pop() {
+                assert_encodings_honest(&w, name);
+                cand.clear();
+                w.candidates(&mut cand);
+                for a in &cand {
+                    let mut next = w.clone();
+                    next.apply(a).unwrap_or_else(|v| panic!("{name}: `{a}` failed: {v}"));
+                    if next.stream_gen.values().all(|&g| g <= cap) && seen.insert(next.key()) {
+                        frontier.push(next);
+                    }
+                }
+            }
+            // The unreduced walk covers at least the states the reduced
+            // search visits (`tests/transport_counts.rs`).
+            let floor = if name == "pair-crash-restart" { 443 } else { 68_499 };
+            assert!(seen.len() >= floor, "{name}: walked only {} worlds", seen.len());
+        }
+    }
+
+    #[test]
+    fn varints_are_distinct_and_prefix_free() {
+        let encs: Vec<Vec<u8>> = [0, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX]
+            .into_iter()
+            .map(|v| {
+                let mut out = Vec::new();
+                put_varint(&mut out, v);
+                out
+            })
+            .collect();
+        let lens: Vec<usize> = encs.iter().map(Vec::len).collect();
+        assert_eq!(lens, [1, 1, 2, 2, 3, 5, 10]);
+        for (i, a) in encs.iter().enumerate() {
+            for (j, b) in encs.iter().enumerate() {
+                if i != j {
+                    assert!(!b.starts_with(a), "{a:02x?} is a prefix of {b:02x?}");
+                }
+            }
+        }
+    }
+
+    /// Two worlds that differ only in one frame's `seq`, 0 against 128
+    /// (one varint byte against two), get different keys.
+    #[test]
+    fn keys_differ_across_a_varint_byte_boundary() {
+        let s = suite().into_iter().find(|s| s.name == "pair-bringup-transfer").expect("scenario");
+        let key = |seq| {
+            let mut w = initial_world(&s, ChannelMutant::None);
+            let body = FBody::Data { seq, payload: 1 };
+            let (inc, for_inc, for_session, session, gen) = (1, 1, 1, 1, 1);
+            w.wire.insert(Frame { src: 0, dst: 1, inc, for_inc, for_session, session, gen, body });
+            w.key()
+        };
+        assert_ne!(key(0), key(128));
     }
 
     /// A cheap exhaustive smoke for debug builds: a pair bring-up with
