@@ -3,13 +3,14 @@
 //! The one `mdr-bench` binary dispatches over [`all`]: `mdr-bench <id>`
 //! runs one experiment, `mdr-bench all` drives the whole registry
 //! in-process and prints each experiment's wall-clock seconds.
-//! All simulator runs go through the parallel batch APIs (`run_jobs` /
-//! `run_many`), which spread jobs across cores while keeping results
-//! bit-identical to serial runs.
+//! All simulator runs go through the one parallel batch function,
+//! `run_many`, which spreads jobs across cores while keeping results
+//! bit-identical to serial runs; a paper scheme becomes a job through
+//! `Scheme::job`.
 
 use crate::{
-    cairn_setup, comparison_figure, comparison_figure_seeds, figure_run_config, mean, net1_setup,
-    run_jobs_ok, Figure, CAIRN_RATE, NET1_RATE,
+    cairn_setup, comparison_figure, comparison_figure_seeds, figure_run_config, job, mean,
+    net1_setup, Figure, CAIRN_RATE, NET1_RATE,
 };
 use mdr::prelude::*;
 use mdr_net::gen;
@@ -112,7 +113,7 @@ pub fn fig9() {
         &t,
         &flows,
         labels,
-        &[Scheme::opt(), Scheme::mp(10.0, 2.0)],
+        &[Scheme::Opt, Scheme::mp(10.0, 2.0)],
         Some(5.0),
         figure_run_config(),
     );
@@ -133,7 +134,7 @@ pub fn fig10() {
         &t,
         &flows,
         labels,
-        &[Scheme::opt(), Scheme::mp(10.0, 2.0)],
+        &[Scheme::Opt, Scheme::mp(10.0, 2.0)],
         Some(8.0),
         figure_run_config(),
     );
@@ -155,7 +156,7 @@ pub fn fig11() {
         &t,
         &flows,
         labels,
-        &[Scheme::opt(), Scheme::mp(10.0, 10.0), Scheme::mp(10.0, 2.0), Scheme::sp(10.0)],
+        &[Scheme::Opt, Scheme::mp(10.0, 10.0), Scheme::mp(10.0, 2.0), Scheme::sp(10.0)],
         None,
         figure_run_config(),
     );
@@ -173,7 +174,7 @@ pub fn fig12() {
         &t,
         &flows,
         labels,
-        &[Scheme::opt(), Scheme::mp(10.0, 10.0), Scheme::mp(10.0, 2.0), Scheme::sp(10.0)],
+        &[Scheme::Opt, Scheme::mp(10.0, 10.0), Scheme::mp(10.0, 2.0), Scheme::sp(10.0)],
         None,
         figure_run_config(),
     );
@@ -189,7 +190,7 @@ pub fn fig12() {
 /// SP delays while MP remains nearly unchanged.
 pub fn fig13() {
     let (t, flows, labels) = cairn_setup(CAIRN_RATE);
-    let cfg = mdr::RunConfig { duration: 120.0, ..figure_run_config() };
+    let cfg = SimConfig { duration: 120.0, ..figure_run_config() };
     let mut fig = comparison_figure_seeds(
         "fig13",
         "Effect of T_l on MP and SP in CAIRN",
@@ -217,7 +218,7 @@ sweep in EXPERIMENTS.md)"
 /// higher-connectivity topology).
 pub fn fig14() {
     let (t, flows, labels) = net1_setup(NET1_RATE);
-    let cfg = mdr::RunConfig { duration: 120.0, ..figure_run_config() };
+    let cfg = SimConfig { duration: 120.0, ..figure_run_config() };
     let mut fig = comparison_figure_seeds(
         "fig14",
         "Effect of T_l on MP and SP in NET1",
@@ -292,34 +293,27 @@ mean over 4 seeds)",
         .iter()
         .flat_map(|&s| {
             seeds.iter().map(move |&seed| {
-                let cfg = RunConfig {
-                    warmup: 30.0,
-                    duration: 90.0,
-                    seed,
-                    mean_packet_bits: 1000.0,
-                    ..Default::default()
-                };
-                RunJob::new(t, flows, s, cfg).with_scenario(scen)
+                let cfg = SimConfig { warmup: 30.0, duration: 90.0, seed, ..Default::default() };
+                job(s, t, flows, cfg).with_scenario(scen)
             })
         })
         .collect();
-    let results = run_jobs_ok(jobs);
+    let results = run_many(jobs);
     let mut burst_means = Vec::new();
-    for runs in results.chunks(seeds.len()) {
+    for (scheme, runs) in schemes.iter().zip(results.chunks(seeds.len())) {
         let mut burst = Vec::new();
         let mut worst_p99 = 0.0f64;
         let mut per_flow = vec![0.0; flows.len()];
         for r in runs {
-            let rep = r.report.as_ref().expect("simulated scheme");
-            let (burst_mean, p99) = window_stats(rep, flows.len());
+            let (burst_mean, p99) = window_stats(r, flows.len());
             burst.push(burst_mean * 1000.0);
             worst_p99 = worst_p99.max(p99 * 1000.0);
-            for (acc, d) in per_flow.iter_mut().zip(&r.per_flow_delay_ms) {
+            for (acc, d) in per_flow.iter_mut().zip(&r.mean_delays_ms) {
                 *acc += d / seeds.len() as f64;
             }
         }
-        let label = &runs[0].label;
-        let overall = mean(&runs.iter().map(|r| r.mean_delay_ms).collect::<Vec<_>>());
+        let label = scheme.label();
+        let overall = mean(&runs.iter().map(|r| r.mean_delay_ms()).collect::<Vec<_>>());
         fig.note(format!(
             "{}: during-burst mean {:.2} ms over {} seeds (per-seed {}; overall {:.2} ms, \
 worst-flow p99 {:.1} ms)",
@@ -331,7 +325,7 @@ worst-flow p99 {:.1} ms)",
             worst_p99
         ));
         burst_means.push(mean(&burst));
-        fig.add_series(label, per_flow);
+        fig.add_series(&label, per_flow);
     }
     fig.note(format!(
         "paper claim: MP significantly better than SP in dynamic environments — here the \
@@ -358,36 +352,28 @@ pub fn link_failure() {
     let scen = Scenario::new()
         .at(60.0, ScenarioEvent::FailLink { a: sri, b: mci })
         .at(90.0, ScenarioEvent::RestoreLink { a: sri, b: mci });
-    let cfg = RunConfig {
-        warmup: 30.0,
-        duration: 90.0,
-        seed: 7,
-        mean_packet_bits: 1000.0,
-        ..Default::default()
-    };
+    let cfg = SimConfig { warmup: 30.0, duration: 90.0, seed: 7, ..Default::default() };
 
     let mut fig = Figure::new(
         "link_failure",
         "MP vs SP across a trunk failure (sri--mci-r down for t in [60, 90) s)",
         labels,
     );
-    let jobs = [Scheme::mp(10.0, 2.0), Scheme::sp(10.0)]
-        .iter()
-        .map(|&s| RunJob::new(&t, &flows, s, cfg).with_scenario(&scen))
-        .collect();
-    for r in run_jobs_ok(jobs) {
-        let rep = r.report.as_ref().expect("simulated scheme");
-        let (fail_mean, worst_p99) = window_stats(rep, flows.len());
+    let schemes = [Scheme::mp(10.0, 2.0), Scheme::sp(10.0)];
+    let jobs =
+        schemes.iter().map(|&s| job(s, &t, &flows, cfg.clone()).with_scenario(&scen)).collect();
+    for (scheme, rep) in schemes.iter().zip(run_many(jobs)) {
+        let (fail_mean, worst_p99) = window_stats(&rep, flows.len());
         fig.note(format!(
             "{}: during-failure mean {:.2} ms (worst-flow p99 {:.1} ms); delivered {} dropped {} (ttl drops {})",
-            r.label,
+            scheme.label(),
             fail_mean * 1000.0,
             worst_p99 * 1000.0,
             rep.delivered,
             rep.dropped,
             rep.flows.iter().map(|f| f.dropped_ttl).sum::<u64>()
         ));
-        fig.add_series(&r.label, r.per_flow_delay_ms.clone());
+        fig.add_series(&scheme.label(), rep.mean_delays_ms);
     }
     fig.note(
         "reproduction note: the paper's claim is qualitative (MP 'can only perform better'). \
@@ -476,41 +462,35 @@ fn sweep(name: &str, topo: &Topology, base_flows: &[Flow], rates: &[f64]) {
         &format!("Mean delay (ms) vs per-flow rate on {name}"),
         rates.iter().map(|r| format!("{:.1} Mb/s", r / 1e6)).collect(),
     );
-    let cfg = RunConfig {
-        warmup: 20.0,
-        duration: 30.0,
-        seed: 7,
-        mean_packet_bits: 1000.0,
-        ..Default::default()
-    };
-    let schemes = [Scheme::opt(), Scheme::mp(10.0, 2.0), Scheme::sp(10.0)];
+    let cfg = SimConfig { warmup: 20.0, duration: 30.0, seed: 7, ..Default::default() };
+    let schemes = [Scheme::Opt, Scheme::mp(10.0, 2.0), Scheme::sp(10.0)];
     // The whole (rate × scheme) grid as one parallel batch.
-    let jobs: Vec<RunJob> = rates
+    let jobs = rates
         .iter()
         .flat_map(|&rate| {
             let flows: Vec<Flow> =
                 base_flows.iter().map(|f| Flow::new(f.src, f.dst, rate)).collect();
-            schemes.iter().map(move |&s| RunJob::new(topo, &flows, s, cfg)).collect::<Vec<_>>()
+            schemes.iter().map(|&s| job(s, topo, &flows, cfg.clone())).collect::<Vec<_>>()
         })
         .collect();
-    let results = run_jobs_ok(jobs);
+    let results: Vec<f64> = run_many(jobs).iter().map(SimReport::mean_delay_ms).collect();
     let mut opt_v = Vec::new();
     let mut mp_v = Vec::new();
     let mut sp_v = Vec::new();
     for (&rate, chunk) in rates.iter().zip(results.chunks(schemes.len())) {
-        let (opt, mp, sp) = (&chunk[0], &chunk[1], &chunk[2]);
+        let (opt, mp, sp) = (chunk[0], chunk[1], chunk[2]);
         println!(
             "{name} rate {:>5.2} Mb/s: OPT {:>8.3} ms   MP {:>8.3} ms   SP {:>8.3} ms   (MP/OPT {:.2}, SP/MP {:.2})",
             rate / 1e6,
-            opt.mean_delay_ms,
-            mp.mean_delay_ms,
-            sp.mean_delay_ms,
-            mp.mean_delay_ms / opt.mean_delay_ms,
-            sp.mean_delay_ms / mp.mean_delay_ms
+            opt,
+            mp,
+            sp,
+            mp / opt,
+            sp / mp
         );
-        opt_v.push(opt.mean_delay_ms);
-        mp_v.push(mp.mean_delay_ms);
-        sp_v.push(sp.mean_delay_ms);
+        opt_v.push(opt);
+        mp_v.push(mp);
+        sp_v.push(sp);
     }
     fig.add_series("OPT", opt_v);
     fig.add_series("MP-TL-10-TS-2", mp_v);
@@ -633,45 +613,28 @@ pub fn ablation_ah() {
         gains.iter().map(|g| format!("gain {g}")).collect(),
     );
     let setups = [("CAIRN", cairn_setup(CAIRN_RATE)), ("NET1", net1_setup(NET1_RATE))];
-    // OPT references for both topologies, then each topology's gain
-    // sweep, all as parallel batches.
-    let opts = run_jobs_ok(
-        setups
-            .iter()
-            .map(|(_, (t, flows, _))| RunJob::new(t, flows, Scheme::opt(), RunConfig::default()))
-            .collect(),
-    );
-    for ((name, (topo_, flows, _)), opt) in setups.iter().zip(&opts) {
-        let traffic = TrafficMatrix::from_flows(topo_, flows).expect("traffic");
-        let jobs: Vec<SimJob> = gains
-            .iter()
-            .map(|&gain| {
-                let cfg = SimConfig {
-                    mode: Mode::Multipath,
-                    t_long: 10.0,
-                    t_short: 2.0,
-                    ah_gain: gain,
-                    warmup: 30.0,
-                    duration: 60.0,
-                    seed: 7,
-                    ..Default::default()
-                };
-                SimJob::new(topo_, &traffic, cfg)
-            })
+    for (name, (t, flows, _)) in &setups {
+        // The OPT reference, then the gain sweep, as one parallel batch.
+        let gain_jobs = gains.iter().map(|&ah_gain| {
+            job(Scheme::mp(10.0, 2.0), t, flows, SimConfig { ah_gain, ..figure_run_config() })
+        });
+        let jobs = std::iter::once(job(Scheme::Opt, t, flows, SimConfig::default()))
+            .chain(gain_jobs)
             .collect();
         let reports = run_many(jobs);
+        let opt = reports[0].mean_delay_ms();
         let mut vals = Vec::new();
-        for (&gain, r) in gains.iter().zip(&reports) {
+        for (&gain, r) in gains.iter().zip(&reports[1..]) {
             println!(
                 "{name} gain {gain}: MP {:.3} ms (OPT {:.3} ms, ratio {:.2})",
                 r.mean_delay_ms(),
-                opt.mean_delay_ms,
-                r.mean_delay_ms() / opt.mean_delay_ms
+                opt,
+                r.mean_delay_ms() / opt
             );
             vals.push(r.mean_delay_ms());
         }
         fig.add_series(name, vals);
-        fig.note(format!("{name} OPT reference: {:.3} ms", opt.mean_delay_ms));
+        fig.note(format!("{name} OPT reference: {opt:.3} ms"));
     }
     fig.finish();
 }
@@ -687,21 +650,21 @@ pub fn ablation_estimator() {
     );
     let setups = [("CAIRN", cairn_setup(CAIRN_RATE)), ("NET1", net1_setup(NET1_RATE))];
     let ests = [EstimatorKind::Mm1, EstimatorKind::Pa];
-    let jobs: Vec<RunJob> = setups
+    let jobs = setups
         .iter()
         .flat_map(|(_, (t, flows, _))| {
-            ests.iter().map(move |&est| {
-                let scheme = Scheme::Mp { t_long: 10.0, t_short: 2.0, estimator: est };
-                RunJob::new(t, flows, scheme, figure_run_config())
+            ests.iter().map(move |&estimator| {
+                let scheme = Scheme::Mp { t_long: 10.0, t_short: 2.0, estimator };
+                job(scheme, t, flows, figure_run_config())
             })
         })
         .collect();
-    let results = run_jobs_ok(jobs);
+    let results = run_many(jobs);
     for ((name, _), chunk) in setups.iter().zip(results.chunks(ests.len())) {
         let mut vals = Vec::new();
         for (est, r) in ests.iter().zip(chunk) {
-            println!("{name} {est:?}: MP {:.3} ms", r.mean_delay_ms);
-            vals.push(r.mean_delay_ms);
+            println!("{name} {est:?}: MP {:.3} ms", r.mean_delay_ms());
+            vals.push(r.mean_delay_ms());
         }
         fig.add_series(name, vals);
     }

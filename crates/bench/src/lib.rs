@@ -16,24 +16,18 @@ use std::path::PathBuf;
 
 pub mod figures;
 
-/// Run a batch of scheme evaluations in parallel (job order preserved),
-/// panicking on the first error — figure inputs are static, so an error
-/// is a bug.
-fn run_jobs_ok(jobs: Vec<RunJob>) -> Vec<RunResult> {
-    run_jobs(jobs).into_iter().map(|r| r.expect("scheme run")).collect()
+/// `scheme`'s run over `topo` carrying `flows` — figure inputs are
+/// static, so an error is a bug.
+fn job(scheme: Scheme, topo: &Topology, flows: &[Flow], base: SimConfig) -> SimJob {
+    let traffic = TrafficMatrix::from_flows(topo, flows).expect("figure traffic");
+    scheme.job(topo, &traffic, base).expect("scheme job")
 }
 
 /// Standard simulated durations for figure runs: warm-up long enough to
 /// cover boot convergence and initial balancing, measurement window long
 /// enough for tight per-flow means at the evaluation rates.
-pub fn figure_run_config() -> RunConfig {
-    RunConfig {
-        warmup: 30.0,
-        duration: 60.0,
-        seed: 7,
-        mean_packet_bits: 1000.0,
-        ..Default::default()
-    }
+pub fn figure_run_config() -> SimConfig {
+    SimConfig { warmup: 30.0, duration: 60.0, seed: 7, ..Default::default() }
 }
 
 /// The CAIRN evaluation setup: topology plus the 11 paper flows at
@@ -185,30 +179,29 @@ pub fn comparison_figure(
     flow_labels: Vec<String>,
     schemes: &[Scheme],
     envelope_pct: Option<f64>,
-    cfg: RunConfig,
+    cfg: SimConfig,
 ) -> Figure {
     let mut fig = Figure::new(id, title, flow_labels);
-    let jobs: Vec<RunJob> = schemes.iter().map(|&s| RunJob::new(topo, flows, s, cfg)).collect();
-    let results = run_jobs_ok(jobs);
+    let jobs = schemes.iter().map(|&s| job(s, topo, flows, cfg.clone())).collect();
     let mut opt_delays: Option<Vec<f64>> = None;
-    for (scheme, r) in schemes.iter().zip(results) {
-        if matches!(scheme, Scheme::Opt { .. }) {
-            opt_delays = Some(r.per_flow_delay_ms.clone());
-            fig.add_series(&r.label, r.per_flow_delay_ms.clone());
+    for (scheme, r) in schemes.iter().zip(run_many(jobs)) {
+        let label = scheme.label();
+        if *scheme == Scheme::Opt {
+            opt_delays = Some(r.mean_delays_ms.clone());
+            fig.add_series(&label, r.mean_delays_ms.clone());
             if let Some(pct) = envelope_pct {
                 let env: Vec<f64> =
-                    r.per_flow_delay_ms.iter().map(|d| d * (1.0 + pct / 100.0)).collect();
+                    r.mean_delays_ms.iter().map(|d| d * (1.0 + pct / 100.0)).collect();
                 fig.add_series(&format!("OPT+{pct:.0}%"), env);
             }
         } else {
             if let Some(opt) = &opt_delays {
-                let (min, mean_r, max) = ratio_stats(&r.per_flow_delay_ms, opt);
+                let (min, mean_r, max) = ratio_stats(&r.mean_delays_ms, opt);
                 fig.note(format!(
-                    "{} vs OPT per-flow ratio: min {:.2} mean {:.2} max {:.2}",
-                    r.label, min, mean_r, max
+                    "{label} vs OPT per-flow ratio: min {min:.2} mean {mean_r:.2} max {max:.2}"
                 ));
             }
-            fig.add_series(&r.label, r.per_flow_delay_ms.clone());
+            fig.add_series(&label, r.mean_delays_ms);
         }
     }
     fig
@@ -234,22 +227,22 @@ pub fn comparison_figure_seeds(
     flows: &[Flow],
     flow_labels: Vec<String>,
     schemes: &[Scheme],
-    cfg: RunConfig,
+    cfg: SimConfig,
     seeds: &[u64],
 ) -> Figure {
     let mut fig = Figure::new(id, title, flow_labels);
     // One batch over the whole (scheme × seed) grid; results come back
     // in job order, so chunking by seeds recovers each scheme's runs.
-    let jobs: Vec<RunJob> = schemes
+    let jobs = schemes
         .iter()
         .flat_map(|&scheme| seeds.iter().map(move |&seed| (scheme, seed)))
-        .map(|(scheme, seed)| RunJob::new(topo, flows, scheme, RunConfig { seed, ..cfg }))
+        .map(|(scheme, seed)| job(scheme, topo, flows, SimConfig { seed, ..cfg.clone() }))
         .collect();
-    let results = run_jobs_ok(jobs);
+    let results = run_many(jobs);
     for (scheme, chunk) in schemes.iter().zip(results.chunks(seeds.len())) {
         let mut acc: Vec<f64> = vec![0.0; flows.len()];
         for r in chunk {
-            for (a, v) in acc.iter_mut().zip(&r.per_flow_delay_ms) {
+            for (a, v) in acc.iter_mut().zip(&r.mean_delays_ms) {
                 *a += v / seeds.len() as f64;
             }
         }

@@ -77,7 +77,10 @@ impl Args {
             let key = rest[i].as_str();
             let val = rest.get(i + 1).ok_or_else(|| format!("missing value for {key}"))?;
             let fval = || -> Result<f64, String> {
-                val.parse::<f64>().map_err(|_| format!("bad number for {key}: {val:?}"))
+                val.parse::<f64>()
+                    .ok()
+                    .filter(|x| x.is_finite())
+                    .ok_or_else(|| format!("bad number for {key}: {val:?}"))
             };
             match key {
                 "--network" => args.network = val.to_string(),
@@ -94,6 +97,12 @@ impl Args {
             }
             i += 2;
         }
+        if !(args.t_long > 0.0 && args.t_short > 0.0 && args.duration > 0.0) {
+            return Err("--tl, --ts and --duration must be positive".to_string());
+        }
+        if args.warmup < 0.0 {
+            return Err("--warmup must not be negative".to_string());
+        }
         Ok(args)
     }
 
@@ -101,7 +110,7 @@ impl Args {
         match self.scheme.as_str() {
             "mp" => Ok(Scheme::mp(self.t_long, self.t_short)),
             "sp" => Ok(Scheme::sp(self.t_long)),
-            "opt" => Ok(Scheme::opt()),
+            "opt" => Ok(Scheme::Opt),
             other => Err(format!("unknown scheme {other:?} (expected mp|sp|opt)")),
         }
     }
@@ -132,17 +141,15 @@ const USAGE: &str = "usage:
   mdr-cli compare --network <cairn|net1|file.json> [--rate BPS] [--tl S] [--ts S]
                   [--warmup S] [--duration S] [--seed N]";
 
-fn print_result(t: &Topology, flows: &[Flow], r: &mdr::RunResult) {
-    println!("{}: mean delay {:.3} ms", r.label, r.mean_delay_ms);
-    for (f, d) in flows.iter().zip(&r.per_flow_delay_ms) {
+fn print_result(t: &Topology, flows: &[Flow], scheme: Scheme, rep: &SimReport) {
+    println!("{}: mean delay {:.3} ms", scheme.label(), rep.mean_delay_ms());
+    for (f, d) in flows.iter().zip(&rep.mean_delays_ms) {
         println!("  {:>10} -> {:<10} {:>9.3} ms", t.name(f.src), t.name(f.dst), d);
     }
-    if let Some(rep) = &r.report {
-        println!(
-            "  delivered {}  dropped {}  LSUs {} ({} bytes)",
-            rep.delivered, rep.dropped, rep.control_messages, rep.control_bytes
-        );
-    }
+    println!(
+        "  delivered {}  dropped {}  LSUs {} ({} bytes)",
+        rep.delivered, rep.dropped, rep.control_messages, rep.control_bytes
+    );
 }
 
 fn main() -> ExitCode {
@@ -154,59 +161,44 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (t, flows) = match args.load() {
-        Ok(x) => x,
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Execute a parsed command line, printing its results.
+fn run(args: &Args) -> Result<(), String> {
+    let (t, flows) = args.load()?;
+    let schemes = match args.command {
+        Command::Topology => {
+            println!("{}", mdr::net::NetworkSpec::describe(&t, &flows).to_json());
+            return Ok(());
+        }
+        Command::Run => vec![args.scheme()?],
+        Command::Compare => {
+            vec![Scheme::Opt, Scheme::mp(args.t_long, args.t_short), Scheme::sp(args.t_long)]
         }
     };
-    let cfg = RunConfig {
+    let traffic = TrafficMatrix::from_flows(&t, &flows).map_err(|e| format!("run failed: {e}"))?;
+    let base = SimConfig {
         warmup: args.warmup,
         duration: args.duration,
         seed: args.seed,
-        mean_packet_bits: 1000.0,
         ..Default::default()
     };
-    match args.command {
-        Command::Topology => {
-            println!("{}", mdr::net::NetworkSpec::describe(&t, &flows).to_json());
-            ExitCode::SUCCESS
-        }
-        Command::Run => {
-            let scheme = match args.scheme() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match mdr::run(&t, &flows, scheme, cfg) {
-                Ok(r) => {
-                    print_result(&t, &flows, &r);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("run failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Command::Compare => {
-            for scheme in
-                [Scheme::opt(), Scheme::mp(args.t_long, args.t_short), Scheme::sp(args.t_long)]
-            {
-                match mdr::run(&t, &flows, scheme, cfg) {
-                    Ok(r) => print_result(&t, &flows, &r),
-                    Err(e) => {
-                        eprintln!("{} failed: {e}", scheme.label());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
+    let mut jobs = Vec::new();
+    for &scheme in &schemes {
+        let job = scheme.job(&t, &traffic, base.clone());
+        jobs.push(job.map_err(|e| format!("{} failed: {e}", scheme.label()))?);
     }
+    for (&scheme, rep) in schemes.iter().zip(run_many(jobs)) {
+        print_result(&t, &flows, scheme, &rep);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -252,6 +244,22 @@ mod tests {
         assert!(Args::parse(&sv(&["run", "--bogus", "1"])).is_err());
         assert!(Args::parse(&sv(&["run", "--rate"])).is_err());
         assert!(Args::parse(&sv(&["run", "--rate", "abc"])).is_err());
+        // Non-finite and out-of-range numbers: NaN or infinite run
+        // lengths never end, and a non-positive period panics the engine.
+        for bad in [
+            &["--duration", "nan"][..],
+            &["--duration", "inf"],
+            &["--warmup", "nan"],
+            &["--rate", "inf"],
+            &["--tl", "0"],
+            &["--ts", "-1"],
+            &["--duration", "0"],
+            &["--warmup", "-3"],
+        ] {
+            let argv = sv(&[&["run", "--network", "net1"][..], bad].concat());
+            assert!(Args::parse(&argv).is_err(), "{bad:?} accepted");
+        }
+        assert!(Args::parse(&sv(&["run", "--warmup", "0"])).is_ok());
     }
 
     #[test]

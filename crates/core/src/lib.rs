@@ -16,21 +16,30 @@
 //!
 //! ## Quick start
 //!
+//! A [`Scheme`] turns into one simulation job ([`Scheme::job`]); a batch
+//! of jobs runs across cores with [`sim::run_many`], its reports in job
+//! order.
+//!
 //! ```
 //! use mdr::prelude::*;
 //!
 //! // The paper's NET1 topology with its ten flows at 1 Mb/s each.
 //! let topo = mdr::net::topo::net1();
 //! let flows = mdr::net::topo::net1_flows(1_000_000.0);
+//! let traffic = TrafficMatrix::from_flows(&topo, &flows)?;
 //!
-//! // Run the paper's MP scheme (MPDA + IH/AH, T_l = 10 s, T_s = 2 s).
-//! let result = mdr::run(
-//!     &topo,
-//!     &flows,
-//!     Scheme::mp(10.0, 2.0),
-//!     RunConfig { warmup: 5.0, duration: 5.0, ..Default::default() },
-//! ).unwrap();
-//! assert!(result.mean_delay_ms > 0.0);
+//! // OPT, the paper's MP scheme (MPDA + IH/AH, T_l = 10 s, T_s = 2 s)
+//! // and single-path routing, over the same packet simulator.
+//! let base = SimConfig { warmup: 3.0, duration: 3.0, ..Default::default() };
+//! let schemes = [Scheme::Opt, Scheme::mp(10.0, 2.0), Scheme::sp(10.0)];
+//! let mut jobs = Vec::new();
+//! for s in schemes {
+//!     jobs.push(s.job(&topo, &traffic, base.clone())?);
+//! }
+//! for (s, report) in schemes.iter().zip(run_many(jobs)) {
+//!     assert!(report.mean_delay_ms() > 0.0, "{}", s.label());
+//! }
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 // No unsafe anywhere: the whole workspace is plain safe Rust, and
@@ -47,6 +56,4 @@ pub use mdr_sim as sim;
 pub mod prelude;
 pub mod scheme;
 
-pub use scheme::{
-    run, run_jobs, run_jobs_with, run_with_scenario, MdrError, RunConfig, RunJob, RunResult, Scheme,
-};
+pub use scheme::Scheme;

@@ -46,20 +46,28 @@ pub struct LintConfig {
 /// A config-file problem, with the offending line.
 #[derive(Debug)]
 pub struct ConfigError {
-    /// 1-based line in `lint.toml`.
-    pub line: usize,
+    /// 1-based line in the config; `None` for a problem of the whole
+    /// file (a missing scope key, an incomplete `[[allow]]` entry).
+    pub line: Option<usize>,
     /// What went wrong.
     pub msg: String,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lint.toml:{}: {}", self.line, self.msg)
+        match self.line {
+            Some(line) => write!(f, "line {line}: {}", self.msg),
+            None => f.write_str(&self.msg),
+        }
     }
 }
 
 fn err(line: usize, msg: impl Into<String>) -> ConfigError {
-    ConfigError { line, msg: msg.into() }
+    ConfigError { line: Some(line), msg: msg.into() }
+}
+
+fn file_err(msg: impl Into<String>) -> ConfigError {
+    ConfigError { line: None, msg: msg.into() }
 }
 
 /// Read and parse the config file at `path`.
@@ -69,7 +77,10 @@ pub fn load(path: &Path) -> Result<LintConfig, String> {
     }
     let src = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse(&src).map_err(|e| e.to_string())
+    parse(&src).map_err(|e| match e.line {
+        Some(line) => format!("{}:{line}: {}", path.display(), e.msg),
+        None => format!("{}: {}", path.display(), e.msg),
+    })
 }
 
 /// Parse the `lint.toml` text. `[scope]` must give
@@ -143,19 +154,19 @@ pub fn parse(src: &str) -> Result<LintConfig, ConfigError> {
     }
     for (i, a) in cfg.allows.iter().enumerate() {
         if a.rule.is_empty() || a.path.is_empty() {
-            return Err(err(0, format!("[[allow]] entry {} needs both `rule` and `path`", i + 1)));
+            return Err(file_err(format!(
+                "[[allow]] entry {} needs both `rule` and `path`",
+                i + 1
+            )));
         }
         if a.reason.is_empty() {
-            return Err(err(
-                0,
-                format!(
-                    "[[allow]] entry for {} at {} has no `reason` — every suppression must be justified",
-                    a.rule, a.path
-                ),
-            ));
+            return Err(file_err(format!(
+                "[[allow]] entry for {} at {} has no `reason` — every suppression must be justified",
+                a.rule, a.path
+            )));
         }
     }
-    let missing = |key: &str| err(0, format!("[scope] must give `{key}`"));
+    let missing = |key: &str| file_err(format!("[scope] must give `{key}`"));
     cfg.deterministic_crates =
         deterministic_crates.ok_or_else(|| missing("deterministic_crates"))?;
     cfg.no_panic_paths = no_panic_paths.ok_or_else(|| missing("no_panic_paths"))?;
@@ -230,6 +241,19 @@ reason = "audited"
         // Both lists given, even empty, is a complete scope.
         let cfg = parse("[scope]\ndeterministic_crates = []\nno_panic_paths = []\n").unwrap();
         assert!(cfg.deterministic_crates.is_empty() && cfg.unsafe_forbid_roots.is_empty());
+    }
+
+    #[test]
+    fn load_names_the_file_it_read() {
+        let path = std::env::temp_dir().join(format!("mdr-lint-{}-other.toml", std::process::id()));
+        std::fs::write(&path, "[scope]\ndeterministic_crates = []\n").unwrap();
+        let whole_file = load(&path);
+        std::fs::write(&path, "[scope]\nfrobnicate = []\n").unwrap();
+        let at_line = load(&path);
+        std::fs::remove_file(&path).unwrap();
+        let shown = path.display();
+        assert_eq!(whole_file.unwrap_err(), format!("{shown}: [scope] must give `no_panic_paths`"));
+        assert_eq!(at_line.unwrap_err(), format!("{shown}:2: unknown [scope] key `frobnicate`"));
     }
 
     #[test]

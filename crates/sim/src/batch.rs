@@ -2,7 +2,7 @@
 //!
 //! A figure in the paper is never one simulation: it is a grid of runs
 //! (schemes × loads × seeds). Each run is a pure function of its
-//! [`SimJob`], so a [`RunSet`] executes them with [`crate::par`] and
+//! [`SimJob`], so [`run_many`] executes them with [`crate::par`] and
 //! returns the reports **in job order, bit-identical to running the
 //! same jobs serially** — the determinism tests assert exactly that.
 
@@ -53,52 +53,11 @@ impl SimJob {
     }
 }
 
-/// An ordered batch of [`SimJob`]s.
-#[derive(Debug, Clone, Default)]
-pub struct RunSet {
-    jobs: Vec<SimJob>,
-}
-
-impl RunSet {
-    /// Empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a job, returning its index — [`RunSet::run_all`] reports
-    /// land at the same index.
-    pub fn push(&mut self, job: SimJob) -> usize {
-        self.jobs.push(job);
-        self.jobs.len() - 1
-    }
-
-    /// Jobs queued.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// True when no jobs are queued.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Execute every job (in parallel when cores allow) and return the
-    /// reports in push order.
-    pub fn run_all(self) -> Vec<SimReport> {
-        run_many(self.jobs)
-    }
-}
-
 /// Execute `jobs` across up to [`par::num_threads`] cores, returning
 /// reports in job order. Results are bit-identical to calling
 /// [`SimJob::run`] on each job in a serial loop.
 pub fn run_many(jobs: Vec<SimJob>) -> Vec<SimReport> {
     par::parallel_map(jobs, |j| j.run())
-}
-
-/// [`run_many`] with an explicit worker count.
-pub fn run_many_with(threads: usize, jobs: Vec<SimJob>) -> Vec<SimReport> {
-    par::parallel_map_with(threads, jobs, |j| j.run())
 }
 
 #[cfg(test)]
@@ -127,22 +86,20 @@ mod tests {
         let (t, traffic) = setup();
         let jobs: Vec<SimJob> = (1..=6).map(|s| SimJob::new(&t, &traffic, quick(s))).collect();
         let serial: Vec<SimReport> = jobs.iter().map(|j| j.run()).collect();
-        let parallel = run_many_with(4, jobs);
+        let parallel = par::parallel_map_with(4, jobs, |j| j.run());
         assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn runset_preserves_push_order() {
+    fn run_many_preserves_job_order() {
         let (t, traffic) = setup();
-        let mut set = RunSet::new();
-        assert!(set.is_empty());
-        let i1 = set.push(SimJob::new(&t, &traffic, quick(1)));
-        let i2 = set.push(SimJob::new(&t, &traffic, quick(2)));
-        assert_eq!((i1, i2), (0, 1));
-        assert_eq!(set.len(), 2);
-        let reports = set.run_all();
+        let reports = run_many(vec![
+            SimJob::new(&t, &traffic, quick(1)),
+            SimJob::new(&t, &traffic, quick(2)),
+        ]);
         assert_eq!(reports.len(), 2);
         // Different seeds: the slots must hold *their* run, not each other's.
+        assert_ne!(reports[0], reports[1]);
         assert_eq!(reports[0], SimJob::new(&t, &traffic, quick(1)).run());
         assert_eq!(reports[1], SimJob::new(&t, &traffic, quick(2)).run());
     }

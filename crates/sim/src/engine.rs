@@ -17,7 +17,7 @@ use crate::events::{Ev, Packet};
 use crate::fluid::FluidWork;
 use crate::host::{self, DataPlane, Host};
 use crate::scenario::{Scenario, ScenarioEvent};
-use crate::stats::{DelaySeries, FlowStats, LinkStats};
+use crate::stats::{DelaySeries, FlowStats, LinkStats, SERIES_BUCKET};
 use crate::telemetry::{DropReason, ObserverMode, SimEvent, TelemetryReport};
 use mdr_flow::Mode;
 use mdr_net::{LinkId, Mm1, NodeId, Topology, TrafficMatrix};
@@ -71,6 +71,9 @@ pub enum SimMode {
     FluidQuiescent,
 }
 
+/// Defensive per-packet hop budget.
+const TTL: u16 = 64;
+
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -98,13 +101,6 @@ pub struct SimConfig {
     pub duration: f64,
     /// RNG seed — same seed, same run, bit for bit.
     pub seed: u64,
-    /// Relative cost change needed before a long-term update reports a
-    /// new link cost into MPDA (hysteresis against LSU churn).
-    pub cost_change_threshold: f64,
-    /// Defensive per-packet hop budget.
-    pub ttl: u16,
-    /// Bucket width of the per-flow delay time series (seconds).
-    pub series_bucket: f64,
     /// AH step gain γ (1.0 = Fig. 7 literal; smaller damps the
     /// rebalancing — see `mdr_flow::heuristics`).
     pub ah_gain: f64,
@@ -147,9 +143,6 @@ impl Default for SimConfig {
             warmup: 15.0,
             duration: 60.0,
             seed: 1,
-            cost_change_threshold: 0.05,
-            ttl: 64,
-            series_bucket: 1.0,
             ah_gain: 0.4,
             fixed_routing: None,
             fault_plan: None,
@@ -317,6 +310,7 @@ impl Simulator {
         cfg: SimConfig,
     ) -> Self {
         assert!(cfg.t_short > 0.0 && cfg.t_long > 0.0, "update periods must be positive");
+        assert!(cfg.warmup.is_finite() && cfg.duration.is_finite(), "run length must be finite");
         assert!(cfg.mean_packet_bits > 0.0);
         let n = topo.node_count();
         let models: Vec<Mm1> = topo
@@ -369,7 +363,7 @@ impl Simulator {
             warmup_end: cfg.warmup,
             end_time: cfg.warmup + cfg.duration,
             link_stats: vec![LinkStats::default(); topo.link_count()],
-            series: DelaySeries::new(nflows, cfg.series_bucket),
+            series: DelaySeries::new(nflows, SERIES_BUCKET),
             cfg,
         };
         // First packet of every flow.
@@ -599,7 +593,7 @@ impl Simulator {
                             dst: self.flows[flow].dst,
                             created: t,
                             bits,
-                            ttl: self.cfg.ttl,
+                            ttl: TTL,
                         };
                         let src = self.flows[flow].src;
                         self.forward(src, pkt);

@@ -80,7 +80,7 @@ use crate::chaos::FaultEvent;
 use crate::events::Ev;
 use crate::host::{self, DataPlane, Host};
 use crate::scenario::{Scenario, ScenarioEvent};
-use crate::stats::{DelayHistogram, DelaySeries, FlowStats, LinkStats};
+use crate::stats::{DelayHistogram, DelaySeries, FlowStats, LinkStats, SERIES_BUCKET};
 use crate::telemetry::{SimEvent, SHIFT_EPS};
 use crate::{SimConfig, SimMode, SimReport};
 use mdr_flow::{Allocator, SuccessorCost, Update};
@@ -282,6 +282,7 @@ impl FluidSimulator {
         cfg: SimConfig,
     ) -> Self {
         assert!(cfg.t_short > 0.0 && cfg.t_long > 0.0, "update periods must be positive");
+        assert!(cfg.warmup.is_finite() && cfg.duration.is_finite(), "run length must be finite");
         assert!(cfg.mean_packet_bits > 0.0);
         let n = topo.node_count();
         let quiescent_cp = cfg.sim_mode == SimMode::FluidQuiescent;
@@ -387,7 +388,7 @@ impl FluidSimulator {
             acc: vec![FlowAcc::new(); nflows],
             link_stats: vec![LinkStats::default(); topo.link_count()],
             link_pkts: vec![0.0; topo.link_count()],
-            series: DelaySeries::new(nflows, cfg.series_bucket),
+            series: DelaySeries::new(nflows, SERIES_BUCKET),
             events_processed: 0,
             scenario: scenario.events(),
             #[cfg(test)]

@@ -47,6 +47,10 @@ pub(crate) trait DataPlane {
     fn step(&mut self, _host: &Host, _i: NodeId, _allocs: &Allocs, _routes_changed: bool) {}
 }
 
+/// Relative cost change needed before a long-term update reports a new
+/// link cost into MPDA (hysteresis against LSU churn).
+const COST_CHANGE_THRESHOLD: f64 = 0.05;
+
 /// One agent per router of `topo`, its neighbors in ascending address
 /// order (the order `Topology::out_links` yields, which defines the
 /// slots). `dests` limits allocation to the destinations a fluid run
@@ -56,7 +60,7 @@ pub(crate) fn agents(topo: &Topology, cfg: &SimConfig, dests: Option<Arc<[NodeId
     topo.nodes()
         .map(|i| {
             let nbrs = topo.neighbors(i).collect();
-            let agent = Agent::new(i, n, cfg.mode, cfg.ah_gain, nbrs, cfg.cost_change_threshold);
+            let agent = Agent::new(i, n, cfg.mode, cfg.ah_gain, nbrs, COST_CHANGE_THRESHOLD);
             match &dests {
                 Some(d) => agent.with_dests(d.clone()),
                 None => agent,

@@ -40,7 +40,7 @@ pub mod stats;
 pub mod telemetry;
 
 pub use agent::Agent;
-pub use batch::{run_many, run_many_with, RunSet, SimJob};
+pub use batch::{run_many, SimJob};
 pub use chaos::{
     ControlChaos, DirProfile, DirState, FaultEvent, FaultPlan, FaultProcess, FaultRecord,
     GreyFailure, IngressFate, LossModel, NetEmu, NetProfile, PartitionSpec, RobustnessCounters,

@@ -151,6 +151,9 @@ impl LinkStats {
     }
 }
 
+/// Bucket width of both engines' per-flow delay series (seconds).
+pub(crate) const SERIES_BUCKET: f64 = 1.0;
+
 /// A per-flow time series of windowed mean delays, for the dynamic
 /// experiments (delay vs. time plots).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -165,7 +168,7 @@ pub struct DelaySeries {
 /// simulator hands its series to the report).
 impl Default for DelaySeries {
     fn default() -> Self {
-        DelaySeries { bucket: 1.0, acc: Vec::new() }
+        DelaySeries { bucket: SERIES_BUCKET, acc: Vec::new() }
     }
 }
 

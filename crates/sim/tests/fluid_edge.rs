@@ -360,6 +360,25 @@ fn fluid_mode_audits_lfi_without_perturbing_the_run() {
     }
 }
 
+/// A NaN or infinite run length never ends: both engines refuse it in
+/// their constructors instead of looping.
+#[test]
+fn both_engines_refuse_an_endless_run() {
+    let t = line3();
+    let traffic = TrafficMatrix::from_flows(&t, &[Flow::new(NodeId(0), NodeId(2), 1e6)]).unwrap();
+    let scen = Scenario::new();
+    for (warmup, duration) in [(f64::NAN, 1.0), (1.0, f64::NAN), (1.0, f64::INFINITY)] {
+        let cfg = SimConfig { warmup, duration, ..Default::default() };
+        let fluid = SimConfig { sim_mode: SimMode::Fluid, ..cfg.clone() };
+        let packet = std::panic::catch_unwind(|| Simulator::new(&t, &traffic, &scen, cfg).run());
+        let fluid =
+            std::panic::catch_unwind(|| FluidSimulator::new(&t, &traffic, &scen, fluid).run());
+        for err in [packet.expect_err("packet engine"), fluid.expect_err("fluid engine")] {
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"run length must be finite"));
+        }
+    }
+}
+
 /// The quiescent control plane keeps no protocol state to audit.
 #[test]
 #[should_panic(expected = "FluidQuiescent keeps no protocol state")]

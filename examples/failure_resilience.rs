@@ -20,14 +20,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = Scenario::new()
         .at(60.0, ScenarioEvent::FailLink { a: sri, b: mci })
         .at(90.0, ScenarioEvent::RestoreLink { a: sri, b: mci });
-    let cfg = RunConfig { warmup: 30.0, duration: 90.0, seed: 7, ..Default::default() };
+    let traffic = TrafficMatrix::from_flows(&topo, &flows)?;
+    let cfg = SimConfig { warmup: 30.0, duration: 90.0, seed: 7, ..Default::default() };
 
     println!("failing trunk sri--mci-r during t in [60, 90) s\n");
     for scheme in [Scheme::mp(10.0, 2.0), Scheme::sp(10.0)] {
-        let r = mdr::run_with_scenario(&topo, &flows, scheme, cfg, &scenario)?;
-        let rep = r.report.as_ref().expect("simulated scheme");
-        println!("{}:", r.label);
-        println!("  mean delay {:.3} ms over the full window", r.mean_delay_ms);
+        let rep = scheme.job(&topo, &traffic, cfg.clone())?.with_scenario(&scenario).run();
+        println!("{}:", scheme.label());
+        println!("  mean delay {:.3} ms over the full window", rep.mean_delay_ms());
         println!("  delivered {}   dropped {}", rep.delivered, rep.dropped);
         // Show the delay-vs-time trace of the flow that crosses the
         // failed trunk (lbl -> mci-r is flow 0).

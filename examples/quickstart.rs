@@ -22,16 +22,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // One flow that exceeds a single path's capacity: 1.2 Mb/s a -> z.
-    let flows = vec![Flow::new(a, z, 1_200_000.0)];
-    let cfg = RunConfig { warmup: 15.0, duration: 30.0, ..Default::default() };
+    let traffic = TrafficMatrix::from_flows(&topo, &[Flow::new(a, z, 1_200_000.0)])?;
+    let cfg = SimConfig { warmup: 15.0, duration: 30.0, ..Default::default() };
 
+    // Each scheme becomes one simulation job; `run_many` runs the batch
+    // across cores and returns the reports in job order.
+    let schemes = [Scheme::Opt, Scheme::mp(10.0, 2.0), Scheme::sp(10.0)];
+    let mut jobs = Vec::new();
+    for scheme in schemes {
+        jobs.push(scheme.job(&topo, &traffic, cfg.clone())?);
+    }
     println!("offered: 1.2 Mb/s over two 1 Mb/s paths\n");
-    for scheme in [Scheme::opt(), Scheme::mp(10.0, 2.0), Scheme::sp(10.0)] {
-        let r = mdr::run(&topo, &flows, scheme, cfg)?;
-        let dropped = r.report.as_ref().map(|rep| rep.dropped).unwrap_or(0);
+    for (scheme, r) in schemes.iter().zip(run_many(jobs)) {
         println!(
             "{:<16} mean delay {:>9.3} ms   (dropped {} packets)",
-            r.label, r.mean_delay_ms, dropped
+            scheme.label(),
+            r.mean_delay_ms(),
+            r.dropped
         );
     }
     println!(

@@ -23,56 +23,60 @@ fn diamond() -> (Topology, Vec<Flow>) {
     (t, flows)
 }
 
-fn quick() -> RunConfig {
-    RunConfig {
-        warmup: 10.0,
-        duration: 20.0,
-        seed: 3,
-        mean_packet_bits: 1000.0,
-        ..Default::default()
-    }
+fn quick() -> SimConfig {
+    SimConfig { warmup: 10.0, duration: 20.0, seed: 3, ..Default::default() }
 }
 
 /// The saturating diamond needs a longer warm-up: AH takes several
 /// `T_s` periods to balance, and the backlog built before that
 /// persists. 40 s absorbs even unlucky tick phasings where the split
 /// oscillates for a while before settling (seed 3 is one such).
-fn diamond_cfg() -> RunConfig {
-    RunConfig {
-        warmup: 40.0,
-        duration: 30.0,
-        seed: 3,
-        mean_packet_bits: 1000.0,
-        ..Default::default()
-    }
+fn diamond_cfg() -> SimConfig {
+    SimConfig { warmup: 40.0, duration: 30.0, seed: 3, ..Default::default() }
+}
+
+/// `scheme` over `t` carrying `flows`, perturbed by `scen`.
+fn run(t: &Topology, flows: &[Flow], scheme: Scheme, cfg: SimConfig, scen: &Scenario) -> SimReport {
+    let traffic = TrafficMatrix::from_flows(t, flows).unwrap();
+    scheme.job(t, &traffic, cfg).unwrap().with_scenario(scen).run()
+}
+
+/// OPT's analytic solution, as `Scheme::Opt` solves it before the run.
+fn opt_analytic(t: &Topology, flows: &[Flow]) -> mdr::opt::Evaluation {
+    let traffic = TrafficMatrix::from_flows(t, flows).unwrap();
+    let models: Vec<Mm1> =
+        t.links().iter().map(|l| Mm1::new(l.capacity, l.prop_delay, 1000.0)).collect();
+    let r = traffic.total_rate();
+    let cfg = GallagerConfig { eta: r * r * 2e-7, max_iters: 5000, tol: 1e-10 };
+    mdr::opt::solve(t, &models, &traffic, cfg).unwrap().eval
 }
 
 #[test]
 fn multipath_beats_single_path_when_one_path_saturates() {
     let (t, flows) = diamond();
-    let mp = mdr::run(&t, &flows, Scheme::mp(10.0, 1.0), diamond_cfg()).unwrap();
-    let sp = mdr::run(&t, &flows, Scheme::sp(10.0), diamond_cfg()).unwrap();
+    let mp = run(&t, &flows, Scheme::mp(10.0, 1.0), diamond_cfg(), &Scenario::new());
+    let sp = run(&t, &flows, Scheme::sp(10.0), diamond_cfg(), &Scenario::new());
     assert!(
-        sp.mean_delay_ms > 3.0 * mp.mean_delay_ms,
+        sp.mean_delay_ms() > 3.0 * mp.mean_delay_ms(),
         "SP {} ms vs MP {} ms",
-        sp.mean_delay_ms,
-        mp.mean_delay_ms
+        sp.mean_delay_ms(),
+        mp.mean_delay_ms()
     );
 }
 
 #[test]
 fn mp_tracks_opt_on_diamond() {
     let (t, flows) = diamond();
-    let opt = mdr::run(&t, &flows, Scheme::opt(), diamond_cfg()).unwrap();
-    let mp = mdr::run(&t, &flows, Scheme::mp(10.0, 1.0), diamond_cfg()).unwrap();
+    let opt = run(&t, &flows, Scheme::Opt, diamond_cfg(), &Scenario::new());
+    let mp = run(&t, &flows, Scheme::mp(10.0, 1.0), diamond_cfg(), &Scenario::new());
     assert!(
-        mp.mean_delay_ms < 10.0 * opt.mean_delay_ms,
+        mp.mean_delay_ms() < 10.0 * opt.mean_delay_ms(),
         "MP {} ms vs OPT {} ms",
-        mp.mean_delay_ms,
-        opt.mean_delay_ms
+        mp.mean_delay_ms(),
+        opt.mean_delay_ms()
     );
     // OPT splits evenly on the symmetric diamond.
-    let eval = opt.analytic.unwrap();
+    let eval = opt_analytic(&t, &flows);
     assert!(eval.max_utilization < 0.7);
 }
 
@@ -84,17 +88,10 @@ fn loop_freedom_no_ttl_drops_across_schemes_and_failures() {
         .at(6.0, ScenarioEvent::FailLink { a: NodeId(4), b: NodeId(5) })
         .at(12.0, ScenarioEvent::RestoreLink { a: NodeId(4), b: NodeId(5) });
     for scheme in [Scheme::mp(5.0, 1.0), Scheme::sp(5.0)] {
-        let cfg = RunConfig {
-            warmup: 8.0,
-            duration: 10.0,
-            seed: 5,
-            mean_packet_bits: 1000.0,
-            ..Default::default()
-        };
-        let r = mdr::run_with_scenario(&t, &flows, scheme, cfg, &scen).unwrap();
-        let rep = r.report.unwrap();
+        let cfg = SimConfig { warmup: 8.0, duration: 10.0, seed: 5, ..Default::default() };
+        let rep = run(&t, &flows, scheme, cfg, &scen);
         let ttl: u64 = rep.flows.iter().map(|f| f.dropped_ttl).sum();
-        assert_eq!(ttl, 0, "{}: packets looped", r.label);
+        assert_eq!(ttl, 0, "{}: packets looped", scheme.label());
         assert!(rep.delivered > 10_000);
     }
 }
@@ -103,10 +100,10 @@ fn loop_freedom_no_ttl_drops_across_schemes_and_failures() {
 fn deterministic_end_to_end() {
     let t = topo::net1();
     let flows = topo::net1_flows(800_000.0);
-    let a = mdr::run(&t, &flows, Scheme::mp(10.0, 2.0), quick()).unwrap();
-    let b = mdr::run(&t, &flows, Scheme::mp(10.0, 2.0), quick()).unwrap();
-    assert_eq!(a.per_flow_delay_ms, b.per_flow_delay_ms);
-    assert_eq!(a.report.unwrap().control_messages, b.report.unwrap().control_messages);
+    let a = run(&t, &flows, Scheme::mp(10.0, 2.0), quick(), &Scenario::new());
+    let b = run(&t, &flows, Scheme::mp(10.0, 2.0), quick(), &Scenario::new());
+    assert_eq!(a.mean_delays_ms, b.mean_delays_ms);
+    assert_eq!(a.control_messages, b.control_messages);
 }
 
 #[test]
@@ -116,10 +113,12 @@ fn light_load_all_schemes_equivalent() {
     // three schemes ride the shortest paths.
     let t = topo::net1();
     let flows = topo::net1_flows(100_000.0);
-    let opt = mdr::run(&t, &flows, Scheme::opt(), quick()).unwrap();
-    let mp = mdr::run(&t, &flows, Scheme::mp(10.0, 2.0), quick()).unwrap();
-    let sp = mdr::run(&t, &flows, Scheme::sp(10.0), quick()).unwrap();
-    for (a, b) in [(mp.mean_delay_ms, opt.mean_delay_ms), (sp.mean_delay_ms, mp.mean_delay_ms)] {
+    let opt = run(&t, &flows, Scheme::Opt, quick(), &Scenario::new());
+    let mp = run(&t, &flows, Scheme::mp(10.0, 2.0), quick(), &Scenario::new());
+    let sp = run(&t, &flows, Scheme::sp(10.0), quick(), &Scenario::new());
+    for (a, b) in
+        [(mp.mean_delay_ms(), opt.mean_delay_ms()), (sp.mean_delay_ms(), mp.mean_delay_ms())]
+    {
         let ratio = a / b;
         assert!((0.9..1.1).contains(&ratio), "ratio {ratio}");
     }
@@ -134,15 +133,8 @@ fn dynamic_rate_change_applies() {
     for i in 0..flows.len() {
         scen = scen.at(15.0, ScenarioEvent::SetFlowRate { flow: i, rate: 0.0 });
     }
-    let cfg = RunConfig {
-        warmup: 5.0,
-        duration: 20.0,
-        seed: 2,
-        mean_packet_bits: 1000.0,
-        ..Default::default()
-    };
-    let r = mdr::run_with_scenario(&t, &flows, Scheme::mp(10.0, 2.0), cfg, &scen).unwrap();
-    let rep = r.report.unwrap();
+    let cfg = SimConfig { warmup: 5.0, duration: 20.0, seed: 2, ..Default::default() };
+    let rep = run(&t, &flows, Scheme::mp(10.0, 2.0), cfg, &scen);
     // ~10 s of traffic at 5 Mb/s total = ~50k packets, not ~100k.
     assert!(rep.delivered < 70_000, "delivered {}", rep.delivered);
     assert!(rep.delivered > 30_000);
@@ -156,9 +148,9 @@ fn analytic_and_measured_delays_agree_for_fixed_routing() {
     // MP/SP against OPT.
     let t = topo::net1();
     let flows = topo::net1_flows(1_200_000.0);
-    let r = mdr::run(&t, &flows, Scheme::opt(), quick()).unwrap();
-    let analytic = r.analytic.unwrap();
-    for (m, a) in r.per_flow_delay_ms.iter().zip(&analytic.flow_delays) {
+    let r = run(&t, &flows, Scheme::Opt, quick(), &Scenario::new());
+    let analytic = opt_analytic(&t, &flows);
+    for (m, a) in r.mean_delays_ms.iter().zip(&analytic.flow_delays) {
         let a_ms = a * 1000.0;
         assert!((m - a_ms).abs() / a_ms < 0.2, "measured {m} ms vs analytic {a_ms} ms");
     }

@@ -1,29 +1,29 @@
 //! The parallel batch harness must be a pure speed-up: running a batch
-//! through `run_many` / `run_jobs` on worker threads has to produce
-//! reports bit-identical to running each job serially, and repeating
-//! the same seed has to reproduce the same report field for field.
+//! through `run_many` (or `par::parallel_map_with` at a fixed worker
+//! count) on worker threads has to produce reports bit-identical to
+//! running each job serially, and repeating the same seed has to
+//! reproduce the same report field for field.
 
 use mdr::prelude::*;
+use mdr::sim::par;
 
 /// CAIRN at a moderate load with a mid-run perturbation — exercises
-/// data, control, estimator, and scenario paths.
-fn jobs() -> Vec<RunJob> {
+/// data, control, estimator, and scenario paths, plus OPT's pinned
+/// routing (`SimConfig::fixed_routing`), all built by `Scheme::job`.
+fn jobs() -> Vec<SimJob> {
     let t = topo::cairn();
     let flows = topo::cairn_flows(&t, 1_500_000.0);
+    let traffic = TrafficMatrix::from_flows(&t, &flows).expect("traffic");
     let scen = Scenario::new()
         .at(6.0, ScenarioEvent::SetFlowRate { flow: 2, rate: 3_000_000.0 })
         .at(9.0, ScenarioEvent::SetFlowRate { flow: 2, rate: 1_500_000.0 });
     let mut out = Vec::new();
     for seed in [1u64, 7, 42] {
-        let cfg = RunConfig {
-            warmup: 5.0,
-            duration: 10.0,
-            seed,
-            mean_packet_bits: 1000.0,
-            ..Default::default()
-        };
-        out.push(RunJob::new(&t, &flows, Scheme::mp(10.0, 2.0), cfg));
-        out.push(RunJob::new(&t, &flows, Scheme::sp(10.0), cfg).with_scenario(&scen));
+        let cfg = SimConfig { warmup: 5.0, duration: 10.0, seed, ..Default::default() };
+        let job = |s: Scheme| s.job(&t, &traffic, cfg.clone()).expect("scheme job");
+        out.push(job(Scheme::Opt));
+        out.push(job(Scheme::mp(10.0, 2.0)));
+        out.push(job(Scheme::sp(10.0)).with_scenario(&scen));
     }
     out
 }
@@ -47,23 +47,16 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport) {
 }
 
 #[test]
-fn run_jobs_matches_serial_execution_bit_for_bit() {
+fn scheme_jobs_match_serial_execution_bit_for_bit() {
     let batch = jobs();
-    let serial: Vec<RunResult> = batch.iter().map(|j| j.run().expect("serial run")).collect();
+    assert_eq!(batch.iter().filter(|j| j.cfg.fixed_routing.is_some()).count(), 3);
+    let serial: Vec<SimReport> = batch.iter().map(|j| j.run()).collect();
     // Explicit worker count — more workers than jobs stresses the
     // scheduling edge cases and ignores RAYON_NUM_THREADS races.
-    let parallel: Vec<RunResult> =
-        run_jobs_with(8, batch).into_iter().map(|r| r.expect("parallel run")).collect();
+    let parallel = par::parallel_map_with(8, batch, |j| j.run());
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.label, p.label, "job order not preserved");
-        assert_eq!(s.per_flow_delay_ms, p.per_flow_delay_ms);
-        assert!(s.mean_delay_ms == p.mean_delay_ms, "mean delay differs (bitwise)");
-        match (&s.report, &p.report) {
-            (Some(a), Some(b)) => assert_reports_identical(a, b),
-            (None, None) => {}
-            _ => panic!("report presence differs"),
-        }
+        assert_reports_identical(s, p);
     }
 }
 
@@ -80,7 +73,7 @@ fn run_many_matches_serial_execution_bit_for_bit() {
         })
         .collect();
     let serial: Vec<SimReport> = batch.iter().map(|j| j.run()).collect();
-    let parallel = run_many_with(4, batch);
+    let parallel = par::parallel_map_with(4, batch, |j| j.run());
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_reports_identical(s, p);
@@ -106,7 +99,7 @@ fn observer_on_runs_match_serial_execution_bit_for_bit() {
         })
         .collect();
     let serial: Vec<SimReport> = batch.iter().map(|j| j.run()).collect();
-    let parallel = run_many_with(4, batch);
+    let parallel = par::parallel_map_with(4, batch, |j| j.run());
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         // Telemetry equality here covers the full recorded event
@@ -157,7 +150,7 @@ fn chaos_jobs() -> Vec<SimJob> {
 fn chaos_runs_match_serial_execution_bit_for_bit() {
     let batch = chaos_jobs();
     let serial: Vec<SimReport> = batch.iter().map(|j| j.run()).collect();
-    let parallel = run_many_with(4, batch);
+    let parallel = par::parallel_map_with(4, batch, |j| j.run());
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_reports_identical(s, p);
@@ -210,7 +203,7 @@ fn profile_jobs() -> Vec<SimJob> {
 fn profile_chaos_runs_match_serial_execution_bit_for_bit() {
     let batch = profile_jobs();
     let serial: Vec<SimReport> = batch.iter().map(|j| j.run()).collect();
-    let parallel = run_many_with(4, batch);
+    let parallel = par::parallel_map_with(4, batch, |j| j.run());
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_reports_identical(s, p);
@@ -273,7 +266,7 @@ fn fluid_runs_match_serial_execution_bit_for_bit() {
         })
         .collect();
     let serial: Vec<SimReport> = batch.iter().map(|j| j.run()).collect();
-    let parallel = run_many_with(4, batch.clone());
+    let parallel = par::parallel_map_with(4, batch.clone(), |j| j.run());
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_reports_identical(s, p);
@@ -289,18 +282,8 @@ fn fluid_runs_match_serial_execution_bit_for_bit() {
 fn same_seed_reproduces_the_same_report() {
     let t = topo::cairn();
     let flows = topo::cairn_flows(&t, 2_000_000.0);
-    let cfg = RunConfig {
-        warmup: 5.0,
-        duration: 10.0,
-        seed: 13,
-        mean_packet_bits: 1000.0,
-        ..Default::default()
-    };
-    let a = mdr::run(&t, &flows, Scheme::mp(10.0, 2.0), cfg).expect("first run");
-    let b = mdr::run(&t, &flows, Scheme::mp(10.0, 2.0), cfg).expect("second run");
-    assert_eq!(a.per_flow_delay_ms, b.per_flow_delay_ms);
-    assert_reports_identical(
-        a.report.as_ref().expect("report"),
-        b.report.as_ref().expect("report"),
-    );
+    let traffic = TrafficMatrix::from_flows(&t, &flows).expect("traffic");
+    let cfg = SimConfig { warmup: 5.0, duration: 10.0, seed: 13, ..Default::default() };
+    let job = Scheme::mp(10.0, 2.0).job(&t, &traffic, cfg).expect("scheme job");
+    assert_reports_identical(&job.run(), &job.run());
 }

@@ -5,8 +5,14 @@
 
 use mdr::prelude::*;
 
-fn cfg(seed: u64) -> RunConfig {
-    RunConfig { warmup: 15.0, duration: 25.0, seed, mean_packet_bits: 1000.0, ..Default::default() }
+fn cfg(seed: u64) -> SimConfig {
+    SimConfig { warmup: 15.0, duration: 25.0, seed, ..Default::default() }
+}
+
+/// Mean delay (ms) of `scheme` over `t` carrying `flows`.
+fn run(t: &Topology, flows: &[Flow], scheme: Scheme, cfg: SimConfig) -> f64 {
+    let traffic = TrafficMatrix::from_flows(t, flows).unwrap();
+    scheme.job(t, &traffic, cfg).unwrap().run().mean_delay_ms()
 }
 
 /// Fig. 10 direction: MP within a modest envelope of OPT on NET1.
@@ -14,15 +20,10 @@ fn cfg(seed: u64) -> RunConfig {
 fn net1_mp_close_to_opt() {
     let t = topo::net1();
     let flows = topo::net1_flows(2_200_000.0);
-    let opt = mdr::run(&t, &flows, Scheme::opt(), cfg(7)).unwrap();
-    let mp = mdr::run(&t, &flows, Scheme::mp(10.0, 2.0), cfg(7)).unwrap();
-    let ratio = mp.mean_delay_ms / opt.mean_delay_ms;
-    assert!(
-        (0.95..1.25).contains(&ratio),
-        "MP/OPT = {ratio} (MP {} ms, OPT {} ms)",
-        mp.mean_delay_ms,
-        opt.mean_delay_ms
-    );
+    let opt = run(&t, &flows, Scheme::Opt, cfg(7));
+    let mp = run(&t, &flows, Scheme::mp(10.0, 2.0), cfg(7));
+    let ratio = mp / opt;
+    assert!((0.95..1.25).contains(&ratio), "MP/OPT = {ratio} (MP {mp} ms, OPT {opt} ms)");
 }
 
 /// Fig. 12 direction: SP substantially worse than MP on loaded NET1.
@@ -30,14 +31,9 @@ fn net1_mp_close_to_opt() {
 fn net1_sp_much_worse_than_mp() {
     let t = topo::net1();
     let flows = topo::net1_flows(2_500_000.0);
-    let mp = mdr::run(&t, &flows, Scheme::mp(10.0, 2.0), cfg(7)).unwrap();
-    let sp = mdr::run(&t, &flows, Scheme::sp(10.0), cfg(7)).unwrap();
-    assert!(
-        sp.mean_delay_ms > 1.8 * mp.mean_delay_ms,
-        "SP {} ms vs MP {} ms",
-        sp.mean_delay_ms,
-        mp.mean_delay_ms
-    );
+    let mp = run(&t, &flows, Scheme::mp(10.0, 2.0), cfg(7));
+    let sp = run(&t, &flows, Scheme::sp(10.0), cfg(7));
+    assert!(sp > 1.8 * mp, "SP {sp} ms vs MP {mp} ms");
 }
 
 /// Fig. 9 direction: MP tracks OPT on CAIRN.
@@ -45,9 +41,9 @@ fn net1_sp_much_worse_than_mp() {
 fn cairn_mp_close_to_opt() {
     let t = topo::cairn();
     let flows = topo::cairn_flows(&t, 3_500_000.0);
-    let opt = mdr::run(&t, &flows, Scheme::opt(), cfg(7)).unwrap();
-    let mp = mdr::run(&t, &flows, Scheme::mp(10.0, 2.0), cfg(7)).unwrap();
-    let ratio = mp.mean_delay_ms / opt.mean_delay_ms;
+    let opt = run(&t, &flows, Scheme::Opt, cfg(7));
+    let mp = run(&t, &flows, Scheme::mp(10.0, 2.0), cfg(7));
+    let ratio = mp / opt;
     assert!((0.9..1.3).contains(&ratio), "MP/OPT = {ratio}");
 }
 
@@ -57,14 +53,9 @@ fn cairn_mp_close_to_opt() {
 fn mp_with_coarse_ts_still_good() {
     let t = topo::net1();
     let flows = topo::net1_flows(2_400_000.0);
-    let mp_coarse = mdr::run(&t, &flows, Scheme::mp(10.0, 10.0), cfg(7)).unwrap();
-    let sp = mdr::run(&t, &flows, Scheme::sp(10.0), cfg(7)).unwrap();
-    assert!(
-        mp_coarse.mean_delay_ms < sp.mean_delay_ms,
-        "MP-TL-10-TS-10 {} ms vs SP {} ms",
-        mp_coarse.mean_delay_ms,
-        sp.mean_delay_ms
-    );
+    let mp_coarse = run(&t, &flows, Scheme::mp(10.0, 10.0), cfg(7));
+    let sp = run(&t, &flows, Scheme::sp(10.0), cfg(7));
+    assert!(mp_coarse < sp, "MP-TL-10-TS-10 {mp_coarse} ms vs SP {sp} ms");
 }
 
 /// The OPT solver is a valid lower bound: no scheme's *analytic*
