@@ -866,12 +866,12 @@ struct ClassStats {
     max_recovery_s: f64,
 }
 
-/// Split a robustness report's fault records by class and aggregate
-/// each class's recovery distribution.
-fn class_stats(rob: &RobustnessReport) -> Vec<ClassStats> {
+/// Split fault records by class and aggregate each class's recovery
+/// distribution, summing recoveries in record order.
+fn class_stats(faults: &[FaultRecord]) -> Vec<ClassStats> {
     let mut acc: BTreeMap<&'static str, (u64, u64, f64, f64)> = BTreeMap::new();
-    for f in &rob.faults {
-        let e = acc.entry(FaultClass::of(f.event).as_str()).or_default();
+    for f in faults {
+        let e = acc.entry(f.event.class()).or_default();
         e.0 += 1;
         if let Some(r) = f.recovery_s {
             e.1 += 1;
@@ -1172,7 +1172,7 @@ pub fn chaos(smoke: bool) {
             dropped: rep.dropped,
             control_messages: rep.control_messages,
             adversary: m.adversary,
-            by_class: class_stats(&rob),
+            by_class: class_stats(&rob.faults),
             robustness: rob,
         });
     }
@@ -1246,8 +1246,8 @@ struct TraceResults {
 /// burst behind the Fig. 9/12 discussion and the trunk failure) with the
 /// JSONL observer attached, writing deterministic control-plane
 /// timelines to `results/trace_burst.jsonl` / `results/trace_failure.jsonl`,
-/// then measures MPDA convergence per fault class off a seeded chaos run
-/// through the metrics observer (`results/trace.json`).
+/// then measures MPDA convergence per fault class over seeded chaos runs
+/// from their fault records (`results/trace.json`).
 ///
 /// `smoke` runs the CI subset (short horizons, one chaos
 /// cell) with the same determinism and observer-neutrality assertions.
@@ -1355,15 +1355,14 @@ byte-identity asserted between parallel and serial runs, and observer-off report
 asserted bit-identical to observer-on"
     ));
 
-    // --- per-fault-class convergence off the metrics observer --------
+    // --- per-fault-class convergence from the fault records ----------
     let (tn, fln, _) = net1_setup(NET1_RATE * 0.5);
     let ntraffic = TrafficMatrix::from_flows(&tn, &fln).expect("trace net1 traffic");
     let (cw, cd) = if smoke { (4.0, 10.0) } else { (10.0, 40.0) };
     let seeds: &[u64] = if smoke { &[7] } else { &[7, 19, 31] };
-    let intensities = chaos_intensities();
     let wanted: &[&str] = if smoke { &["medium"] } else { &["medium", "heavy"] };
     let mut jobs: Vec<SimJob> = Vec::new();
-    for (label, template) in intensities.iter().filter(|(l, _)| wanted.contains(l)) {
+    for (_, template) in chaos_intensities().iter().filter(|(l, _)| wanted.contains(l)) {
         for &seed in seeds {
             let plan = FaultPlan { seed: template.seed ^ seed, ..template.clone() };
             let cfg = SimConfig {
@@ -1371,45 +1370,37 @@ asserted bit-identical to observer-on"
                 duration: cd,
                 seed,
                 fault_plan: Some(plan),
-                observer: ObserverMode::Metrics { bucket: 1.0 },
                 ..Default::default()
             };
-            let _ = label;
             jobs.push(SimJob::new(&tn, &ntraffic, cfg));
         }
     }
-    let mut samples = Vec::new();
-    for rep in run_many(jobs) {
-        let metrics = rep
-            .telemetry
-            .and_then(|tel| tel.metrics)
-            .expect("metrics observer must report metrics");
-        samples.extend(metrics.convergence);
-    }
-    assert!(!samples.is_empty(), "chaos cells produced no convergence samples");
+    // Pooled in job order, then record order: the order in which the
+    // runs close their recovery clocks.
+    let faults: Vec<FaultRecord> = run_many(jobs)
+        .into_iter()
+        .flat_map(|rep| rep.robustness.expect("a fault plan reports robustness").faults)
+        .collect();
+    let stats = class_stats(&faults);
+    assert!(stats.iter().any(|c| c.recovered > 0), "chaos cells produced no convergence samples");
     println!("{:<16}{:>9}{:>12}{:>12}", "fault class", "samples", "mean_s", "max_s");
-    for class in [
-        FaultClass::LinkFail,
-        FaultClass::LinkRestore,
-        FaultClass::RouterCrash,
-        FaultClass::RouterRestart,
-    ] {
-        let of_class: Vec<f64> =
-            samples.iter().filter(|s| s.class == class).map(|s| s.recovery_s).collect();
-        let n = of_class.len() as u64;
-        let (mean_s, max_s) = if n > 0 {
-            (mean(&of_class), of_class.iter().cloned().fold(0.0f64, f64::max))
-        } else {
-            (0.0, 0.0)
-        };
-        println!("{:<16}{:>9}{:>12.3}{:>12.3}", class.as_str(), n, mean_s, max_s);
+    for class in ["link_fail", "link_restore", "router_crash", "router_restart"] {
+        let (n, mean_s, max_s) = stats
+            .iter()
+            .find(|c| c.class == class)
+            .map_or((0, 0.0, 0.0), |c| (c.recovered, c.mean_recovery_s, c.max_recovery_s));
+        println!("{class:<16}{n:>9}{mean_s:>12.3}{max_s:>12.3}");
         doc.convergence.push(TraceConvergence {
-            class: class.as_str().into(),
+            class: class.into(),
             samples: n,
             mean_recovery_s: mean_s,
             max_recovery_s: max_s,
         });
     }
+    // The note's "metrics observer" wording is stale but kept so the
+    // committed `results/trace*.json` bytes do not move: the spans are
+    // the event stream's `recovery` spans bit for bit
+    // (`observer_invariance::fault_events_match_the_robustness_records`).
     doc.notes.push(format!(
         "convergence = fault injection to the next control-plane quiescence (no LSU in \
 flight, every router PASSIVE), measured off the event stream by the metrics observer; \

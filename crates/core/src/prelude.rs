@@ -11,9 +11,9 @@ pub use mdr_routing::{
     DvEvent, DvMessage, DvRouter, Harness, MpdaRouter, PdaRouter, RouteChange, RouterEvent,
 };
 pub use mdr_sim::{
-    run_many, ControlChaos, DirProfile, EstimatorKind, FaultClass, FaultEvent, FaultPlan,
-    FaultProcess, FaultRecord, FluidSimulator, FluidWork, GreyFailure, LossModel, MetricsHub,
-    MetricsReport, NetEmu, NetProfile, NullObserver, ObserverMode, PacketDist, PartitionSpec,
-    RecordingObserver, RobustnessCounters, RobustnessReport, Scenario, ScenarioEvent, SimConfig,
-    SimEvent, SimJob, SimMode, SimObserver, SimReport, Simulator, TelemetryReport,
+    run_many, ControlChaos, DirProfile, EstimatorKind, FaultEvent, FaultPlan, FaultProcess,
+    FaultRecord, FluidSimulator, FluidWork, GreyFailure, LossModel, NetEmu, NetProfile,
+    ObserverMode, PacketDist, PartitionSpec, RecordingObserver, RobustnessCounters,
+    RobustnessReport, Scenario, ScenarioEvent, SimConfig, SimEvent, SimJob, SimMode, SimObserver,
+    SimReport, Simulator, TelemetryReport,
 };

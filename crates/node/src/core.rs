@@ -46,7 +46,35 @@ use mdr_net::NodeId;
 use mdr_proto::{frame_node, unframe_node, LsuMessage, NodeBody, NodeMsg};
 use mdr_routing::{RouterEvent, RouterOutput};
 use mdr_sim::agent::{Agent, Allocs};
-use mdr_sim::telemetry::Ewma;
+
+/// EWMA smoothing for ack-derived RTT samples.
+const RTT_ALPHA: f64 = 0.125;
+
+/// Relative change in effective link cost required before
+/// re-advertising it to the routing layer (damps LSU churn from RTT
+/// jitter).
+const COST_DEADBAND: f64 = 0.25;
+
+/// An exponentially weighted moving average of RTT samples:
+/// `y ← α·x + (1−α)·y` with `α` = [`RTT_ALPHA`], seeded by the first
+/// sample.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Ewma(Option<f64>);
+
+impl Ewma {
+    /// Fold in one sample.
+    fn update(&mut self, x: f64) {
+        self.0 = Some(match self.0 {
+            None => x,
+            Some(y) => RTT_ALPHA * x + (1.0 - RTT_ALPHA) * y,
+        });
+    }
+
+    /// The current average (`None` before the first sample).
+    fn value(&self) -> Option<f64> {
+        self.0
+    }
+}
 
 /// Static configuration of one node process.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,16 +89,10 @@ pub struct NodeConfig {
     pub neighbors: Vec<(NodeId, f64)>,
     /// Reliability-layer knobs, shared by every adjacency.
     pub reliable: ReliableConfig,
-    /// EWMA smoothing for ack-derived RTT samples.
-    pub rtt_alpha: f64,
-    /// Relative change in effective link cost required before
-    /// re-advertising it to the routing layer (damps LSU churn from
-    /// RTT jitter).
-    pub cost_deadband: f64,
 }
 
 impl NodeConfig {
-    /// A config with default reliability and estimator knobs.
+    /// A config with default reliability knobs.
     pub fn new(id: NodeId, n: usize, incarnation: u32, neighbors: Vec<(NodeId, f64)>) -> Self {
         NodeConfig {
             id,
@@ -78,8 +100,6 @@ impl NodeConfig {
             incarnation: incarnation.max(1),
             neighbors,
             reliable: ReliableConfig::default(),
-            rtt_alpha: 0.125,
-            cost_deadband: 0.25,
         }
     }
 }
@@ -202,14 +222,14 @@ impl NodeCore {
                 peer,
                 base_cost,
                 chan: PeerChannel::new(cfg.reliable, cfg.incarnation, now),
-                rtt: Ewma::new(cfg.rtt_alpha.clamp(1e-6, 1.0)),
+                rtt: Ewma::default(),
                 up_pending: false,
                 held: Vec::new(),
                 awaiting_ack: false,
             })
             .collect();
         let peers = cfg.neighbors.iter().map(|&(p, _)| p).collect();
-        let agent = Agent::new(cfg.id, cfg.n, Mode::Multipath, 1.0, peers, cfg.cost_deadband);
+        let agent = Agent::new(cfg.id, cfg.n, Mode::Multipath, 1.0, peers, COST_DEADBAND);
         let last_fds =
             (0..cfg.n as u32).map(|j| agent.router().feasible_distance(NodeId(j))).collect();
         let mut node = NodeCore {
@@ -641,6 +661,16 @@ mod tests {
     use super::*;
     use crate::record::RecordBody as RB;
     use mdr_net::INFINITE_COST;
+
+    #[test]
+    fn ewma_seeds_and_smooths() {
+        let mut e = Ewma::default();
+        assert_eq!(e.value(), None);
+        e.update(4.0);
+        assert_eq!(e.value(), Some(4.0));
+        e.update(0.0);
+        assert_eq!(e.value(), Some(3.5));
+    }
 
     fn pair() -> (NodeCore, NodeCore) {
         let (a, _) = NodeCore::new(NodeConfig::new(NodeId(0), 2, 1, vec![(NodeId(1), 0.01)]), 0.0);

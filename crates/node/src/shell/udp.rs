@@ -56,7 +56,8 @@ impl NetOptions {
 
 /// Run one node process until `deadline_s` seconds of wall time elapse
 /// (or forever when `deadline_s` is `None`). Returns the number of
-/// telemetry lines written.
+/// telemetry lines written, or the first I/O error on the trace file
+/// or the socket; the trace file is opened before the socket is bound.
 ///
 /// `net.loss` drops each *received* datagram with the given probability
 /// using a seeded RNG; `net.profile` layers the structured adversary on
@@ -72,8 +73,9 @@ pub fn run_node(
     deadline_s: Option<f64>,
     net: NetOptions,
 ) -> std::io::Result<u64> {
+    let mut sink = JsonlSink::create(trace_path, false)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("trace {trace_path}: {e}")))?;
     let socket = UdpSocket::bind(ports.addr(cfg.id))?;
-    let mut sink = JsonlSink::create(trace_path, false);
     let mut rng = SmallRng::seed_from_u64(net.loss_seed);
     let loss = net.loss;
     // All processes share the Unix epoch, NOT a per-process
@@ -98,12 +100,12 @@ pub fn run_node(
                      emu: Option<&NetEmu>|
      -> std::io::Result<()> {
         for r in &out.records {
-            sink.write_record(r);
+            sink.write_record(r)?;
         }
         if !out.records.is_empty() {
             // The soak harness kills with SIGKILL; flushing per batch
             // bounds trace loss to the line in flight.
-            sink.flush();
+            sink.flush()?;
         }
         for (to, bytes) in &out.datagrams {
             // An active partition severs the link at the egress socket
@@ -177,5 +179,5 @@ pub fn run_node(
     }
     let out = node.stop(now_s());
     write_out(out, &mut sink, &socket, emu.as_ref())?;
-    Ok(sink.close().lines)
+    Ok(sink.close()?.lines)
 }

@@ -675,6 +675,21 @@ pub enum FaultEvent {
     },
 }
 
+impl FaultEvent {
+    /// Stable snake-case label of the fault's class, for per-class
+    /// recovery statistics.
+    pub fn class(&self) -> &'static str {
+        match self {
+            FaultEvent::FailLink { .. } => "link_fail",
+            FaultEvent::RestoreLink { .. } => "link_restore",
+            FaultEvent::CrashRouter { .. } => "router_crash",
+            FaultEvent::RestartRouter { .. } => "router_restart",
+            FaultEvent::PartitionCut { .. } => "partition_cut",
+            FaultEvent::PartitionHeal { .. } => "partition_heal",
+        }
+    }
+}
+
 impl FaultPlan {
     /// Panic on nonsensical parameters (fail at construction, not five
     /// minutes into a batch run).

@@ -52,6 +52,5 @@ pub use fluid::{FluidSimulator, FluidWork};
 pub use scenario::{Scenario, ScenarioEvent};
 pub use stats::{FlowStats, LinkStats};
 pub use telemetry::{
-    ConvergenceSample, DropReason, FaultClass, MetricsHub, MetricsReport, NullObserver,
-    ObserverMode, RecordingObserver, SimEvent, SimObserver, TelemetryReport,
+    DropReason, ObserverMode, RecordingObserver, SimEvent, SimObserver, TelemetryReport,
 };

@@ -5,7 +5,7 @@
 use mdr_net::{Flow, LinkDelayModel, Mm1, NodeId, Topology, TopologyBuilder, TrafficMatrix};
 use mdr_sim::{
     FaultEvent, FaultPlan, FaultProcess, FluidSimulator, NetProfile, ObserverMode, PartitionSpec,
-    Scenario, ScenarioEvent, SimConfig, SimMode, SimReport, Simulator,
+    RobustnessReport, Scenario, ScenarioEvent, SimConfig, SimEvent, SimMode, SimReport, Simulator,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -402,11 +402,38 @@ fn the_quiescent_control_plane_refuses_a_fault_plan() {
     run_fluid(&t, &[Flow::new(NodeId(0), NodeId(2), 1e6)], cfg);
 }
 
+/// The `Fault` and `Recovery` events are the report's fault records,
+/// one to one and bit for bit: every record's injection time and event,
+/// and for every recovered record, in record order, its fault time and
+/// recovery span.
+fn assert_events_mirror_faults(events: &[SimEvent], rob: &RobustnessReport) {
+    let mut injected = Vec::new();
+    let mut recovered = Vec::new();
+    for ev in events {
+        match *ev {
+            SimEvent::Fault { time, event } => injected.push((time.to_bits(), event)),
+            SimEvent::Recovery { fault_time, recovery_s, .. } => {
+                recovered.push((fault_time.to_bits(), recovery_s.to_bits()))
+            }
+            _ => {}
+        }
+    }
+    let records: Vec<_> = rob.faults.iter().map(|f| (f.time.to_bits(), f.event)).collect();
+    let spans: Vec<_> = rob
+        .faults
+        .iter()
+        .filter_map(|f| f.recovery_s.map(|r| (f.time.to_bits(), r.to_bits())))
+        .collect();
+    assert_eq!(injected, records);
+    assert_eq!(recovered, spans);
+}
+
 /// Loop-free at every instant through failures, in the fluid engine too:
 /// `SimMode::Fluid` on BA-60 with random link failures and repairs plus
 /// one scripted partition, audited after every routing-table change.
 /// The audit finds nothing, faults recover, and the run is a function
-/// of its inputs — the same on a rerun and with an observer attached.
+/// of its inputs — the same on a rerun and with an observer attached,
+/// whose fault events mirror the report's records.
 #[test]
 fn fluid_mode_runs_link_faults_and_a_partition_loop_free() {
     let t = mdr_net::gen::barabasi_albert(60, 2, 5);
@@ -442,8 +469,10 @@ fn fluid_mode_runs_link_faults_and_a_partition_loop_free() {
     assert_eq!(kinds(|e| matches!(e, FaultEvent::PartitionCut { .. })), 1);
     assert_eq!(kinds(|e| matches!(e, FaultEvent::PartitionHeal { .. })), 1);
     assert_eq!(run(cfg.clone()), r, "the same run twice differs");
-    let observed = run(SimConfig { observer: ObserverMode::Null, ..cfg });
-    assert!(observed.telemetry.is_some());
+    let observed =
+        run(SimConfig { observer: ObserverMode::Recording { data_plane: false }, ..cfg });
+    let events = observed.telemetry.clone().and_then(|t| t.recorded).expect("recorded events");
+    assert_events_mirror_faults(&events, &rob);
     assert_eq!(SimReport { telemetry: None, ..observed }, r, "the observer moved the run");
 }
 

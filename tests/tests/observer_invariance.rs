@@ -1,8 +1,10 @@
-//! Telemetry must be a pure observer: attaching any observer — null,
-//! recording, or metrics — to any scenario must leave every measured
-//! field of the [`SimReport`] bit-identical to the observer-off run.
-//! This is asserted, not assumed, across steady-state, scenario-driven,
-//! and chaos-driven runs.
+//! Telemetry must be a pure observer: attaching a recording observer,
+//! with or without the data plane, to any scenario must leave every
+//! measured field of the [`SimReport`] bit-identical to the
+//! observer-off run. This is asserted, not assumed, across
+//! steady-state, scenario-driven, and chaos-driven runs. The event
+//! stream's faults and recoveries must also be the report's fault
+//! records, one to one.
 
 use mdr::prelude::*;
 
@@ -91,10 +93,8 @@ fn every_observer_leaves_every_scenario_bit_identical() {
         assert_eq!(off.fluid.is_some(), fluid, "{name}: work counts exactly on fluid runs");
         assert!(off.fluid.is_none_or(|w| w.dag_builds > 0 && w.rows_written > 0 && w.resolves > 0));
         let modes = [
-            ObserverMode::Null,
             ObserverMode::Recording { data_plane: true },
             ObserverMode::Recording { data_plane: false },
-            ObserverMode::Metrics { bucket: 0.5 },
         ];
         for mode in modes {
             let mut on = job.clone();
@@ -135,28 +135,35 @@ fn data_plane_filter_only_removes_data_plane_events() {
     assert_eq!(filtered, control, "filter must be exactly the data-plane predicate");
 }
 
-/// The metrics observer on the chaos scenario measures convergence for
-/// the injected faults and the delay histogram accounts for every
-/// delivered packet.
+/// The `Fault` and `Recovery` events of the chaos run are its
+/// [`RobustnessReport::faults`], one to one and bit for bit: every
+/// record's injection time and event, and for every recovered record,
+/// in record order, its fault time and recovery span.
 #[test]
-fn metrics_hub_measures_chaos_convergence() {
-    let (_, job) = scenario_grid().pop().unwrap();
-    let mut on = job;
-    on.cfg.observer = ObserverMode::Metrics { bucket: 1.0 };
-    let rep = on.run();
-    let rob = rep.robustness.clone().expect("chaos run carries robustness");
-    assert!(!rob.faults.is_empty(), "fault plan injected nothing");
-    let metrics = rep.telemetry.unwrap().metrics.expect("metrics observer reports metrics");
-    assert!(!metrics.convergence.is_empty(), "no convergence samples measured");
-    for c in &metrics.convergence {
-        assert!(c.recovery_s >= 0.0, "negative recovery: {c:?}");
+fn fault_events_match_the_robustness_records() {
+    let (_, mut job) = scenario_grid().pop().unwrap();
+    job.cfg.observer = ObserverMode::Recording { data_plane: false };
+    let rep = job.run();
+    let rob = rep.robustness.expect("chaos run carries robustness");
+    let events = rep.telemetry.and_then(|t| t.recorded).expect("recording observer");
+    let mut injected = Vec::new();
+    let mut recovered = Vec::new();
+    for ev in events {
+        match ev {
+            SimEvent::Fault { time, event } => injected.push((time.to_bits(), event)),
+            SimEvent::Recovery { fault_time, recovery_s, .. } => {
+                recovered.push((fault_time.to_bits(), recovery_s.to_bits()))
+            }
+            _ => {}
+        }
     }
-    // Every delivery is histogrammed; warm-up deliveries are observed
-    // too, so the histogram can only hold more than the measured count.
-    assert!(
-        metrics.delays.total() >= rep.delivered && rep.delivered > 0,
-        "delay histogram lost deliveries: {} < {}",
-        metrics.delays.total(),
-        rep.delivered
-    );
+    let records: Vec<_> = rob.faults.iter().map(|f| (f.time.to_bits(), f.event)).collect();
+    let spans: Vec<_> = rob
+        .faults
+        .iter()
+        .filter_map(|f| f.recovery_s.map(|r| (f.time.to_bits(), r.to_bits())))
+        .collect();
+    assert!(!spans.is_empty(), "no fault recovered: {:?}", rob.faults);
+    assert_eq!(injected, records);
+    assert_eq!(recovered, spans);
 }
