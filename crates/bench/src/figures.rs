@@ -1397,13 +1397,9 @@ asserted bit-identical to observer-on"
             max_recovery_s: max_s,
         });
     }
-    // The note's "metrics observer" wording is stale but kept so the
-    // committed `results/trace*.json` bytes do not move: the spans are
-    // the event stream's `recovery` spans bit for bit
-    // (`observer_invariance::fault_events_match_the_robustness_records`).
     doc.notes.push(format!(
         "convergence = fault injection to the next control-plane quiescence (no LSU in \
-flight, every router PASSIVE), measured off the event stream by the metrics observer; \
+flight, every router PASSIVE), from the cells' `RobustnessReport::faults`; \
 NET1 at half the figure load, {} chaos cells over seeds {seeds:?}",
         wanted.len() * seeds.len()
     ));

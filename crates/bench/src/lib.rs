@@ -5,10 +5,6 @@
 //! the table printer, and JSON persistence so `EXPERIMENTS.md` can be
 //! assembled from machine-readable results under `results/`.
 
-// No unsafe anywhere: the whole workspace is plain safe Rust, and
-// `mdr-lint` verifies every crate root carries this attribute.
-#![forbid(unsafe_code)]
-
 use mdr::prelude::*;
 use serde::Serialize;
 use std::fs;

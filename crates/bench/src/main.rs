@@ -9,6 +9,11 @@
 //! `results/`. An id or filter matching nothing, or a trailing argument
 //! other than `smoke`, prints the registry and exits 2.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "prints each experiment's wall-clock seconds with `Instant`; no result depends on it"
+)]
+
 use std::time::Instant;
 
 /// Print the usage and the registry and exit 2.

@@ -1,80 +1,182 @@
-//! End-to-end: the real workspace passes its own lint with the real
-//! `lint.toml` — i.e. the tree is clean and the allowlist holds only
-//! the one sanctioned entry (the `mdr-node` I/O shell's wall clock).
-//!
-//! This is the same check CI's `mdr-lint` job runs via the binary; the
-//! test keeps `cargo test` sufficient to notice a regression locally.
+//! The determinism rules are rustc and clippy lints (DESIGN.md §6
+//! layer 2); this file pins what the compiler cannot: which crates and
+//! files opt in, which few places opt out, and float equality against
+//! a zero literal, which `clippy::float_cmp` exempts.
 
-use mdr_lint::config::{self, LintConfig};
 use mdr_lint::model;
-use mdr_lint::rules;
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-fn real_config() -> LintConfig {
-    let path = workspace_root().join("lint.toml");
-    let src = std::fs::read_to_string(&path).expect("lint.toml must exist at the workspace root");
-    config::parse(&src).expect("lint.toml must parse")
+fn read(rel: &str) -> String {
+    std::fs::read_to_string(workspace_root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
+/// Every `.rs` file under `rel`, as workspace-relative paths, sorted.
+fn rust_files(rel: &str) -> Vec<String> {
+    fn walk(dir: &Path, out: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path.strip_prefix(workspace_root()).unwrap().display().to_string());
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(&workspace_root().join(rel), &mut out);
+    out.sort();
+    out
+}
+
+/// The crates whose code must be bit-deterministic.
+const DETERMINISTIC: [&str; 8] = ["core", "net", "proto", "routing", "flow", "opt", "sim", "node"];
+
+/// Lines of `src` outside `#[cfg(test)]` items and `//` comments.
+fn non_test_code(src: &str) -> Vec<(usize, &str)> {
+    let (mut out, mut skipping, mut depth, mut opened) = (Vec::new(), false, 0i32, false);
+    for (i, line) in src.lines().enumerate() {
+        let code = line.split("//").next().unwrap_or("");
+        if line.trim_start().starts_with("#[cfg(test)]") {
+            (skipping, depth, opened) = (true, 0, false);
+            continue;
+        }
+        if skipping {
+            depth += code.matches('{').count() as i32 - code.matches('}').count() as i32;
+            opened |= code.contains('{');
+            skipping = !(depth == 0 && (opened || code.trim_end().ends_with(';')));
+            continue;
+        }
+        out.push((i + 1, code));
+    }
+    out
+}
+
+/// A float literal equal to zero: `0.0`, `0.`, `0e0`, `0f64`, `0.0_f32`…
+fn is_zero_float(token: &str) -> bool {
+    let digits = token.replace('_', "");
+    let num = digits.strip_suffix("f64").or(digits.strip_suffix("f32"));
+    let float = num.is_some() || digits.contains(['.', 'e', 'E']);
+    let num = num.unwrap_or(&digits);
+    float && num.starts_with(|c: char| c.is_ascii_digit()) && num.parse::<f64>() == Ok(0.0)
+}
+
+/// The operand tokens directly left and right of each `==` / `!=`, a
+/// leading minus dropped.
+fn equality_operands(code: &str) -> Vec<&str> {
+    let token = |c: char| c.is_ascii_alphanumeric() || c == '.' || c == '_';
+    let ops = code.match_indices("==").chain(code.match_indices("!="));
+    ops.flat_map(|(at, _)| {
+        let left = code[..at].trim_end();
+        let right = code[at + 2..].trim_start().trim_start_matches('-');
+        let right_end = right.len() - right.trim_start_matches(token).len();
+        [&left[left.trim_end_matches(token).len()..], &right[..right_end]]
+    })
+    .collect()
 }
 
 #[test]
-fn workspace_scan_is_clean_with_shell_only_allowlist() {
-    let cfg = real_config();
-    // The allowlist is empty by policy, with one sanctioned exception
-    // (see DESIGN.md): the live node's I/O shell reads wall-clock time
-    // to drive its otherwise mock-clocked deterministic core. Any entry
-    // beyond that — another rule, another path — needs a DESIGN.md
-    // discussion and a new carve-out here.
-    for allow in &cfg.allows {
-        assert_eq!(
-            (allow.rule.as_str(), allow.path.as_str()),
-            ("MDR002", "crates/node/src/shell"),
-            "unsanctioned allowlist entry; new entries need a DESIGN.md discussion"
-        );
-    }
-    assert_eq!(cfg.allows.len(), 1, "exactly one sanctioned allowlist entry expected");
-    // The chaos layer (NetProfile/NetEmu) and the adaptive RTT
-    // estimator are load-bearing for reproducible fault campaigns:
-    // they must stay inside the deterministic scope so MDR002 keeps
-    // them clock-free (the estimator only ever sees `now` as an
-    // explicit argument, never reads it).
-    for must_cover in ["crates/sim", "crates/node"] {
+fn determinism_lints_cover_their_scope() {
+    // Every first-party crate inherits the workspace lints; the
+    // deterministic ones also deny inexact float comparison.
+    for krate in rust_files("crates").iter().filter_map(|f| f.strip_suffix("/src/lib.rs")) {
+        let manifest = read(&format!("{krate}/Cargo.toml"));
         assert!(
-            cfg.deterministic_crates.iter().any(|c| c == must_cover),
-            "{must_cover} (chaos / RTT estimator home) fell out of deterministic scope"
+            manifest.contains("[lints]\nworkspace = true"),
+            "{krate} skips the workspace lints"
         );
     }
-    // The no-panic scope covers every non-shell module of the live
-    // node: a corrupt datagram, a stale incarnation, or a dead peer
-    // must degrade the one adjacency, never panic the router process.
-    // (The I/O shell is the sanctioned boundary where process-fatal
-    // setup errors — bind failures, bad config — may still abort.)
-    // So does the control-plane agent that node hosts, with both
-    // simulator hosts: the shared piece must not be the unguarded one.
-    // Likewise the DAG solver in `mdr-opt` every fluid settle runs.
-    for must_cover in [
+    assert!(read("tests/Cargo.toml").contains("[lints]\nworkspace = true"));
+    for krate in DETERMINISTIC {
+        let root = read(&format!("crates/{krate}/src/lib.rs"));
+        assert!(root.contains("#![cfg_attr(not(test), deny(clippy::float_cmp))]"), "{krate}");
+    }
+    // The no-panic scope: a corrupt datagram, a stale incarnation, or a
+    // dead peer must degrade the one adjacency, never panic the router
+    // process. It covers the control-plane agent, the host both
+    // simulators run it in, both event loops, the DAG solver every fluid
+    // settle runs, every protocol decode path, and every non-shell
+    // module of the live node (the I/O shell may still abort on
+    // process-fatal setup errors such as a failed bind).
+    for file in [
         "crates/sim/src/agent.rs",
+        "crates/sim/src/host.rs",
         "crates/sim/src/engine.rs",
         "crates/sim/src/fluid.rs",
         "crates/opt/src/dag.rs",
+        "crates/proto/src/lib.rs",
         "crates/node/src/core.rs",
         "crates/node/src/reliable.rs",
         "crates/node/src/hlc.rs",
         "crates/node/src/record.rs",
         "crates/node/src/trace.rs",
     ] {
+        let src = read(file);
         assert!(
-            cfg.no_panic_paths.iter().any(|p| p == must_cover),
-            "{must_cover} fell out of the no-panic scope"
+            src.contains("#![deny(clippy::unwrap_used, clippy::expect_used)]"),
+            "{file} fell out of the no-panic scope"
         );
     }
-    let outcome = rules::scan_workspace(workspace_root(), &cfg).expect("scan must run");
-    assert!(outcome.files_scanned >= 60, "walked {} files only", outcome.files_scanned);
-    let rendered: Vec<String> = outcome.diags.iter().map(|d| d.to_string()).collect();
-    assert!(rendered.is_empty(), "workspace has lint findings:\n{}", rendered.join("\n"));
+    // The only exemptions from the banned types and methods: the live
+    // node's I/O shell reads the wall clock, `mdr-bench` and
+    // `mdr-verify` time their runs, and the checkers dedup in a
+    // `HashSet`. Another one needs a DESIGN.md discussion first.
+    let mut exemptions = Vec::new();
+    for file in rust_files("crates").into_iter().chain(rust_files("tests")) {
+        for line in read(&file).lines().map(str::trim) {
+            let attr = line.starts_with('#') || line.starts_with("clippy::");
+            for lint in ["disallowed_types", "disallowed_methods"] {
+                if attr && line.contains(&format!("clippy::{lint}")) {
+                    exemptions.push(format!("{file} {lint}"));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        exemptions,
+        [
+            "crates/bench/src/main.rs disallowed_types",
+            "crates/lint/src/lib.rs disallowed_types",
+            "crates/lint/src/lib.rs disallowed_methods",
+            "crates/lint/src/verify_main.rs disallowed_types",
+            "crates/node/src/shell/mod.rs disallowed_types",
+        ]
+    );
+    // `clippy::float_cmp` passes a comparison with zero, which is as
+    // inexact as any other: a value that should be zero can carry
+    // rounding error, so test `x.abs() < eps` (or `<= 0.0`) instead.
+    let mut zero_cmps = Vec::new();
+    for krate in DETERMINISTIC {
+        for file in rust_files(&format!("crates/{krate}/src")) {
+            let src = read(&file);
+            for (line, code) in non_test_code(&src) {
+                if equality_operands(code).into_iter().any(is_zero_float) {
+                    zero_cmps.push(format!("{file}:{line}: {}", code.trim()));
+                }
+            }
+        }
+    }
+    assert!(zero_cmps.is_empty(), "float equality against zero:\n{}", zero_cmps.join("\n"));
+}
+
+#[test]
+fn the_zero_float_matcher_sees_both_sides_and_every_spelling() {
+    let hits = |code: &str| equality_operands(code).into_iter().any(is_zero_float);
+    for code in
+        ["x == 0.0", "0.0 != x", "x == -0.0", "x != 0.", "0e0 == x", "x == 0f64", "x == 0.0_f32"]
+    {
+        assert!(hits(code), "{code}");
+    }
+    for code in ["x == 0", "x == 1.5", "p.0 == q", "pair().0 == x", "x <= 0.0", "x == y"] {
+        assert!(!hits(code), "{code}");
+    }
+    let src =
+        "fn f() { a == 0.0 }\n#[cfg(test)]\nmod tests {\n    fn g() { b == 0.0 }\n}\nfn h() {}\n";
+    let lines: Vec<usize> = non_test_code(src).iter().map(|&(l, _)| l).collect();
+    assert_eq!(lines, [1, 6]);
 }
 
 #[test]

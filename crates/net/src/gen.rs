@@ -1,4 +1,4 @@
-//! Seeded internet-scale topology and traffic generators (ROADMAP item 2).
+//! Seeded internet-scale topology and traffic generators.
 //!
 //! The paper evaluates MPDA on CAIRN (8 routers) and NET1 (~20); this
 //! module generates the topologies needed to test the scaling story —

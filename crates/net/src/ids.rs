@@ -5,6 +5,7 @@
 //! order that every algorithm in the workspace respects.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A router (node) identifier.
@@ -12,7 +13,7 @@ use std::fmt;
 /// Nodes are dense small integers `0..n`, which lets routing tables be
 /// flat vectors indexed by destination. The numeric value is also the
 /// router's "address" used for deterministic tie-breaking.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -51,7 +52,7 @@ impl From<usize> for NodeId {
 /// table. A bidirectional physical link is two `LinkId`s, one per
 /// direction, which may carry different costs (§2.1: "Each link is
 /// bidirectional with possibly different costs in each direction").
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -71,6 +72,32 @@ impl fmt::Debug for LinkId {
 impl fmt::Display for LinkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+// The orders are written out rather than derived because a derived
+// `PartialOrd` calls `partial_cmp`, a method the workspace lints deny.
+impl Ord for NodeId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for NodeId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for LinkId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for LinkId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 

@@ -151,6 +151,7 @@ impl NetworkSpec {
             // Emit each bidirectional pair once, as one `bidi` entry, if
             // the reverse exists with identical parameters.
             let rev = topo.link_between(l.to, l.from).map(|id| *topo.link(id));
+            #[expect(clippy::float_cmp, reason = "one `bidi` entry only for bit-equal parameters")]
             let symmetric = rev
                 .map(|r| r.capacity == l.capacity && r.prop_delay == l.prop_delay)
                 .unwrap_or(false);

@@ -33,10 +33,12 @@
 //! provably processed *everything* sent, which is the paper's premise
 //! made literal.
 //!
-//! **Graceful degradation:** this module is in `mdr-lint`'s
-//! `no_panic_paths` set. Corrupt datagrams count and drop; unknown
+//! **Graceful degradation:** this module denies `clippy::unwrap_used`
+//! and `expect_used`. Corrupt datagrams count and drop; unknown
 //! senders drop; stale incarnations drop; there is no code path that
 //! panics on network input.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::hlc::HybridClock;
 use crate::record::{NodeRecord, PeerSync, RecordBody};
@@ -629,6 +631,7 @@ impl NodeCore {
         // the cross-node audit needs those raises on the record too.
         for j in 0..self.cfg.n {
             let fd = self.agent.router().feasible_distance(NodeId(j as u32));
+            #[expect(clippy::float_cmp, reason = "change detector: record any FD move")]
             if fd != self.last_fds[j] {
                 self.last_fds[j] = fd;
                 self.snapshot_pending = true;

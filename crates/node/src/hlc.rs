@@ -13,6 +13,8 @@
 //! were never synchronized. The merged-trace LFI audit leans on exactly
 //! that property.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use mdr_proto::HlcStamp;
 
 /// One process's hybrid logical clock.

@@ -34,13 +34,18 @@
 //!     reconstructed from *real processes*, not simulated routers.
 //! * **I/O shell** — [`shell`]: UDP sockets, process spawning, the
 //!   kill/restart soak harness. This is the only place wall-clock time
-//!   exists, and the `mdr-lint` allowlist pins it there.
+//!   exists: its `#![expect(clippy::disallowed_types)]` is the
+//!   workspace's one exemption from the wall-clock ban.
 //!
 //! Graceful degradation is a hard rule: the event-loop core has no
-//! panic paths (`MDR007` gates it); corrupt datagrams, stale
+//! panic paths (`clippy::unwrap_used` and `expect_used` are denied in
+//! its modules); corrupt datagrams, stale
 //! incarnations, and dead peers are all recorded and survived.
 
-#![forbid(unsafe_code)]
+// Bit-deterministic crate: an exact float comparison must say why it
+// is exact. `unsafe`, hash-ordered collections, wall-clock reads and
+// `partial_cmp` are denied in every crate by the workspace lints.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod core;
 pub mod hlc;

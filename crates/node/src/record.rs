@@ -12,6 +12,8 @@
 //! [`serde::Deserialize`] reads, pinned by a round-trip test, so the
 //! audit can never drift from the emitter.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::reliable::DownReason;
 use mdr_net::NodeId;
 use mdr_proto::HlcStamp;

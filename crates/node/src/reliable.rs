@@ -89,6 +89,8 @@
 //! are thin compositions, and the `mdr-verify` transport model checker
 //! drives the very same steps — there is exactly one state machine.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use mdr_proto::{LsuMessage, NodeBody};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};

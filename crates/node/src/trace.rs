@@ -15,6 +15,8 @@
 //! The module is deterministic-core code: it consumes strings and
 //! returns a report; file handling lives in the shell.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::record::{NodeRecord, PeerSync, RecordBody};
 use mdr_net::NodeId;
 use mdr_routing::lfi;

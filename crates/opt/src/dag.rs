@@ -23,6 +23,8 @@
 //! gets the conditional mean `m / p`; only a node with `p = 0` reads
 //! "no route".
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use mdr_net::{NodeId, Topology};
 
 /// A `(next_hop, link, share)` edge of a routing DAG.

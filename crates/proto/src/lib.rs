@@ -16,9 +16,12 @@
 //! simulator charges propagation (and optionally serialization) time for
 //! control messages based on the encoded length.
 
-// No unsafe anywhere: the whole workspace is plain safe Rust, and
-// `mdr-lint` verifies every crate root carries this attribute.
-#![forbid(unsafe_code)]
+// Bit-deterministic crate: an exact float comparison must say why it
+// is exact. `unsafe`, hash-ordered collections, wall-clock reads and
+// `partial_cmp` are denied in every crate by the workspace lints.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+// Every decode path here degrades on hostile bytes, never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod codec;
 pub mod lsu;

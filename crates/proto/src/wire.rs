@@ -67,6 +67,7 @@ use crate::codec::{self, DecodeError, FRAME_TRAILER_LEN};
 use crate::lsu::LsuMessage;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mdr_net::NodeId;
+use std::cmp::Ordering;
 
 const MAGIC: u8 = 0x4D;
 const VERSION: u8 = 4;
@@ -76,15 +77,28 @@ const HEADER_LEN: usize = 1 + 1 + 1 + 4 + 4 + 4 + 4 + 4 + 8 + 4;
 
 /// A hybrid-logical-clock stamp as carried on the wire: `l` is the
 /// physical component in microseconds, `c` the logical tiebreaker.
-/// Ordering is lexicographic `(l, c)` — derived `Ord` does exactly
-/// that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
+/// Ordering is lexicographic `(l, c)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct HlcStamp {
     /// Physical component (µs since the epoch the deployment agreed
     /// on — the launcher's start instant).
     pub l: u64,
     /// Logical component: breaks ties among events within one µs.
     pub c: u32,
+}
+
+// Written out rather than derived: a derived `PartialOrd` calls
+// `partial_cmp`, a method the workspace lints deny.
+impl Ord for HlcStamp {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.l.cmp(&other.l).then(self.c.cmp(&other.c))
+    }
+}
+
+impl PartialOrd for HlcStamp {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Body of a node-control message.

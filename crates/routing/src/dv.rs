@@ -306,6 +306,10 @@ impl DvRouter {
                     } else {
                         known[j]
                     };
+                    #[expect(
+                        clippy::float_cmp,
+                        reason = "change detector: resend on any bit change"
+                    )]
                     if prev.is_nan() || adv != prev {
                         entries.push((NodeId(j as u32), adv));
                     }

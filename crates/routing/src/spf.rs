@@ -14,7 +14,7 @@
 
 use crate::table::TopoTable;
 use mdr_net::{LinkCost, NodeId, INFINITE_COST};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Result of a shortest-path run over `n` nodes.
@@ -71,13 +71,27 @@ impl SpfResult {
 /// the deterministic tie-break order, `dist` as `total_cmp` orders it
 /// (NaN last instead of silently tying) — so comparing two entries is
 /// comparing two integer pairs. The heap pops the smallest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HeapEntry {
     /// `dist`'s bits, negative values' magnitude bits flipped: the
     /// `total_cmp` order as `i64` order, and its own inverse.
     dist: i64,
     /// `parent << 32 | node`.
     tie: u64,
+}
+
+// Written out rather than derived: a derived `PartialOrd` calls
+// `partial_cmp`, a method the workspace lints deny.
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.dist.cmp(&other.dist).then_with(|| self.tie.cmp(&other.tie))
+    }
+}
+
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// `parent` of the root and of every node not settled.
@@ -168,6 +182,7 @@ impl Spf {
                 let nd = d + c;
                 // Strict improvement, or equal cost through a lower-address
                 // parent: push; the heap ordering resolves remaining ties.
+                #[expect(clippy::float_cmp, reason = "Dijkstra's equal-cost tie is exact")]
                 if nd < dist[v] {
                     dist[v] = nd;
                     heap.push(Reverse(HeapEntry::new(nd, u as u32, v as u32)));

@@ -147,6 +147,10 @@ impl TopoTable {
                     j += 1;
                 }
                 Ordering::Equal => {
+                    #[expect(
+                        clippy::float_cmp,
+                        reason = "change detector: a Change entry for any new cost"
+                    )]
                     if old[i].2 != new[j].2 {
                         out.push(LsuEntry::change(new[j].0, new[j].1, new[j].2));
                     }

@@ -10,6 +10,8 @@
 //! cost of the link in neighbor slot `slot` (`None`: nothing fresher than
 //! the cost the router already holds).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use mdr_flow::{AllocOutcome, Allocator, DestParams, Mode, SuccessorCost, Update};
 use mdr_net::{LinkCost, NodeId, INFINITE_COST};
 use mdr_routing::{MpdaRouter, RouterEvent, RouterOutput, RouterSnapshot};

@@ -11,6 +11,8 @@
 //! simplification, and at these scales LSU traffic is negligible against
 //! 10 Mb/s links.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::chaos::{FaultEvent, RobustnessReport};
 use crate::estimator::{EstimatorKind, LinkEstimator};
 use crate::events::{Ev, Packet};
@@ -52,8 +54,8 @@ pub enum PacketDist {
 /// `Packet` is the paper's per-packet Poisson discrete-event engine.
 /// The fluid variants advance *flow rates* per routing epoch instead of
 /// individual packets, with link delays taken from the `Mm1` closed
-/// forms — the hybrid flow-level mode of ROADMAP item 2, cross-validated
-/// against packet mode in `tests/tests/fluid_crossval.rs`. See
+/// forms — the hybrid flow-level mode, cross-validated against packet
+/// mode in `tests/tests/fluid_crossval.rs`. See
 /// [`crate::fluid`] for the semantics of the two fluid control planes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimMode {
@@ -1089,8 +1091,10 @@ mod tests {
 
     #[test]
     fn no_ttl_drops_ever() {
-        // Loop-freedom end to end: with MPDA + LFI the TTL guard must
-        // never fire, even across failures and cost churn.
+        // The paper proves the routing graph loop-free at every instant,
+        // not each packet's path: a packet can revisit a router when
+        // successor sets change between its hops. So the TTL stays a
+        // defensive guard; across this failure and restore it never fires.
         let t = mdr_net::topo::net1();
         let flows = mdr_net::topo::net1_flows(1_000_000.0);
         let traffic = TrafficMatrix::from_flows(&t, &flows).unwrap();

@@ -84,8 +84,10 @@ pub struct Packet {
     pub created: f64,
     /// Length in bits.
     pub bits: f64,
-    /// Remaining hop budget (defensive; MPDA forwarding cannot loop,
-    /// and tests assert this never reaches zero).
+    /// Remaining hop budget, a defensive guard. MPDA keeps the routing
+    /// graph loop-free at every instant, but a packet can still revisit
+    /// a router when successor sets change between its hops; tests
+    /// assert the budget never runs out in their scenarios.
     pub ttl: u16,
 }
 

@@ -1,4 +1,4 @@
-//! Fluid (flow-level) simulation engine — ROADMAP item 2's hybrid mode.
+//! Fluid (flow-level) simulation engine: the hybrid flow-level mode.
 //!
 //! Instead of sampling individual Poisson packets, the fluid engine
 //! treats each flow as a continuous rate and advances the network
@@ -74,6 +74,8 @@
 //! (packet mode also counts pre-warm-up *drops*; the cross-validation
 //! suite therefore compares delays, not drop totals). The per-flow
 //! delay series is recorded over the whole run, like packet mode.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::agent::Allocs;
 use crate::chaos::FaultEvent;

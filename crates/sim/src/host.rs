@@ -14,6 +14,8 @@
 //! Without a fault plan or an audit the chaos runtime is absent, and the
 //! hot paths pay one pointer check for it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::agent::{Agent, Allocs};
 use crate::chaos::{ControlChaos, FaultEvent, FaultRecord, RobustnessCounters, RobustnessReport};
 use crate::events::{Ev, EventQueue, MsgId, MsgSlab};

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rows.push((u, format!("{} -> {}", topo.name(l.from), topo.name(l.to))));
         }
     }
-    rows.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    rows.sort_by(|a, b| b.0.total_cmp(&a.0));
     for (u, name) in rows {
         println!("  {name:<22} {u:>5.2}");
     }

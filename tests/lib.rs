@@ -1,7 +1,3 @@
 //! Workspace-level integration test support (see `tests/*.rs`).
 
-// No unsafe anywhere: the whole workspace is plain safe Rust, and
-// `mdr-lint` verifies every crate root carries this attribute.
-#![forbid(unsafe_code)]
-
 pub fn placeholder() {}
