@@ -45,13 +45,21 @@
 //! reachable space of the scenario. An adjacency action — a delivery,
 //! a send, a timer firing — is first tried on the one channel it
 //! drives; only one that changes something is committed to a copy of
-//! the world. That copy is cheap: a world holds each channel behind an
-//! `Rc` together with the channel's [`PeerChannel::encode_state`] bytes
-//! (`Chan`), so the copy shares every channel the action did not
-//! touch, and the state key copies each channel's bytes instead of
-//! encoding the channel again. The checker's own integers go into the
-//! key as LEB128 varints; every field stays self-delimiting, so the key
-//! is exact (no hashing, no compaction that could merge two states).
+//! the world. That copy is cheap: a world holds each channel and each
+//! bookkeeping map behind an `Rc` and copies a map only when it writes
+//! it, so the copy shares everything the action did not touch.
+//!
+//! Each exploration keeps one table of the distinct
+//! [`PeerChannel::encode_state`] byte strings its channels reach,
+//! numbered in first-seen order, with one channel for each (`ChanTable`);
+//! a search of 10⁵ states meets only tens to hundreds of them. A world
+//! holds the table's channel (`Chan`), which carries its index, and the
+//! state key holds the index, not the bytes. Index and bytes map one to
+//! one within an exploration, so two worlds get equal keys exactly when
+//! they got equal keys with the bytes spelled out. The index and the
+//! checker's own integers go into the key as LEB128 varints; every field
+//! stays self-delimiting, so the key is exact (no hashing, no compaction
+//! that could merge two states).
 //!
 //! # Partial-order reduction: adjacency-component independence
 //!
@@ -93,6 +101,7 @@ use mdr_node::{
     quarantine_release_due, ChannelEvent, ChannelMutant, PeerChannel, ReleasePolicy, ReliableConfig,
 };
 use mdr_proto::{LsuEntry, LsuMessage, NodeBody};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
@@ -338,15 +347,16 @@ impl fmt::Display for TAction {
     }
 }
 
-/// A channel together with its [`PeerChannel::encode_state`] bytes.
-/// Worlds hold it behind an `Rc`, so a successor shares every channel
-/// its action did not touch, and [`TWorld::encode_under_into`] copies
-/// `enc` instead of encoding the channel again. The copy is valid under
+/// A channel together with the index of its
+/// [`PeerChannel::encode_state`] bytes in the exploration's
+/// [`ChanTable`]. The table makes one per index and worlds share it
+/// behind an `Rc`, so [`TWorld::encode_under_into`] writes `idx`
+/// instead of encoding the channel again. The index is valid under
 /// every node relabeling because payload LSUs pin their node ids
 /// ([`payload_lsu`]).
 struct Chan {
     ch: PeerChannel,
-    enc: Box<[u8]>,
+    idx: u32,
 }
 
 /// `ch`'s [`PeerChannel::encode_state`] bytes.
@@ -356,12 +366,59 @@ fn encoding(ch: &PeerChannel) -> Box<[u8]> {
     enc.into()
 }
 
+/// The distinct channel encodings one exploration has met, each under
+/// the index it was first given, with the first channel met under it.
+/// Indices are handed out in first-seen order, which is deterministic
+/// because expansion is. One table serves one `explore` or `replay`
+/// call and the worlds it builds.
+///
+/// Every world holds the table's channel for its index, so a search of
+/// 10⁵ worlds keeps only as many channels as it meets encodings. That
+/// is sound because `encode_state` writes every field that takes part
+/// in a transition: two channels with equal bytes step alike, which the
+/// state key already relies on.
+#[derive(Default)]
+struct ChanTable {
+    index: BTreeMap<Box<[u8]>, u32>,
+    chans: Vec<(Box<[u8]>, Rc<Chan>)>,
+}
+
+impl ChanTable {
+    /// The table's channel for `ch`, whose encoding is `enc`: `ch`
+    /// itself under the next free index if `enc` is new.
+    fn intern(&mut self, enc: &[u8], ch: PeerChannel) -> Rc<Chan> {
+        if let Some(&i) = self.index.get(enc) {
+            return Rc::clone(&self.chans[i as usize].1);
+        }
+        let idx = self.chans.len() as u32;
+        let chan = Rc::new(Chan { ch, idx });
+        self.index.insert(enc.into(), idx);
+        self.chans.push((enc.into(), Rc::clone(&chan)));
+        chan
+    }
+
+    /// The encoding interned under `i`.
+    fn bytes(&self, i: u32) -> &[u8] {
+        &self.chans[i as usize].0
+    }
+
+    /// How many distinct encodings are interned.
+    fn len(&self) -> usize {
+        self.chans.len()
+    }
+}
+
 impl Chan {
     /// A fresh channel of node incarnation `inc`: the initial world's
     /// and a crash-restart's.
-    fn fresh(s: &TScenario, inc: u32, mutant: ChannelMutant) -> Rc<Chan> {
+    fn fresh(
+        s: &TScenario,
+        table: &RefCell<ChanTable>,
+        inc: u32,
+        mutant: ChannelMutant,
+    ) -> Rc<Chan> {
         let ch = PeerChannel::with_mutant(s.cfg, inc, 0.0, mutant);
-        Rc::new(Chan { enc: encoding(&ch), ch })
+        table.borrow_mut().intern(&encoding(&ch), ch)
     }
 }
 
@@ -394,27 +451,31 @@ struct TNode {
 }
 
 /// The transport checker world: real channels plus an omniscient
-/// environment.
+/// environment. The bookkeeping maps sit behind `Rc`s and are written
+/// through `Rc::make_mut`, so a successor copies only the maps its
+/// action changes.
 #[derive(Clone)]
 pub struct TWorld<'a> {
     s: &'a TScenario,
+    /// The exploration's channel table, which `Chan::idx` indexes.
+    table: &'a RefCell<ChanTable>,
     mutant: ChannelMutant,
     nodes: Vec<TNode>,
     wire: BTreeSet<Frame>,
     /// Remaining payload budget per directed pair.
-    sends_left: BTreeMap<(u8, u8), u32>,
+    sends_left: Rc<BTreeMap<(u8, u8), u32>>,
     /// Remaining dead-expiry budget per directed pair.
-    dead_left: BTreeMap<(u8, u8), u32>,
+    dead_left: Rc<BTreeMap<(u8, u8), u32>>,
     /// Next payload id per directed pair.
-    payload_next: BTreeMap<(u8, u8), u32>,
+    payload_next: Rc<BTreeMap<(u8, u8), u32>>,
     /// Checker-side stream generation per directed pair: bumped on
     /// every observed reset of the sender's channel, independent of
     /// whether the protocol honestly bumped its session number.
-    stream_gen: BTreeMap<(u8, u8), u32>,
+    stream_gen: Rc<BTreeMap<(u8, u8), u32>>,
     /// Payload id → the stream generation it was queued under.
-    payload_gen: BTreeMap<(u8, u8, u32), u32>,
+    payload_gen: Rc<BTreeMap<(u8, u8, u32), u32>>,
     /// `(src, dst, gen)` → payload ids queued, in order.
-    sent: BTreeMap<(u8, u8, u32), Vec<u32>>,
+    sent: Rc<BTreeMap<(u8, u8, u32), Vec<u32>>>,
     /// `(src, dst, gen)` → payload ids delivered at `dst` *in the
     /// receiver's current acceptance epoch*, in order. Cleared when the
     /// receiver's channel resets: its dedup state (`delivered`) is
@@ -422,14 +483,19 @@ pub struct TWorld<'a> {
     /// re-deliver — exactly-once across receiver resets is impossible
     /// without persistent state, and the LSU layer is idempotent. The
     /// in-order/no-gap contract is per epoch.
-    delivered_log: BTreeMap<(u8, u8, u32), Vec<u32>>,
+    delivered_log: Rc<BTreeMap<(u8, u8, u32), Vec<u32>>>,
     /// `(src, dst, gen)` → high-water in-order delivery count at `dst`.
-    delivered_hi: BTreeMap<(u8, u8, u32), u64>,
+    delivered_hi: Rc<BTreeMap<(u8, u8, u32), u64>>,
 }
 
 /// Build the initial world for a scenario under a channel mutant
-/// (`ChannelMutant::None` for the sound protocol).
-pub fn initial_world(s: &TScenario, mutant: ChannelMutant) -> TWorld<'_> {
+/// (`ChannelMutant::None` for the sound protocol), interning its
+/// channels in `table`.
+fn initial_world<'a>(
+    s: &'a TScenario,
+    table: &'a RefCell<ChanTable>,
+    mutant: ChannelMutant,
+) -> TWorld<'a> {
     let mut nodes: Vec<TNode> = (0..s.n)
         .map(|_| TNode {
             inc: 1,
@@ -446,7 +512,7 @@ pub fn initial_world(s: &TScenario, mutant: ChannelMutant) -> TWorld<'_> {
     let mut stream_gen = BTreeMap::new();
     for &(a, b) in s.adjacencies {
         for (x, y) in [(a, b), (b, a)] {
-            nodes[x as usize].chans.insert(y, Chan::fresh(s, 1, mutant));
+            nodes[x as usize].chans.insert(y, Chan::fresh(s, table, 1, mutant));
             sends_left.insert((x, y), 0);
             dead_left.insert((x, y), 0);
             payload_next.insert((x, y), 1);
@@ -464,17 +530,18 @@ pub fn initial_world(s: &TScenario, mutant: ChannelMutant) -> TWorld<'_> {
     }
     TWorld {
         s,
+        table,
         mutant,
         nodes,
         wire: BTreeSet::new(),
-        sends_left,
-        dead_left,
-        payload_next,
-        stream_gen,
-        payload_gen: BTreeMap::new(),
-        sent: BTreeMap::new(),
-        delivered_log: BTreeMap::new(),
-        delivered_hi: BTreeMap::new(),
+        sends_left: Rc::new(sends_left),
+        dead_left: Rc::new(dead_left),
+        payload_next: Rc::new(payload_next),
+        stream_gen: Rc::new(stream_gen),
+        payload_gen: Rc::default(),
+        sent: Rc::default(),
+        delivered_log: Rc::default(),
+        delivered_hi: Rc::default(),
     }
 }
 
@@ -557,8 +624,8 @@ struct ChannelStep {
     x: u8,
     /// The peer its channel faces.
     y: u8,
-    /// The channel after the step, with its encoding.
-    chan: Chan,
+    /// The table's channel for the step's result.
+    chan: Rc<Chan>,
     /// What the channel reported.
     events: Vec<ChannelEvent>,
     /// The emitted bodies, stamped as they go on the wire once the
@@ -599,7 +666,7 @@ impl TWorld<'_> {
             let chans = n.chans.iter().map(|(&nb, c)| (p[nb as usize], c));
             in_key_order(chans, sorted, |nb, c| {
                 out.push(nb);
-                out.extend_from_slice(&c.enc);
+                put_varint(out, c.idx.into());
             });
             let holders = n.stale_holders.iter().map(|&h| (p[h as usize], ()));
             in_key_order(holders, sorted, |h, ()| out.push(h));
@@ -685,10 +752,11 @@ impl TWorld<'_> {
                     // epoch — restart the per-epoch delivery log), and
                     // x no longer holds whatever adjacency it had to an
                     // earlier life of y.
-                    if let Some(g) = self.stream_gen.get_mut(&(x, y)) {
+                    if let Some(g) = Rc::make_mut(&mut self.stream_gen).get_mut(&(x, y)) {
                         *g += 1;
                     }
-                    self.delivered_log.retain(|&(s, d, _), _| !(s == y && d == x));
+                    Rc::make_mut(&mut self.delivered_log)
+                        .retain(|&(s, d, _), _| !(s == y && d == x));
                     self.nodes[y as usize].stale_holders.remove(&x);
                 }
                 ChannelEvent::Deliver(msg) => {
@@ -699,7 +767,7 @@ impl TWorld<'_> {
                         ));
                     };
                     let key = (y, x, gen);
-                    let log = self.delivered_log.entry(key).or_default();
+                    let log = Rc::make_mut(&mut self.delivered_log).entry(key).or_default();
                     log.push(payload);
                     let sent = self.sent.get(&key).map(|v| v.as_slice()).unwrap_or(&[]);
                     if log.len() > sent.len() || log[..] != sent[..log.len()] {
@@ -712,7 +780,7 @@ impl TWorld<'_> {
                     let Some(ch) = self.nodes[x as usize].chans.get(&y) else {
                         return Err(format!("checker-bug: node {x} has no channel toward {y}"));
                     };
-                    let hi = self.delivered_hi.entry(key).or_default();
+                    let hi = Rc::make_mut(&mut self.delivered_hi).entry(key).or_default();
                     *hi = (*hi).max(ch.ch.delivered());
                 }
                 ChannelEvent::PeerUp { .. } | ChannelEvent::Discarded { .. } => {}
@@ -722,9 +790,9 @@ impl TWorld<'_> {
     }
 
     /// The channel-local half of adjacency action `a`: run it on a
-    /// clone of the one channel it drives, encode the result and stamp
-    /// what it emits. The world is not touched; [`Self::commit`] writes
-    /// the result back. `scratch` holds the new channel's encoding.
+    /// clone of the one channel it drives, encode and intern the result
+    /// and stamp what it emits. The world is not touched; [`Self::commit`]
+    /// writes the result back. `scratch` holds the new channel's encoding.
     fn channel_step(&self, a: &TAction, scratch: &mut Vec<u8>) -> Result<ChannelStep, String> {
         let (x, y) = a.channel().ok_or_else(|| format!("checker-bug: `{a}` drives no channel"))?;
         let Some(old) = self.nodes[x as usize].chans.get(&y) else {
@@ -755,7 +823,12 @@ impl TWorld<'_> {
         };
         scratch.clear();
         ch.encode_state(scratch);
-        let unchanged = scratch[..] == old.enc[..];
+        // Most trial steps are self-loops: one comparison with the old
+        // encoding spares them the table lookup.
+        let mut table = self.table.borrow_mut();
+        let unchanged = scratch[..] == *table.bytes(old.idx);
+        let chan = if unchanged { Rc::clone(old) } else { table.intern(scratch, ch) };
+        drop(table);
         // Ghost-channel check: a frame addressed to a different life or
         // stream epoch of the receiver must bounce off with zero state
         // change. The checker knows both sides, so it compares the
@@ -781,35 +854,37 @@ impl TWorld<'_> {
             })
             .count() as u32;
         let gen = self.stream_gen.get(&(x, y)).map_or(1, |g| g + resets);
-        let frames = self.stamp(x, y, &ch, gen, out)?;
-        let chan = Chan { ch, enc: scratch.as_slice().into() };
+        let frames = self.stamp(x, y, &chan.ch, gen, out)?;
         Ok(ChannelStep { x, y, chan, events, frames, spend, unchanged })
     }
 
     /// Write the result of [`Self::channel_step`] back into the world:
-    /// spend the budget, write back the channel with the encoding the
-    /// step made, fold in the events and extend the wire.
+    /// spend the budget, write back the channel the step interned, fold
+    /// in the events and extend the wire.
     fn commit(&mut self, st: ChannelStep) -> Result<(), String> {
         let (x, y) = (st.x, st.y);
-        debug_assert!(st.chan.enc == encoding(&st.chan.ch), "stale encoding of {x}->{y}");
+        debug_assert!(
+            *self.table.borrow().bytes(st.chan.idx) == *encoding(&st.chan.ch),
+            "stale encoding of {x}->{y}"
+        );
         match st.spend {
             Some(Spend::Send(p)) => {
-                if let Some(left) = self.sends_left.get_mut(&(x, y)) {
+                if let Some(left) = Rc::make_mut(&mut self.sends_left).get_mut(&(x, y)) {
                     *left = left.saturating_sub(1);
                 }
-                self.payload_next.insert((x, y), p + 1);
+                Rc::make_mut(&mut self.payload_next).insert((x, y), p + 1);
                 let gen = self.stream_gen.get(&(x, y)).copied().unwrap_or(1);
-                self.payload_gen.insert((x, y, p), gen);
-                self.sent.entry((x, y, gen)).or_default().push(p);
+                Rc::make_mut(&mut self.payload_gen).insert((x, y, p), gen);
+                Rc::make_mut(&mut self.sent).entry((x, y, gen)).or_default().push(p);
             }
             Some(Spend::DeadExpiry) => {
-                if let Some(left) = self.dead_left.get_mut(&(x, y)) {
+                if let Some(left) = Rc::make_mut(&mut self.dead_left).get_mut(&(x, y)) {
                     *left = left.saturating_sub(1);
                 }
             }
             None => {}
         }
-        self.nodes[x as usize].chans.insert(y, Rc::new(st.chan));
+        self.nodes[x as usize].chans.insert(y, st.chan);
         self.process_events(x, y, st.events)?;
         self.wire.extend(st.frames);
         Ok(())
@@ -830,7 +905,7 @@ impl TWorld<'_> {
         for f in &self.wire {
             out.push(TAction::Deliver(*f));
         }
-        for (&(a, b), &left) in &self.sends_left {
+        for (&(a, b), &left) in self.sends_left.iter() {
             if left > 0 {
                 out.push(TAction::SendLsu(a, b));
             }
@@ -884,15 +959,15 @@ impl TWorld<'_> {
                 node.stale_holders = holders;
                 let inc = node.inc;
                 for y in neighbors {
-                    node.chans.insert(y, Chan::fresh(self.s, inc, self.mutant));
+                    node.chans.insert(y, Chan::fresh(self.s, self.table, inc, self.mutant));
                     // The crash dropped all of x's transport state: its
                     // outgoing streams restart and its receive-side
                     // acceptance epochs do too.
-                    if let Some(g) = self.stream_gen.get_mut(&(x, y)) {
+                    if let Some(g) = Rc::make_mut(&mut self.stream_gen).get_mut(&(x, y)) {
                         *g += 1;
                     }
                 }
-                self.delivered_log.retain(|&(_, d, _), _| d != x);
+                Rc::make_mut(&mut self.delivered_log).retain(|&(_, d, _), _| d != x);
                 Ok(())
             }
             TAction::ReleaseQuarantine(x) => {
@@ -1056,7 +1131,20 @@ pub fn violation_class(msg: &str) -> &str {
 
 /// Explore one scenario under a mutant.
 pub fn explore(s: &TScenario, mutant: ChannelMutant, use_por: bool) -> Outcome<TAction> {
-    por::explore(initial_world(s, mutant), s.depth, s.max_states, use_por)
+    explore_interned(s, mutant, use_por).0
+}
+
+/// [`explore`], also returning how many distinct channel encodings the
+/// exploration interned: a work counter, pinned beside the state counts.
+pub fn explore_interned(
+    s: &TScenario,
+    mutant: ChannelMutant,
+    use_por: bool,
+) -> (Outcome<TAction>, usize) {
+    let table = RefCell::default();
+    let outcome = por::explore(initial_world(s, &table, mutant), s.depth, s.max_states, use_por);
+    let interned = table.borrow().len();
+    (outcome, interned)
 }
 
 /// The tier-1 transport scenario suite (sound protocol: every run must
@@ -1405,7 +1493,8 @@ pub fn parse_replay(text: &str) -> Result<Replay, String> {
 /// spent budget — a violation at the wrong step, or no violation at
 /// all) — a checker↔implementation conformance failure.
 pub fn replay(s: &TScenario, mutant: ChannelMutant, actions: &[TAction]) -> Result<String, String> {
-    let mut w = initial_world(s, mutant);
+    let table = RefCell::default();
+    let mut w = initial_world(s, &table, mutant);
     if let Err(v) = w.check() {
         return Ok(v);
     }
@@ -1550,35 +1639,40 @@ mod tests {
         }
     }
 
-    /// Fail unless every channel's cached encoding equals a fresh
-    /// `encode_state` of the channel, and the world's key equals the
-    /// key of a copy whose channels are all encoded afresh.
-    fn assert_encodings_honest(w: &TWorld<'_>, name: &str) {
-        let mut fresh = w.clone();
-        for (x, n) in fresh.nodes.iter_mut().enumerate() {
-            for (y, c) in n.chans.iter_mut() {
-                let enc = encoding(&c.ch);
-                assert_eq!(c.enc, enc, "{name}: stale encoding of channel {x}->{y}");
-                *c = Rc::new(Chan { ch: c.ch.clone(), enc });
-            }
-        }
-        assert_eq!(w.key(), fresh.key(), "{name}: key differs from a fresh encoding's");
+    fn scenario(name: &str) -> TScenario {
+        suite().into_iter().find(|s| s.name == name).expect("scenario in the suite")
     }
 
-    /// The cached channel encodings stay honest on every reachable
-    /// world of the two crash scenarios. The walk takes every candidate
+    /// Fail unless every channel's index resolves to the exact bytes of
+    /// a fresh `encode_state` of the channel, and the table maps those
+    /// bytes back to that index.
+    fn assert_indices_honest(w: &TWorld<'_>, name: &str) {
+        let table = w.table.borrow();
+        for (x, n) in w.nodes.iter().enumerate() {
+            for (y, c) in &n.chans {
+                let enc = encoding(&c.ch);
+                assert_eq!(table.bytes(c.idx), &enc[..], "{name}: stale index of {x}->{y}");
+                let back = table.index.get(&enc);
+                assert_eq!(back, Some(&c.idx), "{name}: bytes of {x}->{y} map to another index");
+            }
+        }
+    }
+
+    /// The interned channel indices stay honest on every reachable world
+    /// of the two crash scenarios. The walk takes every candidate
     /// through `apply` — no self-loop pruning, no reduction — and
     /// bounds resets as `expand` does.
     #[test]
-    fn cached_channel_encodings_match_fresh_ones_on_every_reachable_world() {
+    fn interned_channel_indices_resolve_to_fresh_encodings_on_every_reachable_world() {
         for name in ["pair-crash-restart", "triangle-restart-quarantine"] {
-            let s = suite().into_iter().find(|s| s.name == name).expect("scenario in the suite");
+            let s = scenario(name);
             let cap = 1 + s.reset_budget;
-            let w0 = initial_world(&s, ChannelMutant::None);
+            let table = RefCell::default();
+            let w0 = initial_world(&s, &table, ChannelMutant::None);
             let mut seen = std::collections::HashSet::from([w0.key()]);
             let (mut frontier, mut cand) = (vec![w0], Vec::new());
             while let Some(w) = frontier.pop() {
-                assert_encodings_honest(&w, name);
+                assert_indices_honest(&w, name);
                 cand.clear();
                 w.candidates(&mut cand);
                 for a in &cand {
@@ -1594,6 +1688,43 @@ mod tests {
             let floor = if name == "pair-crash-restart" { 443 } else { 68_499 };
             assert!(seen.len() >= floor, "{name}: walked only {} worlds", seen.len());
         }
+    }
+
+    /// Each exploration interns into a table of its own: a scenario
+    /// explored again after another one explores the same space and
+    /// interns as many encodings as the first time.
+    #[test]
+    fn each_exploration_interns_into_its_own_table() {
+        let (ring, pair) = (scenario("ring6-hello-mesh"), scenario("pair-crash-restart"));
+        let run = |s: &TScenario| {
+            let (o, interned) = explore_interned(s, ChannelMutant::None, true);
+            let st = o.stats();
+            (st.states, st.transitions, st.ample_states, st.deepest, st.truncated, interned)
+        };
+        let first = run(&ring);
+        run(&pair);
+        assert_eq!(run(&ring), first, "(states, transitions, ample, deepest, truncated, interned)");
+        // The check bites: one table shared by both scenarios ends up
+        // larger than the ring's own.
+        let table = RefCell::default();
+        for s in [&pair, &ring] {
+            let w = initial_world(s, &table, ChannelMutant::None);
+            por::explore(w, s.depth, s.max_states, true);
+        }
+        assert!(table.borrow().len() > first.5, "the pair meets encodings the ring never does");
+    }
+
+    /// Two worlds that differ only in one channel get different keys.
+    #[test]
+    fn keys_differ_when_one_channel_differs() {
+        let s = scenario("pair-bringup-transfer");
+        let table = RefCell::default();
+        let w = initial_world(&s, &table, ChannelMutant::None);
+        let mut other = w.clone();
+        let st = other.channel_step(&TAction::SendLsu(0, 1), &mut Vec::new()).expect("send steps");
+        assert!(!st.unchanged, "a send changes the sender's channel");
+        other.nodes[0].chans.insert(1, st.chan);
+        assert_ne!(w.key(), other.key());
     }
 
     #[test]
@@ -1621,9 +1752,10 @@ mod tests {
     /// (one varint byte against two), get different keys.
     #[test]
     fn keys_differ_across_a_varint_byte_boundary() {
-        let s = suite().into_iter().find(|s| s.name == "pair-bringup-transfer").expect("scenario");
+        let s = scenario("pair-bringup-transfer");
+        let table = RefCell::default();
         let key = |seq| {
-            let mut w = initial_world(&s, ChannelMutant::None);
+            let mut w = initial_world(&s, &table, ChannelMutant::None);
             let body = FBody::Data { seq, payload: 1 };
             let (inc, for_inc, for_session, session, gen) = (1, 1, 1, 1, 1);
             w.wire.insert(Frame { src: 0, dst: 1, inc, for_inc, for_session, session, gen, body });

@@ -17,9 +17,11 @@
 //!
 //! Output is line-oriented and stable so CI can `tee` it into the job
 //! summary: one `check … states … exhausted|bounded … states/s holds`
-//! line per scenario, one `mutant … minimal counterexample … replay ok` line
-//! per self-validation case, and a final `total` line (with the
-//! overall states/s, the checkers' throughput figure).
+//! line per scenario (a transport line also says how many distinct
+//! channel encodings its exploration interned), one `mutant … minimal
+//! counterexample … replay ok` line per self-validation case, and a
+//! final `total` line (with the overall states/s, the checkers'
+//! throughput figure).
 //!
 //! The run fails (exit 1) if any sound scenario is violated or capped,
 //! if fewer than three transport scenarios exhaust their reachable
@@ -36,7 +38,7 @@
 use mdr_lint::model;
 use mdr_lint::por::{Cx, Outcome};
 use mdr_lint::transport::{
-    self, explore, mutant_cases, parse_replay, suite, to_replay, violation_class,
+    self, explore, explore_interned, mutant_cases, parse_replay, suite, to_replay, violation_class,
 };
 use mdr_node::ChannelMutant;
 use mdr_routing::mpda::UpdateRule;
@@ -99,10 +101,12 @@ struct Totals {
 
 /// Print the `check` line of one sound scenario, fold it into `tot`,
 /// and say under it what went wrong; `render` prints a counterexample.
+/// `interned` is the transport checker's channel-table size.
 fn report<A>(
     layer: &str,
     name: &str,
     o: &Outcome<A>,
+    interned: Option<usize>,
     elapsed: Duration,
     tot: &mut Totals,
     render: impl Fn(&Cx<A>) -> String,
@@ -121,9 +125,10 @@ fn report<A>(
         Outcome::Violated(..) => "VIOLATED",
         Outcome::Capped(_) => "CAPPED",
     };
+    let interned = interned.map_or(String::new(), |n| format!(" interned {n:>4}"));
     println!(
         "check {layer:<9} {name:<28} {:>8} states {:>9} transitions depth {:>3} \
-         {coverage:<9} ample {:>6} {:>8}ms {:>8.0} states/s {verdict}",
+         {coverage:<9} ample {:>6}{interned} {:>8}ms {:>8.0} states/s {verdict}",
         st.states,
         st.transitions,
         st.deepest,
@@ -153,8 +158,8 @@ fn run_transport_suite(args: &Args, tot: &mut Totals) {
             s.max_states = args.max_states;
         }
         let t = Instant::now();
-        let o = explore(&s, ChannelMutant::None, args.use_por);
-        report("transport", s.name, &o, t.elapsed(), tot, |cx| {
+        let (o, interned) = explore_interned(&s, ChannelMutant::None, args.use_por);
+        report("transport", s.name, &o, Some(interned), t.elapsed(), tot, |cx| {
             let mut out = format!("  !! {}\n", cx.violation);
             for a in &cx.trace {
                 out.push_str(&format!("     {a}\n"));
@@ -239,7 +244,7 @@ fn run_lfi_suite(args: &Args, tot: &mut Totals) {
     for s in model::builtin_suite() {
         let t = Instant::now();
         let o = model::explore(&s, UpdateRule::Lfi, max);
-        report("lfi", s.name, &o, t.elapsed(), tot, |cx| model::render_trace(&s, cx));
+        report("lfi", s.name, &o, None, t.elapsed(), tot, |cx| model::render_trace(&s, cx));
     }
 }
 

@@ -5,7 +5,9 @@
 //! deepest trace and the truncation flag are a pure function of the
 //! checker and the `PeerChannel` transition relation. A change meant
 //! to make the checker faster must leave every one of them — and every
-//! minimal counterexample, byte for byte — exactly as pinned here.
+//! minimal counterexample, byte for byte — exactly as pinned here. So
+//! is the number of distinct channel encodings each sound exploration
+//! interns, a work counter pinned beside the state counts.
 //!
 //! The small scenarios and the four mutant searches run under plain
 //! `cargo test`. The four large sound scenarios take tens of seconds
@@ -13,7 +15,7 @@
 //! `cargo test --release -p mdr-lint --test transport_counts -- --ignored`.
 
 use mdr_lint::por::{Outcome, Stats};
-use mdr_lint::transport::{explore, mutant_cases, suite, to_replay};
+use mdr_lint::transport::{explore, explore_interned, mutant_cases, suite, to_replay};
 use mdr_node::ChannelMutant;
 
 /// `(states, transitions, ample_states, deepest, truncated)`.
@@ -23,12 +25,26 @@ fn counts(st: Stats) -> Counts {
     (st.states, st.transitions, st.ample_states, st.deepest, st.truncated)
 }
 
-/// Explore the named sound scenario with POR on and compare its stats.
+/// Distinct channel encodings each sound scenario's exploration
+/// interns, checked wherever [`assert_sound_counts`] explores it.
+const INTERNED: [(&str, usize); 6] = [
+    ("pair-crash-restart", 20),
+    ("ring6-hello-mesh", 5),
+    ("pair-bringup-transfer", 165),
+    ("pair-session-reset", 217),
+    ("triangle-restart-quarantine", 20),
+    ("reorder-at-bound", 361),
+];
+
+/// Explore the named sound scenario with POR on and compare its stats
+/// and its pinned [`INTERNED`] count.
 fn assert_sound_counts(name: &str, want: Counts) {
     let s = suite().into_iter().find(|s| s.name == name).expect("scenario in the suite");
-    let o = explore(&s, ChannelMutant::None, true);
+    let (o, interned) = explore_interned(&s, ChannelMutant::None, true);
     assert!(matches!(o, Outcome::Holds(_)), "{name}: must hold, got {:?}", o.stats());
     assert_eq!(counts(o.stats()), want, "{name}: (states, transitions, ample, deepest, truncated)");
+    let pinned = INTERNED.iter().find(|&&(n, _)| n == name).map(|&(_, k)| k);
+    assert_eq!(Some(interned), pinned, "{name}: channel encodings interned");
 }
 
 #[test]

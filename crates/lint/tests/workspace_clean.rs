@@ -1,7 +1,7 @@
 //! The determinism rules are rustc and clippy lints (DESIGN.md §6
 //! layer 2); this file pins what the compiler cannot: which crates and
 //! files opt in, which few places opt out, and float equality against
-//! a zero literal, which `clippy::float_cmp` exempts.
+//! a zero literal or an infinity, which `clippy::float_cmp` exempts.
 
 use mdr_lint::model;
 use std::path::Path;
@@ -64,10 +64,22 @@ fn is_zero_float(token: &str) -> bool {
     float && num.starts_with(|c: char| c.is_ascii_digit()) && num.parse::<f64>() == Ok(0.0)
 }
 
+/// A float operand `clippy::float_cmp` exempts: a literal equal to
+/// zero, or an `f64`/`f32` infinity, however its path is spelled.
+fn is_exempt_float(token: &str) -> bool {
+    let infinity = |name: &str| {
+        token == name || token.strip_suffix(name).is_some_and(|path| path.ends_with("::"))
+    };
+    is_zero_float(token)
+        || ["f64::INFINITY", "f64::NEG_INFINITY", "f32::INFINITY", "f32::NEG_INFINITY"]
+            .into_iter()
+            .any(infinity)
+}
+
 /// The operand tokens directly left and right of each `==` / `!=`, a
 /// leading minus dropped.
 fn equality_operands(code: &str) -> Vec<&str> {
-    let token = |c: char| c.is_ascii_alphanumeric() || c == '.' || c == '_';
+    let token = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | ':');
     let ops = code.match_indices("==").chain(code.match_indices("!="));
     ops.flat_map(|(at, _)| {
         let left = code[..at].trim_end();
@@ -147,30 +159,57 @@ fn determinism_lints_cover_their_scope() {
     );
     // `clippy::float_cmp` passes a comparison with zero, which is as
     // inexact as any other: a value that should be zero can carry
-    // rounding error, so test `x.abs() < eps` (or `<= 0.0`) instead.
-    let mut zero_cmps = Vec::new();
+    // rounding error, so test `x.abs() < eps` (or `<= 0.0`) instead. It
+    // passes one with an infinity too, where `x.is_infinite()` (with a
+    // sign test if it matters) says what is meant.
+    let mut exempt_cmps = Vec::new();
     for krate in DETERMINISTIC {
         for file in rust_files(&format!("crates/{krate}/src")) {
             let src = read(&file);
             for (line, code) in non_test_code(&src) {
-                if equality_operands(code).into_iter().any(is_zero_float) {
-                    zero_cmps.push(format!("{file}:{line}: {}", code.trim()));
+                if equality_operands(code).into_iter().any(is_exempt_float) {
+                    exempt_cmps.push(format!("{file}:{line}: {}", code.trim()));
                 }
             }
         }
     }
-    assert!(zero_cmps.is_empty(), "float equality against zero:\n{}", zero_cmps.join("\n"));
+    assert!(
+        exempt_cmps.is_empty(),
+        "float equality against zero or an infinity:\n{}",
+        exempt_cmps.join("\n")
+    );
 }
 
 #[test]
 fn the_zero_float_matcher_sees_both_sides_and_every_spelling() {
-    let hits = |code: &str| equality_operands(code).into_iter().any(is_zero_float);
-    for code in
-        ["x == 0.0", "0.0 != x", "x == -0.0", "x != 0.", "0e0 == x", "x == 0f64", "x == 0.0_f32"]
-    {
+    let hits = |code: &str| equality_operands(code).into_iter().any(is_exempt_float);
+    for code in [
+        "x == 0.0",
+        "0.0 != x",
+        "x == -0.0",
+        "x != 0.",
+        "0e0 == x",
+        "x == 0f64",
+        "x == 0.0_f32",
+        "x == f64::INFINITY",
+        "f64::NEG_INFINITY != x",
+        "x == -f32::INFINITY",
+        "x != std::f32::NEG_INFINITY",
+        "core::f64::INFINITY == x",
+    ] {
         assert!(hits(code), "{code}");
     }
-    for code in ["x == 0", "x == 1.5", "p.0 == q", "pair().0 == x", "x <= 0.0", "x == y"] {
+    for code in [
+        "x == 0",
+        "x == 1.5",
+        "p.0 == q",
+        "pair().0 == x",
+        "x <= 0.0",
+        "x == y",
+        "x == f64::MAX",
+        "x == myf64::INFINITY",
+        "x < f64::INFINITY",
+    ] {
         assert!(!hits(code), "{code}");
     }
     let src =

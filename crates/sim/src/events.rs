@@ -173,8 +173,10 @@ struct Entry {
 }
 
 impl PartialEq for Entry {
+    /// Equal exactly when [`Ord::cmp`] says so, so `0.0` and `-0.0`
+    /// (both accepted by `push`) differ here as they do in the order.
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for Entry {}
@@ -265,6 +267,21 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    /// `push` accepts both zeros; `eq` agrees with `cmp` on them, which
+    /// orders `-0.0` before `0.0`.
+    #[test]
+    fn signed_zero_times_are_equal_exactly_when_ordered_equal() {
+        let at = |time: f64| Entry { time, seq: 0, ev: Ev::Sample };
+        let (pos, neg) = (at(0.0), at(-0.0));
+        assert!(pos.cmp(&neg).is_lt(), "reversed order: -0.0 pops first");
+        assert_ne!(pos, neg);
+        assert_eq!(neg, at(-0.0));
+        let mut q = EventQueue::new();
+        q.push(0.0, Ev::Sample);
+        q.push(-0.0, Ev::Sample);
+        assert_eq!(q.pop().map(|(t, _)| t.is_sign_negative()), Some(true));
     }
 
     #[test]

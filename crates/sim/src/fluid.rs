@@ -20,8 +20,10 @@
 //!   last-resolved link flows (the fluid analogue of estimator
 //!   staleness: costs lag the data plane by one resolve), the solution
 //!   is settled before every control event, and a link flip or a step
-//!   that moved φ rewrites the DAG rows it touched. Scales to hundreds
-//!   of routers.
+//!   that moved φ rewrites the DAG rows it touched. It is not faster
+//!   than the packet engine at scale: on the 1000-router two-tier ISP
+//!   topology its MP arm took 355 s, the packet engine's 64 s (one
+//!   core of a shared 2-core host).
 //! * [`SimMode::FluidQuiescent`] — a centralized control plane that
 //!   recomputes *converged* MPDA tables every `T_s` epoch by
 //!   per-destination reverse SPF (at quiescence MPDA's successor set
@@ -31,9 +33,11 @@
 //!   graph, and runs `mdr_routing`'s one relaxation loop ([`Spf`], its
 //!   buffers reused) over it per destination; the successor costs
 //!   `D_k + l_ik` read the same costs. One allocator per destination,
-//!   keyed by router. No per-router `O(E)` topology tables, so 10k+
-//!   routers fit in memory. The host runs no agents here, so this mode
-//!   refuses fault plans and the audit.
+//!   keyed by router. No per-router `O(E)` topology tables. It does
+//!   not track MPDA at scale: on the 1000-router ISP topology its
+//!   per-flow MP delay averages 2.91× the packet engine's under MPDA,
+//!   and no 10k-router run has been made. The host runs no agents here,
+//!   so this mode refuses fault plans and the audit.
 //!
 //! Per routing epoch the fluid solution is obtained per destination by
 //! the two passes of [`mdr_opt::dag`], the solver `mdr_opt::evaluate`
