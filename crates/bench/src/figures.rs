@@ -1437,8 +1437,10 @@ struct ScaleSetup {
 fn scale_setups(smoke: bool) -> Vec<ScaleSetup> {
     // BA-500: scale-free hubs, the distributed control plane (real LSU
     // exchange over every link, all 500 routers flooding). Traffic
-    // between 40 sampled endpoints: the per-event engine re-resolves
-    // every dirty destination on each control event, so the *active
+    // between 40 sampled endpoints: after a control event the
+    // per-event engine re-runs the forward pass of each destination
+    // whose rows or rates it moved, and the backward pass of every
+    // destination over the rows its sources reach, so the *active
     // destination* count — not the router count — is what it can
     // afford, and a sparse matrix is the realistic shape anyway.
     let ba = gen::barabasi_albert(500, 2, 11);

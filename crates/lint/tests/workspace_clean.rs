@@ -1,7 +1,8 @@
 //! The determinism rules are rustc and clippy lints (DESIGN.md §6
 //! layer 2); this file pins what the compiler cannot: which crates and
-//! files opt in, which few places opt out, and float equality against
-//! a zero literal or an infinity, which `clippy::float_cmp` exempts.
+//! files opt in, which few places opt out, float equality against a
+//! zero literal or an infinity, and functions whose name makes
+//! `clippy::float_cmp` skip their bodies — the two things it exempts.
 
 use mdr_lint::model;
 use std::path::Path;
@@ -88,6 +89,23 @@ fn equality_operands(code: &str) -> Vec<&str> {
         [&left[left.trim_end_matches(token).len()..], &right[..right_end]]
     })
     .collect()
+}
+
+/// The names of the functions `code` defines that `clippy::float_cmp`
+/// does not look into. It skips `eq`, `ne`, `is_nan`, `eq_*` and
+/// `*_eq`; matched wider here, every name that starts or ends with `eq`.
+fn float_cmp_blind_fns(code: &str) -> Vec<&str> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    code.match_indices("fn ")
+        .filter(|&(at, _)| !code[..at].ends_with(ident))
+        .map(|(at, _)| {
+            let rest = code[at + 3..].trim_start();
+            &rest[..rest.len() - rest.trim_start_matches(ident).len()]
+        })
+        .filter(|name| {
+            name.starts_with("eq") || name.ends_with("eq") || ["ne", "is_nan"].contains(name)
+        })
+        .collect()
 }
 
 #[test]
@@ -178,6 +196,46 @@ fn determinism_lints_cover_their_scope() {
         "float equality against zero or an infinity:\n{}",
         exempt_cmps.join("\n")
     );
+    // `clippy::float_cmp` does not look inside a function named like
+    // `eq`, so one could compare floats exactly and pass. The one such
+    // function compares through `Ord`, which orders `-0.0` before `0.0`.
+    let mut blind = Vec::new();
+    for krate in DETERMINISTIC {
+        for file in rust_files(&format!("crates/{krate}/src")) {
+            let src = read(&file);
+            for (_, code) in non_test_code(&src) {
+                blind.extend(float_cmp_blind_fns(code).into_iter().map(|f| format!("{file} {f}")));
+            }
+        }
+    }
+    assert_eq!(blind, ["crates/sim/src/events.rs eq"], "functions clippy::float_cmp skips");
+}
+
+#[test]
+fn the_blind_fn_matcher_sees_every_name_float_cmp_skips() {
+    for code in [
+        "fn eq(&self, other: &Self) -> bool {",
+        "    fn  ne(&self, other: &Self) -> bool {",
+        "pub fn is_nan(self) -> bool {",
+        "pub(crate) fn eq_bits(a: f64, b: f64) -> bool {",
+        "const fn approx_eq(a: f64) -> bool {",
+        "fn equal<T: PartialEq>(a: T, b: T) -> bool {",
+        "fn neq(a: f64) {",
+        "impl X { fn eq(&self) {} }",
+    ] {
+        assert_eq!(float_cmp_blind_fns(code).len(), 1, "{code}");
+    }
+    for code in [
+        "fn cmp(&self, other: &Self) -> Ordering {",
+        "fn sequence(a: f64) {",
+        "fn nearly(a: f64) {",
+        "fn is_near(a: f64) {",
+        "let eq = a == b;",
+        "x.eq(&y)",
+        "my_fn eq",
+    ] {
+        assert!(float_cmp_blind_fns(code).is_empty(), "{code}");
+    }
 }
 
 #[test]

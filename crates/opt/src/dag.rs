@@ -58,9 +58,9 @@ pub struct Dag {
     /// nodes only.
     order: Vec<u32>,
     order_ok: bool,
-    /// Scratch for [`Self::build_reached`]: per node [`UNSEEN`],
-    /// [`DONE`], or the next edge of its row to follow while it is on
-    /// the depth-first path `stack`.
+    /// Scratch for [`Self::build_reached`] and [`Self::backward_from`]:
+    /// per node [`UNSEEN`], [`DONE`], or the next edge of its row to
+    /// follow while it is on the depth-first path `stack`.
     mark: Vec<u32>,
     stack: Vec<u32>,
 }
@@ -106,8 +106,10 @@ impl Dag {
     }
 
     /// Rewrite router `i`'s row with `edges`, in order, each next hop at
-    /// most once; edges past the router's out-degree are dropped. The
-    /// order stays current only if the next-hop list is unchanged.
+    /// most once; edges past the router's out-degree are dropped. True
+    /// when the row changed: another length, or an edge with another
+    /// next hop, link or share bit pattern. The order stays current only
+    /// if the next-hop list is unchanged.
     ///
     /// `#[inline]`, like [`Self::forward`]: a generic method of this
     /// crate's type is otherwise instantiated in a codegen unit of its
@@ -115,18 +117,26 @@ impl Dag {
     /// units are merged — in `mdr-sim` it cost the packet engine's event
     /// loop its inlined heap pop.
     #[inline]
-    pub fn set_row(&mut self, row: &[u32], i: usize, edges: impl IntoIterator<Item = Edge>) {
+    pub fn set_row(
+        &mut self,
+        row: &[u32],
+        i: usize,
+        edges: impl IntoIterator<Item = Edge>,
+    ) -> bool {
         let slots = &mut self.edges[row[i] as usize..row[i + 1] as usize];
         let old = self.len[i] as usize;
         let mut len = 0;
-        let mut same_hops = true;
+        let (mut same_hops, mut same_rest) = (true, true);
         for (slot, e) in slots.iter_mut().zip(edges) {
             same_hops &= len < old && slot.0 == e.0;
+            same_rest &= slot.1 == e.1 && slot.2.to_bits() == e.2.to_bits();
             *slot = e;
             len += 1;
         }
         self.len[i] = len as u32;
-        self.order_ok &= same_hops && len == old;
+        let same_hops = same_hops && len == old;
+        self.order_ok &= same_hops;
+        !(same_hops && same_rest)
     }
 
     /// Recompute `order` from the rows. Nodes caught in a cycle stay out
@@ -245,25 +255,102 @@ impl Dag {
     }
 
     /// The backward pass toward `j` with per-link survival `sigma` and
-    /// weight `w` (see the module docs), into `out`.
-    pub fn backward(&self, row: &[u32], j: usize, sigma: &[f64], w: &[f64], out: &mut Reach) {
-        let Reach { p, proute, m } = out;
-        p.fill(0.0);
-        proute.fill(0.0);
-        m.fill(0.0);
-        p[j] = 1.0;
-        proute[j] = 1.0;
-        for &iu in self.order.iter().rev() {
-            let i = iu as usize;
-            if i == j {
+    /// weight `w` (see the module docs), into `out`. Returns the rows
+    /// summed.
+    pub fn backward(
+        &self,
+        row: &[u32],
+        j: usize,
+        sigma: &[f64],
+        w: &[f64],
+        out: &mut Reach,
+    ) -> u64 {
+        out.p.fill(0.0);
+        out.proute.fill(0.0);
+        out.m.fill(0.0);
+        out.p[j] = 1.0;
+        out.proute[j] = 1.0;
+        let mut rows = 0;
+        for &i in self.order.iter().rev().filter(|&&i| i as usize != j) {
+            self.sum_row(row, i as usize, sigma, w, out);
+            rows += 1;
+        }
+        rows
+    }
+
+    /// [`Self::backward`] read only where `roots` reach: each row a
+    /// depth-first search from `roots` meets is summed once, when the
+    /// search leaves it, so after every successor. Returns the rows
+    /// summed, or `None` when the search meets a cycle (`out` is then
+    /// unspecified; like [`Self::backward`] it never reads `j`'s row, so
+    /// a cycle through `j` goes unmet). `out` is not touched outside the
+    /// rows met and `j`.
+    ///
+    /// At a node met, `out` is bit for bit what [`Self::backward`] gives
+    /// if the whole DAG is loop-free ([`Self::is_acyclic`] after
+    /// [`Self::reorder`]), by [`Self::build_reached`]'s argument: each
+    /// row is summed in row order from its successors' final values.
+    pub fn backward_from(
+        &mut self,
+        row: &[u32],
+        j: usize,
+        roots: impl IntoIterator<Item = usize>,
+        sigma: &[f64],
+        w: &[f64],
+        out: &mut Reach,
+    ) -> Option<u64> {
+        let mut mark = std::mem::take(&mut self.mark);
+        let mut stack = std::mem::take(&mut self.stack);
+        mark.clear();
+        mark.resize(self.len.len(), UNSEEN);
+        stack.clear();
+        mark[j] = DONE;
+        (out.p[j], out.proute[j], out.m[j]) = (1.0, 1.0, 0.0);
+        let (mut rows, mut acyclic) = (0, true);
+        'roots: for r in roots {
+            if mark[r] != UNSEEN {
                 continue;
             }
-            for &(k, l, share) in self.row(row, i) {
-                let (k, l) = (k as usize, l as usize);
-                p[i] += share * sigma[l] * p[k];
-                proute[i] += share * proute[k];
-                m[i] += share * sigma[l] * (w[l] * p[k] + m[k]);
+            mark[r] = 0;
+            stack.push(r as u32);
+            while let Some(&top) = stack.last() {
+                let i = top as usize;
+                let Some(&(k, _, _)) = self.row(row, i).get(mark[i] as usize) else {
+                    (out.p[i], out.proute[i], out.m[i]) = (0.0, 0.0, 0.0);
+                    self.sum_row(row, i, sigma, w, out);
+                    rows += 1;
+                    mark[i] = DONE;
+                    stack.pop();
+                    continue;
+                };
+                mark[i] += 1;
+                match mark[k as usize] {
+                    UNSEEN => {
+                        mark[k as usize] = 0;
+                        stack.push(k);
+                    }
+                    DONE => {}
+                    _ => {
+                        acyclic = false;
+                        break 'roots;
+                    }
+                }
             }
+        }
+        self.mark = mark;
+        self.stack = stack;
+        acyclic.then_some(rows)
+    }
+
+    /// Add router `i`'s row into `out` at `i` (see the module docs).
+    #[inline]
+    fn sum_row(&self, row: &[u32], i: usize, sigma: &[f64], w: &[f64], out: &mut Reach) {
+        let Reach { p, proute, m } = out;
+        for &(k, l, share) in self.row(row, i) {
+            let (k, l) = (k as usize, l as usize);
+            p[i] += share * sigma[l] * p[k];
+            proute[i] += share * proute[k];
+            m[i] += share * sigma[l] * (w[l] * p[k] + m[k]);
         }
     }
 }

@@ -5,6 +5,9 @@
 //! must hold exactly the reached nodes, each before its successors. A
 //! cycle planted where a root reaches it must be reported, and the whole
 //! build the caller then falls back to must equal a fresh one.
+//! `Dag::backward_from` on the whole build is held to the same: the
+//! whole pass's values at every reached node, each reached row summed
+//! once, nothing else written, and a reached cycle reported.
 
 use mdr_net::{gen, NodeId, Topology};
 use mdr_opt::dag::{row_starts, Dag, Edge, Reach};
@@ -145,6 +148,27 @@ proptest! {
     }
 
     #[test]
+    fn a_walk_from_the_roots_equals_the_whole_backward_pass(seed in any::<u64>()) {
+        let c = case(seed);
+        let n = c.t.node_count();
+        let mut dag = whole(&c.t, &c.row, &c.rows);
+        prop_assert!(dag.is_acyclic());
+        let mut want = Reach::new(n);
+        prop_assert_eq!(dag.backward(&c.row, c.j, &c.sigma, &c.w, &mut want), n as u64 - 1);
+        let stale = Reach { p: vec![f64::NAN; n], proute: vec![-1.0; n], m: vec![7.0; n] };
+        let mut got = stale.clone();
+        let roots = c.roots.iter().copied();
+        let rows = dag.backward_from(&c.row, c.j, roots, &c.sigma, &c.w, &mut got);
+        let reached = reachable(&c.rows, &c.roots);
+        let met = (0..n).filter(|&i| reached[i] && i != c.j).count() as u64;
+        prop_assert_eq!(rows, Some(met));
+        for (i, &r) in reached.iter().enumerate() {
+            let want = if r || i == c.j { &want } else { &stale };
+            prop_assert_eq!(bits(&got, i), bits(want, i), "node {}", i);
+        }
+    }
+
+    #[test]
     fn a_reached_cycle_is_reported_and_the_whole_build_stands(seed in any::<u64>()) {
         let mut c = case(seed);
         let n = c.t.node_count();
@@ -170,6 +194,11 @@ proptest! {
         dag.reorder(&c.row, &mut Vec::new());
         let fresh = whole(&c.t, &c.row, &c.rows);
         prop_assert!(!fresh.is_acyclic());
+        // The walk never reads `j`'s row, so it misses a cycle through `j`.
+        let mut walked = Reach::new(n);
+        let roots = c.roots.iter().copied();
+        let rows = fresh.clone().backward_from(&c.row, c.j, roots, &c.sigma, &c.w, &mut walked);
+        prop_assert!(rows.is_none() || k == c.j);
         prop_assert_eq!(dag.order(), fresh.order());
         let (mut got, mut want) = (Reach::new(n), Reach::new(n));
         dag.backward(&c.row, c.j, &c.sigma, &c.w, &mut got);
@@ -178,6 +207,32 @@ proptest! {
             prop_assert_eq!(bits(&got, i), bits(&want, i), "node {}", i);
         }
     }
+}
+
+/// `set_row` reports a change exactly when the row's length, a next
+/// hop, a link or a share's bits moved, and keeps the order current
+/// only while the next hops stand.
+#[test]
+fn set_row_reports_exactly_a_changed_row() {
+    let t = gen::barabasi_albert(6, 2, 3);
+    let row = row_starts(&t);
+    let i = (0..t.node_count()).find(|&i| t.degree(NodeId(i as u32)) >= 2).unwrap();
+    let out: Vec<Edge> =
+        t.out_links(NodeId(i as u32)).map(|(lid, l)| (l.to.0, lid.0, 0.5)).take(2).collect();
+    let mut dag = Dag::new(t.node_count(), t.link_count());
+    assert!(!dag.set_row(&row, i, []), "an empty row stays empty");
+    assert!(dag.set_row(&row, i, out.clone()));
+    dag.reorder(&row, &mut Vec::new());
+    assert!(!dag.set_row(&row, i, out.clone()) && dag.order_ok(), "the same edges");
+    let (k, l, w) = out[1];
+    let second = |e: Edge| vec![out[0], e];
+    let nudged = f64::from_bits(w.to_bits() + 1);
+    assert!(dag.set_row(&row, i, second((k, l, nudged))) && dag.order_ok(), "a share's bits");
+    assert!(dag.set_row(&row, i, second((k, out[0].1, w))) && dag.order_ok(), "a link");
+    assert!(dag.set_row(&row, i, out.clone()) && dag.order_ok());
+    assert!(dag.set_row(&row, i, out[..1].iter().copied()) && !dag.order_ok(), "shorter");
+    dag.reorder(&row, &mut Vec::new());
+    assert!(dag.set_row(&row, i, [out[1], out[0]]) && !dag.order_ok(), "the next hops");
 }
 
 /// The cases above are not vacuous: most leave rows unreached, and most

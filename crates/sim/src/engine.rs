@@ -66,7 +66,7 @@ pub enum SimMode {
     /// Fluid data plane under the *real* distributed MPDA control plane
     /// (per-router LSU events over the wire, estimator staleness and
     /// all). Not faster than [`SimMode::Packet`] at scale: on the
-    /// 1000-router two-tier ISP topology its MP arm took 355 s, the
+    /// 1000-router two-tier ISP topology its MP arm took 253 s, the
     /// packet engine's 64 s (one core of a shared 2-core host).
     Fluid,
     /// Fluid data plane under a centralized quiescent control plane:

@@ -22,7 +22,7 @@
 //!   is settled before every control event, and a link flip or a step
 //!   that moved φ rewrites the DAG rows it touched. It is not faster
 //!   than the packet engine at scale: on the 1000-router two-tier ISP
-//!   topology its MP arm took 355 s, the packet engine's 64 s (one
+//!   topology its MP arm took 253 s, the packet engine's 64 s (one
 //!   core of a shared 2-core host).
 //! * [`SimMode::FluidQuiescent`] — a centralized control plane that
 //!   recomputes *converged* MPDA tables every `T_s` epoch by
@@ -46,10 +46,24 @@
 //! flows, and a backward pass computing per-source delivery probability
 //! and mean delay, with per-link survival `σ_l = min(1, C_l/f_l)` so an
 //! overloaded link saturates instead of producing negative delays (the
-//! `Mm1` affine continuation keeps `T_l` finite at ρ ≥ 1). `σ_l` and
-//! `T_l` are computed once per resolve. Saturation losses land in
-//! [`FlowStats::dropped_congestion`] — packet mode queues instead of
-//! dropping, so the field is fluid-only.
+//! `Mm1` affine continuation keeps `T_l` finite at ρ ≥ 1). Saturation
+//! losses land in [`FlowStats::dropped_congestion`] — packet mode queues
+//! instead of dropping, so the field is fluid-only.
+//!
+//! A resolve does work only where something moved, and gives exactly
+//! what a whole re-resolve would. By Eqs. 1–3 destination `j`'s link
+//! flows depend on `φ^j` and `r^j` alone, so a destination is *dirty* —
+//! gets a forward pass — exactly when a rate of one of its flows
+//! changed or a row of its DAG was rewritten with other content
+//! (`Dag::set_row` says whether it was). The per-destination flows
+//! `fj` are the record: a link's total `ftot` is their sum in slot
+//! order over the destinations with flow on it, and it, `σ_l` and `T_l`
+//! are recomputed only on the links a dirty destination's old or new
+//! flow is on. The totals therefore do not depend on which destinations
+//! were resolved when, and skipping a clean one is bit-exact. Every
+//! destination then gets a backward pass (a moved total moves `T_l`
+//! for all that share the link), which sums only the rows the
+//! destination's flow sources reach.
 //!
 //! The successor DAGs live in one store of `mdr_opt`'s row-stored
 //! [`Dag`]s: every router's `(next_hop, link, share)` edges in a
@@ -63,9 +77,15 @@
 //! row's next-hop list changed. Patch and build being one code path,
 //! the patched store is bit-equal to a fresh build (the dev profile
 //! checks every DAG against an independent build each time it is used;
-//! `FluidSimulator::audit_dags` checks the store in any profile). The
-//! quiescent control plane rewrites every φ each epoch and keeps no
-//! DAG: it builds into one reused buffer, per destination per resolve
+//! `FluidSimulator::audit_dags` checks the store, and the flows and
+//! solution resolved over it, in any profile). Over a kept DAG the
+//! backward pass walks depth-first from the flow sources and sums each
+//! row it leaves ([`Dag::backward_from`]); a DAG with a cycle is summed
+//! whole. The quiescent control plane rewrites every φ each epoch and
+//! keeps no DAG, so it has no rows to compare: its epoch dirties the
+//! destinations whose allocation moved by more than `SHIFT_EPS`, and a
+//! link flip every destination. It builds into one reused buffer, per
+//! destination per resolve
 //! whole for the forward pass (the Kahn order of the `arrive` sums is
 //! part of its result) and, for the backward pass, only the rows a
 //! depth-first search from the destination's flow sources meets
@@ -111,11 +131,16 @@ pub struct FluidWork {
     pub reorders: u64,
     /// Re-resolves of the fluid solution (settles that found it dirty).
     pub resolves: u64,
-    /// Per-destination forward passes (dirty destinations only).
+    /// Per-destination forward passes: one per dirty destination per
+    /// resolve.
     pub forward_passes: u64,
-    /// Per-destination backward passes (every destination, every
-    /// resolve).
+    /// Per-destination backward passes: one per destination per resolve
+    /// (a moved link flow moves `T_l` for every destination using it).
     pub backward_passes: u64,
+    /// Rows summed by the backward passes: with kept DAGs the rows the
+    /// destination's flow sources reach, else the order's (the reached
+    /// build's, or the whole one's where a DAG has a cycle).
+    pub backward_rows: u64,
 }
 
 /// Sentinel for "destination carries no traffic" in the dest-slot map.
@@ -218,10 +243,16 @@ struct FluidPlane {
     active_dests: Vec<NodeId>,
     flows: Vec<FlowSt>,
     flows_by_dest: Vec<Vec<u32>>,
-    /// Per destination slot, per directed link: resolved flow (bits/s).
-    fj: Vec<Vec<f64>>,
-    /// Total resolved flow per directed link (bits/s).
+    /// Resolved flow (bits/s) per directed link and destination slot:
+    /// per link, `(slot, flow)` for each slot with flow on it, ascending
+    /// by slot; per slot, the links its last forward pass pushed flow on.
+    fj: Vec<Vec<(u32, f64)>>,
+    used: Vec<Vec<u32>>,
+    /// Total resolved flow per directed link (bits/s): the slot-order
+    /// sum of `fj`, so it does not depend on which slots were resolved.
     ftot: Vec<f64>,
+    /// Per directed link: already among the links a resolve moved.
+    moved: Vec<bool>,
     /// Per flow: delivery probability (with saturation), route-only
     /// delivery probability, and conditional mean delay.
     sol_p: Vec<f64>,
@@ -361,6 +392,7 @@ impl FluidSimulator {
         let (seed, queue_capacity) = (cfg.seed, 2 * n + scenario.events().len() + 16);
         let mut host = Host::new(topo, &cfg, &models, agents, queue_capacity);
         let nflows = flows.len();
+        let t_l = models.iter().map(|m| m.packet_delay(0.0)).collect();
         let mut plane = FluidPlane {
             models,
             nodes,
@@ -372,8 +404,10 @@ impl FluidSimulator {
             active_dests,
             flows,
             flows_by_dest,
-            fj: vec![vec![0.0; topo.link_count()]; nd],
+            fj: vec![Vec::new(); topo.link_count()],
+            used: vec![Vec::new(); nd],
             ftot: vec![0.0; topo.link_count()],
+            moved: vec![false; topo.link_count()],
             sol_p: vec![0.0; nflows],
             sol_proute: vec![0.0; nflows],
             sol_d: vec![0.0; nflows],
@@ -386,7 +420,7 @@ impl FluidSimulator {
             arrive: vec![0.0; n],
             reach: Reach::new(n),
             sigma: vec![1.0; topo.link_count()],
-            t_l: vec![0.0; topo.link_count()],
+            t_l,
             work: FluidWork::default(),
             cursor: 0.0,
             warmup_end: cfg.warmup,
@@ -422,8 +456,12 @@ impl FluidSimulator {
 
     /// Every kept DAG against one built whole, now, through the same row
     /// writer: each row, and the order where it claims to be current (in
-    /// the dev profile also against the reference build). What the
-    /// differential suite asserts after every event, in any profile.
+    /// the dev profile also against the reference build). And what was
+    /// resolved over them, bit for bit: a clean destination's link flows
+    /// against a forward pass over the whole build, every link total
+    /// against the slot-order sum, and, where nothing is dirty, every
+    /// flow's solution against a whole backward pass at its source. What
+    /// the differential suite asserts after every event, in any profile.
     #[doc(hidden)]
     pub fn audit_dags(&self) -> Result<(), String> {
         self.plane.audit_dags(&self.host)
@@ -436,8 +474,7 @@ impl FluidSimulator {
     }
 
     /// A scripted event: a rate change dirties its destination; a link
-    /// failure or repair goes through the host like a scheduled fault
-    /// and re-resolves every destination, even where it flipped nothing.
+    /// failure or repair goes through the host like a scheduled fault.
     fn apply_scenario(&mut self, ev: ScenarioEvent) {
         let (host, plane) = (&mut self.host, &mut self.plane);
         match ev {
@@ -449,13 +486,9 @@ impl FluidSimulator {
                     o.on_event(&SimEvent::TrafficChange { time: now, flow: flow as u32, rate });
                 }
             }
-            ScenarioEvent::FailLink { a, b } => {
-                host.perturb(plane, FaultEvent::FailLink { a, b });
-                plane.mark_all_dirty();
-            }
+            ScenarioEvent::FailLink { a, b } => host.perturb(plane, FaultEvent::FailLink { a, b }),
             ScenarioEvent::RestoreLink { a, b } => {
-                host.perturb(plane, FaultEvent::RestoreLink { a, b });
-                plane.mark_all_dirty();
+                host.perturb(plane, FaultEvent::RestoreLink { a, b })
             }
         }
     }
@@ -689,22 +722,21 @@ impl DataPlane for FluidPlane {
     }
 
     /// Rewrite router `i`'s row toward every destination the allocator
-    /// visited (a move below `SHIFT_EPS` still changes the shares
-    /// `backward` reads), and mark those whose allocation moved dirty —
-    /// every destination when successor sets moved.
-    fn step(&mut self, host: &Host, i: NodeId, allocs: &Allocs, routes_changed: bool) {
-        for &(j, outcome) in allocs {
+    /// visited; those whose row came out different are dirty. A route
+    /// change that moved no φ here (distances only, or a destination
+    /// without traffic) moves no link flow.
+    fn step(&mut self, host: &Host, i: NodeId, allocs: &Allocs) {
+        for &(j, _) in allocs {
             if let Ok(js) = self.active_dests.binary_search(&j) {
                 self.patch_row(host, js, i.index());
-                if outcome.shift > SHIFT_EPS {
-                    self.mark_dirty(js);
-                }
             }
         }
-        if routes_changed {
-            self.mark_all_dirty();
-        }
     }
+}
+
+/// A flow's `(p, proute, d)` at its source `s` from a backward pass.
+fn at_source(r: &Reach, s: usize) -> [f64; 3] {
+    [r.p[s], r.proute[s], if r.p[s] > 1e-300 { r.m[s] / r.p[s] } else { 0.0 }]
 }
 
 impl FluidPlane {
@@ -733,8 +765,8 @@ impl FluidPlane {
     /// an empty successor set) is simply never propagated — the fluid
     /// analogue of packet mode's no-route drop at a dead next hop. φ
     /// names a next hop at most once, so a row never outgrows the
-    /// router's out-degree.
-    fn write_row(&self, host: &Host, dag: &mut Dag, js: usize, i: usize) {
+    /// router's out-degree. True when the row changed.
+    fn write_row(&self, host: &Host, dag: &mut Dag, js: usize, i: usize) -> bool {
         let pairs = if i == self.active_dests[js].index() { &[] } else { self.phi(host, i, js) };
         let total: f64 = pairs.iter().map(|&(_, w)| w.max(0.0)).sum();
         let pairs = if total > 0.0 { pairs } else { &[] };
@@ -742,7 +774,7 @@ impl FluidPlane {
             let lid = host.topo.link_between(NodeId(i as u32), k)?;
             host.up[lid.index()].then_some((k.0, lid.0, w / total))
         });
-        dag.set_row(&self.row, i, edges);
+        dag.set_row(&self.row, i, edges)
     }
 
     /// Build `dag` whole for destination slot `js`: every row, then the
@@ -757,24 +789,28 @@ impl FluidPlane {
 
     /// Router `i`'s routing fractions toward slot `js`, or one of its
     /// out-links' `up` bit, moved: rewrite that one row where the DAG is
-    /// kept.
+    /// kept, and mark the slot dirty if the row changed — always where
+    /// no DAG is kept to tell.
     fn patch_row(&mut self, host: &Host, js: usize, i: usize) {
-        if self.keep_dags {
+        let changed = !self.keep_dags || {
             let mut dag = std::mem::take(&mut self.dags[js]);
-            self.write_row(host, &mut dag, js, i);
+            let changed = self.write_row(host, &mut dag, js, i);
             self.dags[js] = dag;
             self.work.rows_written += 1;
+            changed
+        };
+        if changed {
+            self.mark_dirty(js);
         }
     }
 
     /// Directed link `lid` (`x → y`) went down or up: only `x`'s rows can
-    /// hold it, one per kept DAG, and every destination re-resolves.
+    /// hold it, one per DAG.
     fn link_moved(&mut self, host: &Host, lid: LinkId) {
         let x = host.topo.link(lid).from.index();
         for js in 0..self.active_dests.len() {
             self.patch_row(host, js, x);
         }
-        self.mark_all_dirty();
     }
 
     /// The successor DAG toward slot `js`, rows and order current: the
@@ -805,7 +841,9 @@ impl FluidPlane {
     fn take_reached_dag(&mut self, host: &Host, js: usize) -> Dag {
         let mut dag = std::mem::take(&mut self.dags[0]);
         let sources = self.flows_by_dest[js].iter().map(|&fi| self.flows[fi as usize].src.index());
-        if dag.build_reached(&self.row, sources, |dag, i| self.write_row(host, dag, js, i)) {
+        if dag.build_reached(&self.row, sources, |dag, i| {
+            self.write_row(host, dag, js, i);
+        }) {
             self.work.reached_builds += 1;
             #[cfg(any(test, debug_assertions))]
             if let Err(e) = self.check_reached_against_oracle(host, &dag, js) {
@@ -948,10 +986,14 @@ impl FluidPlane {
         if !self.keep_dags {
             return Ok(());
         }
-        let mut fresh = Dag::new(host.topo.node_count(), host.topo.link_count());
-        let mut indeg = Vec::new();
+        let (n, links) = (host.topo.node_count(), host.topo.link_count());
+        let mut fresh = Dag::new(n, links);
+        let (mut indeg, mut arrive, mut reach) = (Vec::new(), vec![0.0; n], Reach::new(n));
+        let flow = |js: usize, l: usize| {
+            self.fj[l].iter().find(|e| e.0 as usize == js).map_or(0.0, |e| e.1)
+        };
         for (js, dag) in self.dags.iter().enumerate() {
-            for i in 0..host.topo.node_count() {
+            for i in 0..n {
                 self.write_row(host, &mut fresh, js, i);
                 if dag.row(&self.row, i) != fresh.row(&self.row, i) {
                     return Err(format!("slot {js}: row {i} differs from a whole build"));
@@ -963,47 +1005,93 @@ impl FluidPlane {
             }
             #[cfg(any(test, debug_assertions))]
             self.check_against_oracle(host, dag, js)?;
+            let mut fj = vec![0.0; links];
+            self.inject(js, &mut arrive);
+            fresh.forward(&self.row, &mut arrive, |l, push| fj[l] += push);
+            if !self.dirty[js] && (0..links).any(|l| fj[l].to_bits() != flow(js, l).to_bits()) {
+                return Err(format!("slot {js}: clean, but its flows differ from a forward pass"));
+            }
+            if self.any_dirty {
+                continue;
+            }
+            let j = self.active_dests[js].index();
+            fresh.backward(&self.row, j, &self.sigma, &self.t_l, &mut reach);
+            for &fi in &self.flows_by_dest[js] {
+                let fi = fi as usize;
+                let got = [self.sol_p[fi], self.sol_proute[fi], self.sol_d[fi]];
+                let want = at_source(&reach, self.flows[fi].src.index());
+                if got.map(f64::to_bits) != want.map(f64::to_bits) {
+                    return Err(format!("flow {fi}: the solution differs from a backward pass"));
+                }
+            }
+        }
+        for l in 0..links {
+            let sum = (0..self.dags.len()).fold(0.0, |sum, js| sum + flow(js, l));
+            if sum.to_bits() != self.ftot[l].to_bits() {
+                return Err(format!("link {l}: the total is not the slot-order sum"));
+            }
         }
         Ok(())
     }
 
-    /// Re-resolve the fluid solution: forward passes for every dirty
-    /// destination (updating link flows), then backward passes for
-    /// *all* active destinations — a changed link flow changes `T_l`
-    /// for everyone sharing the link.
+    /// Load slot `js`'s injected rates into `arrive`, the forward pass's
+    /// input.
+    fn inject(&self, js: usize, arrive: &mut [f64]) {
+        arrive.fill(0.0);
+        for &fi in &self.flows_by_dest[js] {
+            let f = &self.flows[fi as usize];
+            if f.rate > 0.0 {
+                arrive[f.src.index()] += f.rate;
+            }
+        }
+    }
+
+    /// Re-resolve the fluid solution: a forward pass for every dirty
+    /// destination; then `ftot`, `σ_l` and `T_l` anew on each link a
+    /// dirty destination's old or new flow is on, `ftot` summing `fj` in
+    /// slot order over the slots with flow there; then a backward pass
+    /// for *every* destination — a changed link flow changes `T_l` for
+    /// everyone sharing the link.
     fn resolve(&mut self, host: &Host) {
         if !self.any_dirty {
             return;
         }
         self.work.resolves += 1;
+        let mut touched = Vec::new();
         for js in 0..self.active_dests.len() {
             if !self.dirty[js] {
                 continue;
             }
             self.work.forward_passes += 1;
             let dag = self.take_dag(host, js);
-            let (fj, ftot) = (&mut self.fj[js], &mut self.ftot);
-            for (l, fjl) in fj.iter_mut().enumerate() {
-                ftot[l] = (ftot[l] - *fjl).max(0.0);
-                *fjl = 0.0;
-            }
-            let a = &mut self.arrive;
-            a.fill(0.0);
-            for &fi in &self.flows_by_dest[js] {
-                let f = &self.flows[fi as usize];
-                if f.rate > 0.0 {
-                    a[f.src.index()] += f.rate;
+            let mut a = std::mem::take(&mut self.arrive);
+            self.inject(js, &mut a);
+            let (fj, used, moved) = (&mut self.fj, &mut self.used[js], &mut self.moved);
+            let mut touch = |l: usize| {
+                if !std::mem::replace(&mut moved[l], true) {
+                    touched.push(l);
                 }
+            };
+            let slot = js as u32;
+            for l in used.drain(..).map(|l| l as usize) {
+                fj[l].retain(|e| e.0 != slot);
+                touch(l);
             }
-            dag.forward(&self.row, a, |l, push| {
-                fj[l] += push;
-                ftot[l] += push;
+            dag.forward(&self.row, &mut a, |l, push| {
+                let on = &mut fj[l];
+                on.insert(on.partition_point(|e| e.0 < slot), (slot, push));
+                used.push(l as u32);
+                touch(l);
             });
+            self.arrive = a;
             self.keep_dag(js, dag);
         }
-        for (l, model) in self.models.iter().enumerate() {
-            let (f, c) = (self.ftot[l], model.capacity);
-            self.sigma[l] = if f > c { c / f } else { 1.0 };
+        for l in touched {
+            self.moved[l] = false;
+            let f = self.fj[l].iter().fold(0.0, |sum, e| sum + e.1);
+            let model = &self.models[l];
+            self.ftot[l] = f;
+            self.sigma[l] = if f > model.capacity { model.capacity / f } else { 1.0 };
             self.t_l[l] = model.packet_delay(f);
         }
         for js in 0..self.active_dests.len() {
@@ -1014,22 +1102,29 @@ impl FluidPlane {
     }
 
     /// Backward pass for destination slot `js`, read at the flows'
-    /// sources.
+    /// sources: over a kept loop-free DAG only the rows they reach, in a
+    /// depth-first post-order ([`Dag::backward_from`]: bit for bit the
+    /// whole pass at the sources); over a kept DAG with a cycle, whole;
+    /// without kept DAGs, over a build of the rows they reach.
     fn backward(&mut self, host: &Host, js: usize) {
         self.work.backward_passes += 1;
         let j = self.active_dests[js].index();
         let reached = !self.keep_dags;
         #[cfg(test)]
         let reached = reached && !self.old_epoch;
-        let dag = if reached { self.take_reached_dag(host, js) } else { self.take_dag(host, js) };
-        dag.backward(&self.row, j, &self.sigma, &self.t_l, &mut self.reach);
-        let Reach { p, proute, m } = &self.reach;
+        let mut dag =
+            if reached { self.take_reached_dag(host, js) } else { self.take_dag(host, js) };
+        let (row, sigma, t_l, reach) = (&self.row, &self.sigma, &self.t_l, &mut self.reach);
+        let sources = self.flows_by_dest[js].iter().map(|&fi| self.flows[fi as usize].src.index());
+        let walked = (self.keep_dags && dag.is_acyclic())
+            .then(|| dag.backward_from(row, j, sources, sigma, t_l, reach))
+            .flatten();
+        self.work.backward_rows +=
+            walked.unwrap_or_else(|| dag.backward(row, j, sigma, t_l, reach));
         for &fi in &self.flows_by_dest[js] {
             let fi = fi as usize;
-            let s = self.flows[fi].src.index();
-            self.sol_p[fi] = p[s];
-            self.sol_proute[fi] = proute[s];
-            self.sol_d[fi] = if p[s] > 1e-300 { m[s] / p[s] } else { 0.0 };
+            [self.sol_p[fi], self.sol_proute[fi], self.sol_d[fi]] =
+                at_source(&self.reach, self.flows[fi].src.index());
         }
         self.keep_dag(js, dag);
     }
@@ -1040,7 +1135,8 @@ impl FluidPlane {
         self.any_dirty = true;
     }
 
-    /// Mark every destination dirty (topology or wide routing change).
+    /// Mark every destination dirty.
+    #[cfg(test)]
     fn mark_all_dirty(&mut self) {
         for d in &mut self.dirty {
             *d = true;
@@ -1290,13 +1386,12 @@ mod tests {
         sim.plane.mark_all_dirty();
         sim.plane.resolve(&sim.host);
         let builds = sim.plane.work.dag_builds;
-        // An allocator visit that moved nothing measurable rewrites one
-        // row of one destination — to the same edges, so no re-order —
-        // and dirties nothing.
+        // An allocator visit that left φ as it was rewrites one row of one
+        // destination — to the same edges, so no re-order — and dirties
+        // nothing.
         let (before, work) = (stored(&sim), sim.plane.work);
         let j = sim.plane.active_dests[1];
-        let still = mdr_flow::AllocOutcome { shift: SHIFT_EPS / 2.0, ..Default::default() };
-        sim.plane.step(&sim.host, NodeId(0), &vec![(j, still)], false);
+        sim.plane.step(&sim.host, NodeId(0), &vec![(j, mdr_flow::AllocOutcome::default())]);
         assert_eq!(sim.plane.work.rows_written - work.rows_written, 1);
         assert!(sim.plane.dags.iter().all(|d| d.order_ok()) && !sim.plane.any_dirty);
         assert_eq!(stored(&sim), before);
@@ -1334,6 +1429,65 @@ mod tests {
         }
         assert_eq!(sim.plane.work.dag_builds, builds, "nothing was ever rebuilt");
         assert!(sim.plane.work.reorders > 0, "the lost edge re-ordered a DAG");
+    }
+
+    /// A route change that moves no row dirties nothing, so the next
+    /// settle resolves nothing: one toward a destination without
+    /// traffic (no DAG is kept for it), or one of distances only (no
+    /// successor set moved, so the agent visits no allocation).
+    #[test]
+    fn a_route_change_that_moves_no_row_dirties_nothing() {
+        let mut sim = ran(SimMode::Fluid);
+        sim.plane.mark_all_dirty();
+        sim.plane.resolve(&sim.host);
+        let n = sim.host.topo.node_count() as u32;
+        let idle = (0..n).map(NodeId).find(|j| sim.plane.active_dests.binary_search(j).is_err());
+        let idle = idle.expect("NET1's flows leave a router without traffic");
+        let work = sim.plane.work;
+        for i in (0..n).map(NodeId) {
+            let moved = mdr_flow::AllocOutcome { shift: 0.5, ..Default::default() };
+            sim.plane.step(&sim.host, i, &vec![(idle, moved)]);
+            sim.plane.step(&sim.host, i, &Allocs::new());
+        }
+        assert!(!sim.plane.any_dirty && !sim.plane.dirty.contains(&true));
+        sim.plane.resolve(&sim.host);
+        assert_eq!(sim.plane.work, work, "nothing written, nothing resolved");
+    }
+
+    /// An allocator visit that moves shares and no next hop dirties
+    /// exactly its destination, however little it moved (here it
+    /// reports no shift at all), and the next settle re-runs that one
+    /// forward pass.
+    #[test]
+    fn a_changed_share_dirties_exactly_its_destination() {
+        let mut sim = fixed_sp(SimMode::Fluid);
+        let nd = sim.plane.active_dests.len();
+        sim.plane.resolve(&sim.host);
+        let (js, j) = (1, sim.plane.active_dests[1]);
+        let t = sim.host.topo.clone();
+        let i = t.nodes().find(|&i| i != j && t.degree(i) >= 2).unwrap();
+        let k: Vec<NodeId> = t.neighbors(i).take(2).collect();
+        let visit = vec![(j, mdr_flow::AllocOutcome::default())];
+        let set = |sim: &mut FluidSimulator, w: f64| {
+            let vars = sim.plane.cfg.fixed_routing.as_mut().unwrap();
+            vars.set(i, j, vec![(k[0], 0.5), (k[1], w)]);
+            sim.plane.step(&sim.host, i, &visit);
+        };
+        set(&mut sim, 0.5);
+        sim.plane.resolve(&sim.host);
+        let (before, work) = (stored(&sim), sim.plane.work);
+        set(&mut sim, 0.5 + 1e-13);
+        let dirty: Vec<usize> = (0..nd).filter(|&s| sim.plane.dirty[s]).collect();
+        assert_eq!(dirty, [js]);
+        assert!(sim.plane.dags[js].order_ok(), "same next hops, same order");
+        for (s, (was, now)) in before.iter().zip(stored(&sim)).enumerate() {
+            for r in 0..t.node_count() {
+                assert_eq!(was.0[r] == now.0[r], (s, r) != (js, i.index()), "slot {s} row {r}");
+            }
+        }
+        sim.plane.resolve(&sim.host);
+        assert_eq!(sim.plane.work.forward_passes - work.forward_passes, 1);
+        assert_eq!(sim.audit_dags(), Ok(()));
     }
 
     /// `set_link_up` alone (fixed routes: no router reacts) rewrites the

@@ -43,10 +43,9 @@ pub(crate) trait DataPlane {
     fn link_down(&mut self, host: &Host, lid: LinkId) -> u64;
     /// Directed link `lid` came back into service at its idle cost.
     fn link_up(&mut self, host: &Host, lid: LinkId);
-    /// A step of router `i` moved its routing fractions toward the
-    /// destinations in `allocs`; `routes_changed` when it also moved
-    /// successor sets.
-    fn step(&mut self, _host: &Host, _i: NodeId, _allocs: &Allocs, _routes_changed: bool) {}
+    /// A step of router `i` visited its routing fractions toward the
+    /// destinations in `allocs`.
+    fn step(&mut self, _host: &Host, _i: NodeId, _allocs: &Allocs) {}
 }
 
 /// Relative cost change needed before a long-term update reports a new
@@ -761,7 +760,7 @@ impl Host {
             self.send_control(i, s.to, s.msg);
         }
         if out.routes_changed {
-            p.step(self, i, &allocs, true);
+            p.step(self, i, &allocs);
             if let Some(o) = self.obs.as_deref_mut() {
                 publish_step(o, self.time, i, out.changed, &allocs);
             }
@@ -784,7 +783,7 @@ impl Host {
                 }
             }
             let allocs = self.agents[i.index()].short_tick(|s| Some(p.cost(i, s)));
-            p.step(self, i, &allocs, false);
+            p.step(self, i, &allocs);
             if let Some(o) = self.obs.as_deref_mut() {
                 publish_step(o, now, i, Vec::new(), &allocs);
             }

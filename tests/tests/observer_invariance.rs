@@ -91,7 +91,9 @@ fn every_observer_leaves_every_scenario_bit_identical() {
         assert!(off.telemetry.is_none(), "{name}: observer-off run must carry no telemetry");
         let fluid = job.cfg.sim_mode != SimMode::Packet;
         assert_eq!(off.fluid.is_some(), fluid, "{name}: work counts exactly on fluid runs");
-        assert!(off.fluid.is_none_or(|w| w.dag_builds > 0 && w.rows_written > 0 && w.resolves > 0));
+        assert!(off.fluid.is_none_or(|w| {
+            w.dag_builds > 0 && w.rows_written > 0 && w.resolves > 0 && w.backward_rows > 0
+        }));
         let modes = [
             ObserverMode::Recording { data_plane: true },
             ObserverMode::Recording { data_plane: false },
