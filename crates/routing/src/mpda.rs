@@ -159,17 +159,30 @@ pub struct RouterStats {
     pub dropped: u64,
     /// MTU executions.
     pub mtu_runs: u64,
-    /// MTUs that ran Dijkstra (the others found their merged table
-    /// unmoved).
+    /// MTUs that ran whole, Dijkstra over a copied merged table: after an
+    /// adjacent link came up or went down, from a kept state outside the
+    /// repair's premises, or after an abort.
     pub mtu_dijkstras: u64,
-    /// NTUs that computed `D^i_jk` by walking the tree `T^i_k`.
+    /// MTUs that repaired the kept shortest-path tree in place. The
+    /// MTUs counted neither here nor in `mtu_dijkstras` found no
+    /// merged run moved.
+    pub mtu_repairs: u64,
+    /// Repairs abandoned on an addition that did not increase or landed
+    /// on `INFINITE_COST`; each then ran whole.
+    pub mtu_aborts: u64,
+    /// NTUs that recomputed `D^i_jk` only below the tails the LSU wrote.
+    pub ntu_patches: u64,
+    /// NTUs that walked all of the tree `T^i_k`: the first LSU after
+    /// link-up, LSUs that wrote more tails than a patch is cheaper for,
+    /// and tables with a cost outside `(0, INFINITE_COST)`, a cycle or an
+    /// out-of-range root.
     pub ntu_tree_walks: u64,
     /// NTUs that ran Dijkstra over `T^i_k` (a node had two in-links).
     pub ntu_dijkstras: u64,
     /// Destinations whose successor set Eq. 17 evaluated.
     pub eq17_dests: u64,
-    /// Nodes settled, summed over the MTU and NTU Dijkstras: their work
-    /// in units of one node of one SPF.
+    /// Nodes settled by the whole Dijkstras, MTU's and NTU's: their work
+    /// in units of one node of one SPF. Patches and repairs settle none.
     pub spf_settled: u64,
 }
 
@@ -380,10 +393,11 @@ impl MpdaRouter {
             // While ACTIVE mid-phase: NTU only; MTU deferred.
             return (Vec::new(), false);
         }
-        let (diff, old_dist) = self.core.mtu();
+        let (diff, replaced) = self.core.mtu();
         let moved = &mut self.core.moved;
-        let dist = self.core.dist.iter().zip(&old_dist);
-        for (j, (fd, (&d, &reported))) in self.fd.iter_mut().zip(dist).enumerate() {
+        let mut old = replaced.iter().peekable();
+        for (j, (fd, &d)) in self.fd.iter_mut().zip(&self.core.dist).enumerate() {
+            let reported = old.next_if(|&&(m, _)| m == j).map_or(d, |&(_, o)| o);
             let new = if was_active {
                 // Step 3: ACTIVE phase ends — `reported` is the distance
                 // last *reported* to neighbors; FD may rise to
@@ -400,7 +414,7 @@ impl MpdaRouter {
                 moved.insert(j);
             }
         }
-        (diff, old_dist != self.core.dist)
+        (diff, !replaced.is_empty())
     }
 
     /// Steps 5–8 — ACTIVE/PASSIVE transition and message generation:
@@ -884,10 +898,12 @@ mod tests {
         assert!(s.lsu_sent > 0);
         assert!(s.lsu_received > 0);
         assert!(s.mtu_runs > 0);
-        assert!(s.mtu_dijkstras > 0 && s.mtu_dijkstras <= s.mtu_runs);
+        assert!(s.mtu_dijkstras > 0 && s.mtu_dijkstras + s.mtu_repairs <= s.mtu_runs);
         assert!(s.ntu_tree_walks > 0);
         assert_eq!(s.ntu_dijkstras, 0, "every T^i_k of a converging line is a tree");
-        // Each MTU Dijkstra settles the router and at most the two others.
+        assert_eq!(s.mtu_aborts, 0, "every addition of a line with costs 1 increases");
+        // Each whole MTU Dijkstra settles the router and at most the two
+        // others; patches and repairs settle none.
         assert!(s.spf_settled >= s.mtu_dijkstras && s.spf_settled <= 3 * s.mtu_dijkstras);
         assert!(s.eq17_dests > 0 && s.eq17_dests <= s.events * 2);
     }

@@ -1,17 +1,19 @@
 //! Differential oracle for [`MpdaRouter::handle`].
 //!
 //! The router does work only where an event moved something: NTU skips
-//! pure ACKs and walks `T^i_k` as a tree instead of running Dijkstra
-//! when it is one, Eq. 17 visits only the destinations whose `FD^i_j` or
-//! some `D^i_jk` moved, MTU skips steps 4–8 when its merged table cannot
-//! have moved, and all per-neighbor state sits in address-ordered slots.
-//! This module recomputes everything from the tables alone, the slow
-//! obvious way — a fresh Dijkstra per neighbor table, Eq. 17 over every
-//! `(j, k)`, the successor diff from before/after copies, and MTU on
-//! ordered maps after every MTU, skipped or not — and compares after
-//! **every** event of seeded random schedules. The work counters in
-//! [`super::RouterStats`] show that each shortcut was actually taken,
-//! and `spf_settled` is checked against the tree each MTU Dijkstra kept.
+//! pure ACKs and recomputes `D^i_jk` only below the tails an LSU wrote,
+//! Eq. 17 visits only the destinations whose `FD^i_j` or some `D^i_jk`
+//! moved, MTU re-picks preferred neighbors only where `D^i_jk` moved and
+//! repairs its tree from the heads whose merged run moved, and all
+//! per-neighbor state sits in address-ordered slots. This module
+//! recomputes everything from the tables alone, the slow obvious way — a
+//! fresh Dijkstra per neighbor table, Eq. 17 over every `(j, k)`, the
+//! successor diff from before/after copies, and MTU on ordered maps
+//! after every MTU, skipped or not — and compares after **every** event
+//! of seeded random schedules. The work counters in
+//! [`super::RouterStats`] show that each shortcut and each fall-back
+//! was actually taken, and `spf_settled` is checked against the tree
+//! each whole MTU Dijkstra kept.
 
 use super::{MpdaRouter, RouteChange, RouterEvent, RouterOutput, RouterStats, UpdateRule};
 use crate::harness::RouterSm;
@@ -155,9 +157,9 @@ impl Audited {
         } else {
             assert_eq!(core.dist, old_dist, "{at}: distances moved without MTU");
         }
-        // Nodes settled: an MTU Dijkstra settles the router and one node
-        // per link of the tree it keeps; a skipped MTU and a tree walk
-        // settle none.
+        // Nodes settled: a whole MTU Dijkstra settles the router and one
+        // node per link of the tree it keeps; a repair, a skipped MTU, a
+        // patch and a tree walk settle none.
         if now.ntu_dijkstras == old.ntu_dijkstras {
             let ran = now.mtu_dijkstras > old.mtu_dijkstras;
             let want = if ran { 1 + core.main_topo.len() as u64 } else { 0 };
@@ -176,9 +178,12 @@ impl RouterSm for Audited {
 }
 
 /// A seeded schedule of link failures, repairs and cost changes with a
-/// few deliveries between each, every event audited. Returns the
-/// routers' counters, summed.
-fn churn(t: &Topology, rule: UpdateRule, seed: u64, rounds: usize) -> RouterStats {
+/// few deliveries between each, every event audited. With `odd`, also
+/// links that come up twice without failing (a full-table sync over a
+/// kept `T^i_k` can leave a second in-link) and cost changes to 0 (an
+/// addition that does not increase). Returns the routers' counters,
+/// summed.
+fn churn(t: &Topology, rule: UpdateRule, seed: u64, rounds: usize, odd: bool) -> RouterStats {
     let n = t.node_count();
     let routers = (0..n as u32).map(|i| Audited::new(NodeId(i), n, rule)).collect();
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -194,12 +199,14 @@ fn churn(t: &Topology, rule: UpdateRule, seed: u64, rounds: usize) -> RouterStat
         let i = rng.gen_range(0..phys.len());
         let (a, b) = phys[i];
         let c = rng.gen_range(4..80) as f64 / 8.0;
-        match rng.gen_range(0..4) {
+        match rng.gen_range(0..if odd { 6 } else { 4 }) {
             0 if !down.contains(&i) => {
                 down.insert(i);
                 h.fail_link(a, b);
             }
             1 if down.remove(&i) => h.restore_link(a, b, c),
+            4 if !down.contains(&i) => h.restore_link(a, b, c),
+            5 if !down.contains(&i) => h.change_cost(a, b, 0.0),
             _ if !down.contains(&i) => h.change_cost(a, b, c),
             _ => {}
         }
@@ -214,6 +221,9 @@ fn churn(t: &Topology, rule: UpdateRule, seed: u64, rounds: usize) -> RouterStat
         events: t.events + s.events,
         mtu_runs: t.mtu_runs + s.mtu_runs,
         mtu_dijkstras: t.mtu_dijkstras + s.mtu_dijkstras,
+        mtu_repairs: t.mtu_repairs + s.mtu_repairs,
+        mtu_aborts: t.mtu_aborts + s.mtu_aborts,
+        ntu_patches: t.ntu_patches + s.ntu_patches,
         ntu_tree_walks: t.ntu_tree_walks + s.ntu_tree_walks,
         ntu_dijkstras: t.ntu_dijkstras + s.ntu_dijkstras,
         eq17_dests: t.eq17_dests + s.eq17_dests,
@@ -227,18 +237,26 @@ fn kept_state_equals_the_reference_after_every_event() {
     let ba60 = gen::barabasi_albert(60, 2, 5);
     for rule in [UpdateRule::Lfi, UpdateRule::NonStrictSuccessors] {
         for seed in 0..4 {
-            churn(&topo::cairn(), rule, seed, 30);
-            churn(&topo::net1(), rule, 100 + seed, 30);
+            churn(&topo::cairn(), rule, seed, 30, false);
+            churn(&topo::net1(), rule, 100 + seed, 30, false);
         }
-        // The shortcuts were taken, not just harmless: most NTUs walked
-        // a tree, some MTUs skipped Dijkstra, and Eq. 17 visited a small
-        // share of the `events × (n − 1)` destinations a full sweep would.
-        let s = churn(&ba60, rule, 7, 25);
-        assert!(s.ntu_tree_walks > 10 * s.ntu_dijkstras, "{s:?}");
-        assert!(s.mtu_dijkstras > 0 && s.mtu_dijkstras < s.mtu_runs, "{s:?}");
+        // The shortcuts were taken, not just harmless: NTU patches and
+        // MTU repairs outnumber the whole computations, some MTUs found
+        // nothing moved, and Eq. 17 visited a small share of the
+        // `events × (n − 1)` destinations a full sweep would.
+        let s = churn(&ba60, rule, 7, 80, false);
+        assert!(s.ntu_patches > s.ntu_tree_walks + s.ntu_dijkstras, "{s:?}");
+        assert!(s.mtu_repairs > s.mtu_dijkstras, "{s:?}");
+        assert!(s.mtu_repairs + s.mtu_dijkstras < s.mtu_runs, "{s:?}");
         assert!(s.eq17_dests > 0 && s.eq17_dests * 4 < s.events * 59, "{s:?}");
         let spfs = s.mtu_dijkstras + s.ntu_dijkstras;
         assert!(s.spf_settled >= spfs && s.spf_settled <= 60 * spfs, "{s:?}");
+        // And every fall-back ran: whole walks (first LSUs, zero costs),
+        // NTU Dijkstras (second in-links), whole MTUs (links up and
+        // down) and aborted repairs (zero costs).
+        let s = churn(&ba60, rule, 8, 40, true);
+        assert!(s.ntu_tree_walks > 0 && s.ntu_dijkstras > 0, "{s:?}");
+        assert!(s.mtu_dijkstras > 0 && s.mtu_aborts > 0, "{s:?}");
     }
 }
 
@@ -365,8 +383,10 @@ fn cost_changes_from_a_non_preferred_neighbor_skip_mtu_dijkstra() {
     assert_eq!(after.mtu_runs, before.mtu_runs + 3);
     assert_eq!(after.mtu_dijkstras, before.mtu_dijkstras);
     assert_eq!(a.r.distance(n(4)), 3.0);
-    // The same report from the preferred neighbor moves the tree.
+    // The same report from the preferred neighbor moves the tree, which
+    // MTU repairs.
     a.handle(lsu(1, vec![LsuEntry::change(n(3), n(4), 4.0)]));
-    assert_eq!(a.r.stats().mtu_dijkstras, after.mtu_dijkstras + 1);
+    assert_eq!(a.r.stats().mtu_dijkstras, after.mtu_dijkstras);
+    assert_eq!(a.r.stats().mtu_repairs, after.mtu_repairs + 1);
     assert_eq!(a.r.distance(n(4)), 6.0);
 }

@@ -107,7 +107,7 @@ impl PdaRouter {
                 self.core.link_cost_change(*to, *cost);
             }
         }
-        let (diff, old_dist) = self.core.mtu();
+        let (diff, replaced) = self.core.mtu();
         let mut sends = Vec::new();
         for s in 0..self.core.nbrs.len() {
             let k = self.core.nbrs[s].id;
@@ -126,7 +126,7 @@ impl PdaRouter {
             self.stats.lsu_sent += 1;
             sends.push(SendTo { to: k, msg: LsuMessage::update(self.core.id, entries) });
         }
-        RouterOutput { sends, routes_changed: old_dist != self.core.dist, changed: Vec::new() }
+        RouterOutput { sends, routes_changed: !replaced.is_empty(), changed: Vec::new() }
     }
 }
 

@@ -72,7 +72,7 @@ impl SpfResult {
 /// (NaN last instead of silently tying) — so comparing two entries is
 /// comparing two integer pairs. The heap pops the smallest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HeapEntry {
+pub(crate) struct HeapEntry {
     /// `dist`'s bits, negative values' magnitude bits flipped: the
     /// `total_cmp` order as `i64` order, and its own inverse.
     dist: i64,
@@ -95,10 +95,10 @@ impl PartialOrd for HeapEntry {
 }
 
 /// `parent` of the root and of every node not settled.
-const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 impl HeapEntry {
-    fn new(dist: LinkCost, parent: u32, node: u32) -> Self {
+    pub(crate) fn new(dist: LinkCost, parent: u32, node: u32) -> Self {
         HeapEntry {
             dist: Self::flip(dist.to_bits() as i64),
             tie: (parent as u64) << 32 | node as u64,
@@ -109,15 +109,15 @@ impl HeapEntry {
         bits ^ (((bits >> 63) as u64) >> 1) as i64
     }
 
-    fn dist(&self) -> LinkCost {
+    pub(crate) fn dist(&self) -> LinkCost {
         f64::from_bits(Self::flip(self.dist) as u64)
     }
 
-    fn parent(&self) -> u32 {
+    pub(crate) fn parent(&self) -> u32 {
         (self.tie >> 32) as u32
     }
 
-    fn node(&self) -> usize {
+    pub(crate) fn node(&self) -> usize {
         self.tie as u32 as usize
     }
 }

@@ -48,16 +48,19 @@ impl TopoTable {
         self.links.binary_search_by_key(&(head, tail), |&(h, t, _)| (h, t))
     }
 
-    /// Insert or replace a link.
-    pub fn insert(&mut self, head: NodeId, tail: NodeId, cost: LinkCost) {
+    /// Insert or replace a link; returns the cost it replaced, if any.
+    pub fn insert(&mut self, head: NodeId, tail: NodeId, cost: LinkCost) -> Option<LinkCost> {
         // Full-table syncs and topology scans arrive in key order.
         if self.links.last().is_none_or(|&(h, t, _)| (h, t) < (head, tail)) {
             self.links.push((head, tail, cost));
-            return;
+            return None;
         }
         match self.find(head, tail) {
-            Ok(at) => self.links[at].2 = cost,
-            Err(at) => self.links.insert(at, (head, tail, cost)),
+            Ok(at) => Some(std::mem::replace(&mut self.links[at].2, cost)),
+            Err(at) => {
+                self.links.insert(at, (head, tail, cost));
+                None
+            }
         }
     }
 
@@ -105,13 +108,12 @@ impl TopoTable {
     /// Apply one LSU entry (NTU step 1a: "add links, delete links or
     /// change links according to the specification of each entry").
     /// `Add` and `Change` are deliberately interchangeable on receive —
-    /// robustness against reordered joins.
-    pub fn apply_entry(&mut self, e: &LsuEntry) {
+    /// robustness against reordered joins. Returns the cost the entry
+    /// replaced or deleted, if the link was present.
+    pub fn apply_entry(&mut self, e: &LsuEntry) -> Option<LinkCost> {
         match e.op {
             LsuOp::Add | LsuOp::Change => self.insert(e.head, e.tail, e.cost),
-            LsuOp::Delete => {
-                self.remove(e.head, e.tail);
-            }
+            LsuOp::Delete => self.remove(e.head, e.tail),
         }
     }
 

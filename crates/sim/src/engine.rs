@@ -66,8 +66,9 @@ pub enum SimMode {
     /// Fluid data plane under the *real* distributed MPDA control plane
     /// (per-router LSU events over the wire, estimator staleness and
     /// all). Not faster than [`SimMode::Packet`] at scale: on the
-    /// 1000-router two-tier ISP topology its MP arm took 253 s, the
-    /// packet engine's 64 s (one core of a shared 2-core host).
+    /// 1000-router two-tier ISP topology its MP arm took 384 s, the
+    /// packet engine's 116 s (one run each, one core of a shared 2-core
+    /// x86-64 host, 2026-10-21).
     Fluid,
     /// Fluid data plane under a centralized quiescent control plane:
     /// per-epoch converged MPDA tables computed by per-destination SPF.

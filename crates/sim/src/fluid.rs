@@ -22,8 +22,8 @@
 //!   is settled before every control event, and a link flip or a step
 //!   that moved φ rewrites the DAG rows it touched. It is not faster
 //!   than the packet engine at scale: on the 1000-router two-tier ISP
-//!   topology its MP arm took 253 s, the packet engine's 64 s (one
-//!   core of a shared 2-core host).
+//!   topology its MP arm took 384 s, the packet engine's 116 s (one run
+//!   each, one core of a shared 2-core x86-64 host, 2026-10-21).
 //! * [`SimMode::FluidQuiescent`] — a centralized control plane that
 //!   recomputes *converged* MPDA tables every `T_s` epoch by
 //!   per-destination reverse SPF (at quiescence MPDA's successor set
